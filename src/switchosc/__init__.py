@@ -59,7 +59,6 @@ from .regularization import (
     exit_scaling_fit,
     find_regularized_sliding_orbit_linear,
     fold_points,
-    integrate_layer,
     layer_field,
     measure_exit_point,
     regularized_poincare_linear,

@@ -17,12 +17,20 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import DomainError, OscillatorParams, cospi, sinpi
+from .core import (
+    OMEGA_MINUS,
+    OMEGA_PLUS,
+    DomainError,
+    OscillatorParams,
+    cospi,
+    omega,
+    sinpi,
+)
 
 
 def flow_scale(sign: int, params: OscillatorParams) -> float:
     """sqrt(w^2 pi^2 + a^2); h is the threshold-leaving solution times this."""
-    w = params.omega(sign)
+    w = omega(sign)
     return math.hypot(w * math.pi, params.a)
 
 
@@ -40,21 +48,21 @@ class PhaseConstants:
 def phase_constants(params: OscillatorParams) -> PhaseConstants:
     a = params.a
     return PhaseConstants(
-        phi_plus=math.atan2(params.omega_plus * math.pi, a),
-        phi_minus=math.atan2(params.omega_minus * math.pi, a),
+        phi_plus=math.atan2(OMEGA_PLUS * math.pi, a),
+        phi_minus=math.atan2(OMEGA_MINUS * math.pi, a),
     )
 
 
 def varphi_over_pi(sign: int, x_i: float, params: OscillatorParams) -> float:
     """(w*pi*x_i - phi)/pi reduced mod 2, so trig of it stays exact at large x."""
-    w = params.omega(sign)
+    w = omega(sign)
     phi = phase_constants(params).phi(sign)
     return math.fmod(w * x_i, 2.0) - phi / math.pi
 
 
 def particular_solution(sign: int, x: float, params: OscillatorParams) -> float:
     """Steady-state response y_p(x) = [w pi cos(w pi x) - a sin(w pi x)] / (w^2 pi^2 + a^2)."""
-    w = params.omega(sign)
+    w = omega(sign)
     a = params.a
     return (w * math.pi * cospi(w * x) - a * sinpi(w * x)) / (
         (w * math.pi) ** 2 + a**2
@@ -72,9 +80,7 @@ def flow_from(sign: int, x: float, x0: float, y0: float,
 def flow_from_deriv(sign: int, x: float, x0: float, y0: float,
                     params: OscillatorParams) -> float:
     """dy/dx of the general half-plane solution (equals -a y - sin(w pi x))."""
-    return -params.a * flow_from(sign, x, x0, y0, params) - sinpi(
-        params.omega(sign) * x
-    )
+    return -params.a * flow_from(sign, x, x0, y0, params) - sinpi(omega(sign) * x)
 
 
 def flow_solution(sign: int, x: float, x_i: float, params: OscillatorParams) -> float:
@@ -92,14 +98,14 @@ def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     """Crossing function; its first positive zero is the next threshold contact."""
     if xbar < 0.0:
         raise DomainError(f"xbar must be >= 0, got {xbar}")
-    w = params.omega(sign)
+    w = omega(sign)
     vq = varphi_over_pi(sign, x_i, params)
     return math.exp(-params.a * xbar) * sinpi(vq) - sinpi(w * xbar + vq)
 
 
 def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     """dh/dxbar, used for grazing detection at located roots."""
-    w = params.omega(sign)
+    w = omega(sign)
     vq = varphi_over_pi(sign, x_i, params)
     return -params.a * math.exp(-params.a * xbar) * sinpi(vq) - w * math.pi * cospi(
         w * xbar + vq
@@ -123,7 +129,7 @@ def h0_zero_iter(sign: int, x_i: float, params: OscillatorParams):
     Two interleaved lattices: xbar = 2n/w, and xbar = (2n+1)/w + 2 phi/(w pi) - 2 x_i.
     Lazy merge so bracket scans can look arbitrarily far ahead.
     """
-    w = params.omega(sign)
+    w = omega(sign)
     phi = phase_constants(params).phi(sign)
     fam_a = _arithmetic(0.0, 2.0 / w)
     start_b = 1.0 / w + 2.0 * phi / (w * math.pi) - 2.0 * math.fmod(x_i, 2.0 / w)
@@ -133,7 +139,7 @@ def h0_zero_iter(sign: int, x_i: float, params: OscillatorParams):
 
 def hinf_zero_iter(sign: int, x_i: float, params: OscillatorParams):
     """Sorted nonnegative zeros of hinf = -sin(w pi xbar + varphi): one lattice of pitch 1/w."""
-    w = params.omega(sign)
+    w = omega(sign)
     phi = phase_constants(params).phi(sign)
     start = phi / (w * math.pi) - math.fmod(x_i, 1.0 / w)
     return _arithmetic(start, 1.0 / w)
@@ -151,7 +157,7 @@ def hinf_zeros(sign: int, x_i: float, params: OscillatorParams, count: int) -> l
     return list(itertools.islice(hinf_zero_iter(sign, x_i, params), count))
 
 
-def p0_map(sign: int, x_i: float, params: OscillatorParams | None = None) -> float:
+def p0_map(sign: int, x_i: float) -> float:
     """Undamped (a = 0) crossing map: (2/w)(1 + floor(w x_i)) - x_i."""
-    w = (params or OscillatorParams(a=1.0)).omega(sign)
+    w = omega(sign)
     return (2.0 / w) * (1.0 + math.floor(w * x_i)) - x_i

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -66,8 +67,18 @@ def _params(args, cfg: dict) -> OscillatorParams:
     if a is None:
         raise DomainError("damping a is required (flag --a or config)")
     eps = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 0.0)
-    psi = getattr(args, "psi", None) or cfg.get("psi", "cubic")
-    return OscillatorParams(a=a, epsilon=eps, psi=psi)
+    return OscillatorParams(a=a, epsilon=eps)
+
+
+def _colon_floats(text: str, form: str, flag: str) -> list[float]:
+    """The finite numbers of a ':'-separated flag value shaped like ``form``."""
+    try:
+        vals = [float(t) for t in text.split(":")]
+    except ValueError:
+        vals = []
+    if len(vals) != form.count(":") + 1 or not all(map(math.isfinite, vals)):
+        raise DomainError(f"{flag} takes {form} (finite numbers), got {text!r}")
+    return vals
 
 
 def _model(args, cfg: dict) -> SwitchingModel:
@@ -143,7 +154,7 @@ def cmd_manifolds(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
     model = _model(args, cfg)
-    lo, hi = (float(t) for t in args.range.split(":"))
+    lo, hi = _colon_floats(args.range, "lo:hi", "--range")
     branches = (nonlinear_branches((lo, hi)) if model is SwitchingModel.NONLINEAR
                 else linear_branches((lo, hi)))
     out = _out_dir(args)
@@ -153,7 +164,7 @@ def cmd_manifolds(args) -> int:
         for b in branches:
             xm = 0.5 * (max(b.domain[0], lo) + min(b.domain[1], hi))
             lam = b.lambda_of(xm)
-            v0 = (critical_branch(model, b.index, xm, params)
+            v0 = (critical_branch(model, b.index, xm)
                   if params.epsilon > 0.0 else float("nan"))
             fh.write(f"{b.index},{_g(b.domain[0])},{_g(b.domain[1])},"
                      f"{b.stability},{_g(lam)},{_g(v0)}\n")
@@ -166,17 +177,19 @@ def cmd_manifolds(args) -> int:
 def cmd_map(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
-    lo, hi, n = args.grid.split(":")
-    xs = np.linspace(float(lo), float(hi), int(n))
+    lo, hi, n = _colon_floats(args.grid, "lo:hi:n", "--grid")
+    if not (n >= 1 and n == int(n)):
+        raise DomainError(f"--grid sample count must be a positive integer, got {n}")
+    xs = np.linspace(lo, hi, int(n))
+    discontinuous = OscillatorParams(a=params.a)
     out = _out_dir(args)
     path = out / "maps.csv"
     with open(path, "w", newline="\n") as fh:
         fh.write("x,p_minus,p_composite,p_eps\n")
         for x in xs:
             try:
-                pm = poincare.next_crossing(-1, float(x), params.with_epsilon(0.0)).x_next
-                pc = poincare.composite_map(float(x), params.a,
-                                            params.with_epsilon(0.0))
+                pm = poincare.next_crossing(-1, float(x), discontinuous).x_next
+                pc = poincare.composite_map(float(x), params.a)
             except OscillatorError:
                 pm = pc = float("nan")
             pe = float("nan")
@@ -193,7 +206,7 @@ def cmd_map(args) -> int:
 def cmd_ageing(args) -> int:
     cfg = _load_config(args.config)
     model = _model(args, cfg)
-    lo, hi = (float(t) for t in args.range.split(":"))
+    lo, hi = _colon_floats(args.range, "lo:hi", "--range")
     rows = ageing_metrics(model, x_range=(lo, hi))
     out = _out_dir(args)
     path = out / "ageing.csv"
@@ -292,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", choices=["linear", "nonlinear"])
         p.add_argument("--a", type=float)
         p.add_argument("--epsilon", type=float)
-        p.add_argument("--psi", default=None)
         p.add_argument("--out-dir", dest="out_dir")
 
     p = sub.add_parser("simulate", help="hybrid or regularized trajectory to CSV/SVG")

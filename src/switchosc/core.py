@@ -12,12 +12,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 TWO_THIRDS = 2.0 / 3.0
 
-OMEGA_PLUS = Fraction(3, 2)
-OMEGA_MINUS = Fraction(1, 2)
+#: The driving frequencies (in units of pi) above and below the threshold.
+#: Every closed-form region, branch and lattice formula assumes this pair.
+OMEGA_PLUS = 1.5
+OMEGA_MINUS = 0.5
+
+#: Largest jump allowed where consecutive trajectory segments meet.
+GAP_TOL = 1e-9
 
 
 class OscillatorError(Exception):
@@ -85,54 +89,25 @@ class Region(enum.Enum):
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Damping, the two driving frequencies, and the regularization width.
-
-    epsilon = 0 selects the discontinuous system.  omega_plus/omega_minus may
-    be overridden, but every closed-form region/branch formula in the library
-    assumes the standard 3/2, 1/2 pair; non-standard values are flagged and
-    rejected by those operations.
-    """
+    """Damping and regularization width; epsilon = 0 is the discontinuous system."""
 
     a: float
-    omega_plus: float = float(OMEGA_PLUS)
-    omega_minus: float = float(OMEGA_MINUS)
     epsilon: float = 0.0
-    psi: str = "cubic"
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise DomainError(f"damping a must be > 0, got {self.a}")
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.a) and self.a > 0.0):
+            raise DomainError(f"damping a must be finite and > 0, got {self.a}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.epsilon > 0.0 and not self.a * self.epsilon < 1.0:
             raise DomainError(
                 f"layer analysis assumes a*epsilon < 1, got {self.a * self.epsilon}"
             )
 
-    def omega(self, sign: int) -> float:
-        return self.omega_plus if sign > 0 else self.omega_minus
 
-    @property
-    def standard_frequencies(self) -> bool:
-        return self.omega_plus == float(OMEGA_PLUS) and self.omega_minus == float(
-            OMEGA_MINUS
-        )
-
-    def require_standard(self) -> None:
-        if not self.standard_frequencies:
-            raise DomainError(
-                "operation requires the standard frequencies 3/2, 1/2 "
-                f"(got {self.omega_plus}, {self.omega_minus})"
-            )
-
-    def with_epsilon(self, epsilon: float) -> "OscillatorParams":
-        return OscillatorParams(
-            a=self.a,
-            omega_plus=self.omega_plus,
-            omega_minus=self.omega_minus,
-            epsilon=epsilon,
-            psi=self.psi,
-        )
+def omega(sign: int) -> float:
+    """Driving frequency (in units of pi) of the half plane S_sign."""
+    return OMEGA_PLUS if sign > 0 else OMEGA_MINUS
 
 
 def params_from_circuit(R: float, L: float) -> OscillatorParams:
@@ -164,8 +139,7 @@ class HybridState:
             raise DomainError("sliding states sit exactly on y = 0")
 
 
-def forcing(model: SwitchingModel, x: float, lam: float,
-            params: OscillatorParams | None = None) -> float:
+def forcing(model: SwitchingModel, x: float, lam: float) -> float:
     """Forcing value f_i(x, lambda), lambda in [-1, 1].
 
     Linear: the convex combination of sin(w+ pi x) and sin(w- pi x).
@@ -174,18 +148,15 @@ def forcing(model: SwitchingModel, x: float, lam: float,
     """
     if not -1.0 <= lam <= 1.0:
         raise DomainError(f"lambda must lie in [-1, 1], got {lam}")
-    wp = params.omega_plus if params else float(OMEGA_PLUS)
-    wm = params.omega_minus if params else float(OMEGA_MINUS)
+    wp, wm = OMEGA_PLUS, OMEGA_MINUS
     if model is SwitchingModel.LINEAR:
         return 0.5 * (1.0 + lam) * sinpi(wp * x) + 0.5 * (1.0 - lam) * sinpi(wm * x)
     return sinpi(((1.0 + lam) * wp + (1.0 - lam) * wm) * x / 2.0)
 
 
-def forcing_dlam(model: SwitchingModel, x: float, lam: float,
-                 params: OscillatorParams | None = None) -> float:
+def forcing_dlam(model: SwitchingModel, x: float, lam: float) -> float:
     """d f_i / d lambda, used for fast-direction stability of threshold roots."""
-    wp = params.omega_plus if params else float(OMEGA_PLUS)
-    wm = params.omega_minus if params else float(OMEGA_MINUS)
+    wp, wm = OMEGA_PLUS, OMEGA_MINUS
     if model is SwitchingModel.LINEAR:
         return 0.5 * (sinpi(wp * x) - sinpi(wm * x))
     u = ((1.0 + lam) * wp + (1.0 - lam) * wm) * x / 2.0
@@ -198,7 +169,7 @@ def vector_field(model: SwitchingModel, params: OscillatorParams,
     if state.y == 0.0:
         raise DomainError("vector_field is undefined on y = 0; use the sliding module")
     lam = 1.0 if state.y > 0.0 else -1.0
-    return 1.0, -params.a * state.y - forcing(model, state.x, lam, params)
+    return 1.0, -params.a * state.y - forcing(model, state.x, lam)
 
 
 def classify_threshold_point(x: float, tol: float = 1e-12) -> Region:
@@ -244,7 +215,7 @@ class Trajectory:
     segments: list[TrajectorySegment] = field(default_factory=list)
     events: list[TrajectoryEvent] = field(default_factory=list)
 
-    def validate(self, gap_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check segment abutment and monotone x; raises SolverError on breach."""
         prev = None
         for seg in self.segments:
@@ -254,7 +225,7 @@ class Trajectory:
                 if not seg.xs[i] >= seg.xs[i - 1]:
                     raise SolverError("x not increasing within a segment")
             if prev is not None:
-                if abs(seg.xs[0] - prev[0]) > gap_tol or abs(seg.ys[0] - prev[1]) > gap_tol:
+                if abs(seg.xs[0] - prev[0]) > GAP_TOL or abs(seg.ys[0] - prev[1]) > GAP_TOL:
                     raise SolverError(
                         f"segments do not abut at x={seg.xs[0]} (gap "
                         f"{abs(seg.ys[0] - prev[1]):.2e})"

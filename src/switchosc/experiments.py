@@ -29,11 +29,11 @@ from .core import (
     forcing,
 )
 from .regularization import (
+    PSI,
     cubic_transition,
     exit_scaling_fit,
     find_regularized_sliding_orbit_linear,
     fold_points,
-    get_transition,
     regularized_fixed_point,
     simulate_regularized,
     slow_manifold_expansion,
@@ -129,37 +129,30 @@ def load_scenario(id_or_path: str) -> Scenario:
 # check evaluation
 
 
+#: check op -> (verdict on the measured value v and the check c, detail template)
+_CHECK_OPS = {
+    "abs_tol": (lambda v, c: abs(v - c["target"]) <= c["tol"],
+                "{val!r} vs {target!r} +- {tol}"),
+    "interval": (lambda v, c: c["lo"] < v < c["hi"], "{val!r} in ({lo}, {hi})"),
+    "le": (lambda v, c: v <= c["target"], "{val!r} <= {target}"),
+    "ge": (lambda v, c: v >= c["target"], "{val!r} >= {target}"),
+    "lt": (lambda v, c: v < c["target"], "{val!r} < {target}"),
+    "gt": (lambda v, c: v > c["target"], "{val!r} > {target}"),
+    "is_true": (lambda v, c: bool(v), "{val!r} is true"),
+    "is_false": (lambda v, c: not bool(v), "{val!r} is false"),
+}
+
+
 def _evaluate_check(check: dict, measured: dict) -> CheckResult:
     name = check["name"]
     key = check.get("key", name)
     val = measured[key]
     op = check["op"]
-    if op == "abs_tol":
-        ok = abs(val - check["target"]) <= check["tol"]
-        detail = f"{val!r} vs {check['target']!r} +- {check['tol']}"
-    elif op == "interval":
-        ok = check["lo"] < val < check["hi"]
-        detail = f"{val!r} in ({check['lo']}, {check['hi']})"
-    elif op == "le":
-        ok = val <= check["target"]
-        detail = f"{val!r} <= {check['target']}"
-    elif op == "ge":
-        ok = val >= check["target"]
-        detail = f"{val!r} >= {check['target']}"
-    elif op == "lt":
-        ok = val < check["target"]
-        detail = f"{val!r} < {check['target']}"
-    elif op == "gt":
-        ok = val > check["target"]
-        detail = f"{val!r} > {check['target']}"
-    elif op == "is_true":
-        ok = bool(val)
-        detail = f"{val!r} is true"
-    elif op == "is_false":
-        ok = not bool(val)
-        detail = f"{val!r} is false"
-    else:
+    if op not in _CHECK_OPS:
         raise DomainError(f"unknown check op {op!r}")
+    verdict, template = _CHECK_OPS[op]
+    ok = verdict(val, check)
+    detail = template.format(**check, val=val)
     return CheckResult(name=name, passed=bool(ok), measured=val, detail=detail,
                        provenance=check.get("provenance", "DERIVED"))
 
@@ -234,7 +227,7 @@ def _run_interval_confinement(sc: Scenario) -> dict:
         p = OscillatorParams(a=a)
         v = poincare.next_crossing(+1, 10.0 / 3.0, p).x_next
         lemma4_ok &= 4.0 < v < 14.0 / 3.0
-        rows = check_no_nonsliding_periodic_nonlinear(a, n_max, p)
+        rows = check_no_nonsliding_periodic_nonlinear(a, n_max)
         worst = min(worst, min(min(r["margin_plus"], r["margin_minus"]) for r in rows))
     return {"lemma4_ok": lemma4_ok, "min_margin": worst}
 
@@ -347,7 +340,7 @@ def _run_slow_manifold(sc: Scenario) -> dict:
     all_ok = True
     for n in sc.spec["n_grid"]:
         p = OscillatorParams(a=a, epsilon=eps)
-        xs0, vs0 = capture_start(n, p)
+        xs0, vs0 = capture_start(n)
         traj = simulate_regularized(SwitchingModel.NONLINEAR, p, xs0, vs0,
                                     x_end=3.0 * n + 2.0 + 0.01,
                                     rtol=1e-11, atol=1e-13)
@@ -374,8 +367,7 @@ def _run_fig11(sc: Scenario) -> dict:
     spans = traj.layer_spans()
     entry, exit_x = max(spans, key=lambda s: s[1] - s[0])
     xs = np.linspace(0.5 * (entry + exit_x) - 1.0, 0.5 * (entry + exit_x) + 1.0, 9)
-    tf = get_transition(p)
-    lam_mid = float(np.mean([tf.psi(v) for v in traj.eval(xs)]))
+    lam_mid = float(np.mean([PSI.psi(v) for v in traj.eval(xs)]))
     branch = round(float(np.mean(xs)) * (1.0 + lam_mid / 2.0))
     x_t = min(e.x for e in traj.events if e.kind == "layer-entry")
     grid = np.linspace(x_t + 1e-6, traj.x_end - 1e-6, 4000)

@@ -24,6 +24,7 @@ from .core import (
     SolverError,
     classify_threshold_point,
     cospi,
+    omega,
     sinpi,
 )
 from .analytic_flow import h, h_dxbar, h0_zero_iter, hinf_zero_iter
@@ -50,11 +51,15 @@ class PoincareResult:
         return self.x_next - self.x_start
 
 
-def _departure_ok(sign: int, x_i: float, params: OscillatorParams) -> bool:
-    """Field at (x_i, 0) permits leaving into S_sign (transversally or tangentially)."""
-    w = params.omega(sign)
+def _departure_ok(sign: int, x_i: float) -> bool:
+    """Field at (x_i, 0) permits leaving into S_sign (transversally or tangentially).
+
+    sin(w pi x_i) at a tangency point carries the rounding of x_i itself, about
+    w pi ulp(x_i), so the tangency test widens with |x_i| on long runs.
+    """
+    w = omega(sign)
     dy = -sinpi(w * x_i)
-    if abs(dy) <= 1e-12:
+    if abs(dy) <= max(1e-12, 8.0 * math.pi * w * math.ulp(x_i)):
         # tangent departure: the curvature -w pi cos(w pi x_i) must bend into S_sign
         return sign * (-w * math.pi * cospi(w * x_i)) > 0.0
     return sign * dy > 0.0
@@ -62,7 +67,7 @@ def _departure_ok(sign: int, x_i: float, params: OscillatorParams) -> bool:
 
 def _probe_points(sign: int, x_i: float, params: OscillatorParams, horizon: float):
     """Sorted scan abscissae: uniform grid merged with the comparison-lattice zeros."""
-    w = params.omega(sign)
+    w = omega(sign)
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
     uniform = itertools.takewhile(
         lambda t: t <= horizon, (k * step for k in itertools.count(1))
@@ -77,23 +82,21 @@ def _probe_points(sign: int, x_i: float, params: OscillatorParams, horizon: floa
 
 
 def next_crossing(sign: int, x_i: float, params: OscillatorParams,
-                  tol: float = 1e-12, horizon: float | None = None) -> PoincareResult:
+                  tol: float = 1e-12) -> PoincareResult:
     """First return to y = 0 of the flow leaving (x_i, 0) into S_sign.
 
     Raises DomainError when the field at x_i does not allow that departure and
-    SolverError when no sign change appears within the horizon (which cannot
-    happen for a > 0 unless the horizon is set too small).
+    SolverError when no sign change appears within the horizon 6/w (which
+    cannot happen for a > 0).
     """
     if sign not in (-1, 1):
         raise DomainError(f"sign must be +-1, got {sign}")
-    if not _departure_ok(sign, x_i, params):
+    if not _departure_ok(sign, x_i):
         raise DomainError(
             f"departure into S_{'+' if sign > 0 else '-'} at x={x_i} is inconsistent "
             "with the field direction"
         )
-    w = params.omega(sign)
-    if horizon is None:
-        horizon = 6.0 / w
+    horizon = 6.0 / omega(sign)
     f = lambda u: h(sign, u, x_i, params)
     prev_t = 0.0
     prev_sign = sign  # h carries the sign of y, which is `sign` until the first zero
@@ -133,12 +136,9 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
     )
 
 
-def composite_map(x: float, a: float, params: OscillatorParams | None = None,
-                  tol: float = 1e-12) -> float:
+def composite_map(x: float, a: float, tol: float = 1e-12) -> float:
     """P(x, a) = P_+^a(P_-^a(x)) for departures x in I_- = (0, 2/3) mod 4."""
-    p = params or OscillatorParams(a=a)
-    if p.a != a:
-        raise DomainError("params.a must match the map's a")
+    p = OscillatorParams(a=a)
     frac = math.fmod(x, 4.0)
     if not I_MINUS[0] < frac < I_MINUS[1]:
         raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
@@ -166,21 +166,19 @@ def solve_x0() -> float:
     return brentq(dP_da_at_zero, 0.5, 2.0 / 3.0 - 1e-12, xtol=1e-12)
 
 
-def dP_dx(x: float, a: float, mode: str = "closed-form",
-          params: OscillatorParams | None = None) -> float:
+def dP_dx(x: float, a: float, mode: str = "closed-form") -> float:
     """Derivative of the composite map.
 
     closed-form assumes x is a fixed point of P(x) - (x + 4) and uses the
     triple-angle reduction; finite-difference is a central difference with
     step 1e-6 and is valid anywhere in the domain.
     """
-    p = params or OscillatorParams(a=a)
     if mode == "finite-difference":
         d = 1e-6
-        return (composite_map(x + d, a, p) - composite_map(x - d, a, p)) / (2.0 * d)
+        return (composite_map(x + d, a) - composite_map(x - d, a)) / (2.0 * d)
     if mode != "closed-form":
         raise DomainError(f"unknown mode {mode!r}")
-    pm = next_crossing(-1, x, p).x_next
+    pm = next_crossing(-1, x, OscillatorParams(a=a)).x_next
     den = 3.0 - 4.0 * sinpi(x / 2.0) ** 2
     if abs(den) < 1e-9:
         raise SolverError(f"dP_dx denominator ~ 0 at x={x} (x near 2/3 mod 4)")
@@ -188,21 +186,19 @@ def dP_dx(x: float, a: float, mode: str = "closed-form",
     return (num / den) * math.exp(-4.0 * a)
 
 
-def find_nonsliding_period4(a: float, tol: float = 1e-12,
-                            params: OscillatorParams | None = None,
-                            subdivisions: int = 64) -> tuple[float, float]:
+def find_nonsliding_period4(a: float, tol: float = 1e-12) -> tuple[float, float]:
     """Fixed point x* of P(x, a) - (x + 4) on (0, 2/3) and its multiplier.
 
-    Brackets on `subdivisions` subintervals, then refines by bisection-backed
+    Brackets on 64 subintervals, then refines by bisection-backed
     root finding.  Raises NoOrbitError when no transversal fixed point exists
     (no sign change, or an intermediate contact falls outside a crossing
     region, which is how the orbit dies as `a` grows), SolverError on a
     numerical failure.
     """
-    p = params or OscillatorParams(a=a)
-    lo, hi = 1e-4, 2.0 / 3.0 - 1e-4
-    delta = lambda x: composite_map(x, a, p, tol=tol) - (x + 4.0)
-    xs = [lo + (hi - lo) * k / subdivisions for k in range(subdivisions + 1)]
+    p = OscillatorParams(a=a)
+    lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
+    delta = lambda x: composite_map(x, a, tol=tol) - (x + 4.0)
+    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
     vals = []
     for x in xs:
         try:
@@ -222,11 +218,11 @@ def find_nonsliding_period4(a: float, tol: float = 1e-12,
     if root is None:
         raise NoOrbitError(f"no non-sliding period-4 fixed point found for a={a}")
     mid = next_crossing(-1, root, p)
-    for contact in (mid.x_next, composite_map(root, a, p)):
+    for contact in (mid.x_next, composite_map(root, a)):
         if classify_threshold_point(contact) is not Region.CROSSING:
             raise NoOrbitError(
                 f"fixed point candidate x={root} touches a non-crossing region at "
                 f"x={contact}; the transversal orbit does not exist at a={a}"
             )
-    multiplier = dP_dx(root, a, "closed-form", p)
+    multiplier = dP_dx(root, a, "closed-form")
     return root, multiplier

@@ -33,12 +33,15 @@ from .core import (
     Mode,
     forcing,
     forcing_dlam,
+    omega,
     sinpi,
 )
 from .analytic_flow import flow_from, flow_from_deriv
-from .sliding import SlidingBranch, _linear_branch, _nonlinear_branch
+from .sliding import _linear_branch, _nonlinear_branch
 
 _NUDGE = 1e-12
+#: Samples per unit of x when a regularized run is tabulated for CSV or plots.
+SAMPLES_PER_UNIT = 200
 
 
 def capture_threshold(epsilon: float) -> float:
@@ -112,21 +115,8 @@ def cubic_transition() -> TransitionFunction:
     )
 
 
-_TRANSITIONS = {"cubic": cubic_transition}
-
-
-def get_transition(params: OscillatorParams) -> TransitionFunction:
-    try:
-        tf = _TRANSITIONS[params.psi]()
-    except KeyError:
-        raise DomainError(f"unknown transition function {params.psi!r}") from None
-    return tf
-
-
-def register_transition(name: str, tf: TransitionFunction) -> None:
-    """Register a user profile; the property suite runs at registration time."""
-    tf.validate()
-    _TRANSITIONS[name] = lambda: tf
+#: The transition profile of the regularized system.
+PSI = cubic_transition()
 
 
 # ---------------------------------------------------------------------------
@@ -140,44 +130,19 @@ class LayerState:
 
 
 def layer_field(model: SwitchingModel, params: OscillatorParams,
-                state: LayerState,
-                tf: TransitionFunction | None = None) -> tuple[float, float]:
+                state: LayerState) -> tuple[float, float]:
     """(dx, dv) inside the layer; epsilon = 0 is rejected."""
     if params.epsilon <= 0.0:
         raise DomainError("layer_field needs epsilon > 0")
-    tf = tf or get_transition(params)
     e = params.epsilon
-    lam = tf.psi(state.v)
-    return 1.0, (-params.a * e * state.v - forcing(model, state.x, lam, params)) / e
+    lam = PSI.psi(state.v)
+    return 1.0, (-params.a * e * state.v - forcing(model, state.x, lam)) / e
 
 
-@dataclass(frozen=True)
-class CriticalBranchReg:
-    """Graph v0(x) of one critical-manifold branch inside the layer."""
-
-    model: SwitchingModel
-    index: int
-    domain: tuple[float, float]
-    stability: str
-
-    def v0(self, x: float, params: OscillatorParams) -> float:
-        return critical_branch(self.model, self.index, x, params)
-
-
-def critical_branch_info(model: SwitchingModel, index: int) -> CriticalBranchReg:
-    b: SlidingBranch = (_linear_branch(index) if model is SwitchingModel.LINEAR
-                        else _nonlinear_branch(index))
-    return CriticalBranchReg(model=model, index=index, domain=b.domain,
-                             stability=b.stability)
-
-
-def critical_branch(model: SwitchingModel, index: int, x: float,
-                    params: OscillatorParams,
-                    tf: TransitionFunction | None = None) -> float:
+def critical_branch(model: SwitchingModel, index: int, x: float) -> float:
     """v0 with psi(v0) = branch lambda(x); the layer image of a sliding branch."""
-    tf = tf or get_transition(params)
     b = _linear_branch(index) if model is SwitchingModel.LINEAR else _nonlinear_branch(index)
-    return tf.inverse(b.lambda_of(x))
+    return PSI.inverse(b.lambda_of(x))
 
 
 def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
@@ -190,7 +155,7 @@ def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
         raise DomainError("sign must be +-1")
     if not params.a * params.epsilon < 1.0:
         raise DomainError("fold points need a*eps < 1")
-    w = params.omega(sign)
+    w = omega(sign)
     base = 2.0 * n / 3.0 if sign > 0 else 2.0 * n
     shift = ((-1) ** (n + 1)) * math.asin(params.a * params.epsilon) / (math.pi * w)
     return base + (shift if sign > 0 else -shift)
@@ -250,11 +215,11 @@ class RegTrajectory:
             threshold = capture_threshold(self.params.epsilon)
         return [sp for sp in self.layer_spans() if sp[1] - sp[0] > threshold]
 
-    def to_trajectory(self, samples_per_unit: int = 200) -> Trajectory:
+    def to_trajectory(self) -> Trajectory:
         """Sampled core Trajectory (v units) for CSV/plot emission."""
         traj = Trajectory(events=list(self.events))
         for s in self.segments:
-            n = max(8, int(round((s.x1 - s.x0) * samples_per_unit)))
+            n = max(8, int(round((s.x1 - s.x0) * SAMPLES_PER_UNIT)))
             xs = [s.x0 + (s.x1 - s.x0) * i / n for i in range(n + 1)]
             ys = [s.eval(x) for x in xs]
             mode = Mode.LAYER if s.kind == "layer" else (
@@ -265,7 +230,7 @@ class RegTrajectory:
 
 def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> float:
     """Next x > x0 where the exterior flow from (x0, eps*v0) re-reaches y = side*eps."""
-    w = params.omega(side)
+    w = omega(side)
     a = params.a
     e = params.epsilon
     y0 = e * v0
@@ -291,8 +256,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          x0: float, v0: float, x_end: float,
                          rtol: float = 1e-10, atol: float = 1e-12,
                          stop_at_downward_v0_after: float | None = None,
-                         with_sensitivity: bool = False,
-                         max_step: float | None = None) -> RegTrajectory:
+                         with_sensitivity: bool = False) -> RegTrajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
     Alternates stiff layer integration (Radau, analytic Jacobian, terminal
@@ -305,18 +269,17 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized simulation needs epsilon > 0")
-    tf = get_transition(params)
     e = params.epsilon
     a = params.a
     traj = RegTrajectory(params=params, model=model)
     log_sens = 0.0
 
     def layer_rate(x, v):
-        return (-a * e * v - forcing(model, x, _clip(tf.psi(v)), params)) / e
+        return (-a * e * v - forcing(model, x, _clip(PSI.psi(v)))) / e
 
     def layer_rate_dv(x, v):
-        return (-a * e - forcing_dlam(model, x, _clip(tf.psi(v)), params)
-                * tf.psi_prime(v)) / e
+        return (-a * e - forcing_dlam(model, x, _clip(PSI.psi(v)))
+                * PSI.psi_prime(v)) / e
 
     def rhs(x, yv):
         dv = layer_rate(x, yv[0])
@@ -347,7 +310,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             events = [hit_up, hit_dn] + ([mid] if stop_at_downward_v0_after is not None else [])
             sol = solve_ivp(rhs, (x, x_end), y_init, method="Radau", jac=jac,
                             rtol=rtol, atol=atol, events=events,
-                            dense_output=True, max_step=max_step or np.inf)
+                            dense_output=True)
             if sol.status < 0:
                 raise SolverError(f"layer integration failed at x={sol.t[-1]}: {sol.message}")
             x1 = sol.t[-1]
@@ -409,35 +372,22 @@ def _clip(lam: float) -> float:
     return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
 
 
-def integrate_layer(model: SwitchingModel, params: OscillatorParams,
-                    initial: "LayerState | tuple[float, float]", x_end: float,
-                    tol: float = 1e-10) -> RegTrajectory:
-    """Spec-facing wrapper: trajectory through the layer with exterior concatenation."""
-    if isinstance(initial, LayerState):
-        x0, v0 = initial.x, initial.v
-    else:
-        x0, v0 = initial
-    return simulate_regularized(model, params, x0, v0, x_end,
-                                rtol=tol, atol=tol * 1e-2)
-
-
 # ---------------------------------------------------------------------------
 # slow manifolds, exit points, scaling fits (nonlinear model)
 
 
-def slow_manifold_expansion(n: int, x: float, params: OscillatorParams,
-                            guard: float = 0.1) -> dict:
+def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
     """First-order slow manifold of the attracting branch 2n: v0 + eps*v1.
 
     v1 = (-1)^(2n+1) * 2 (v0' + a v0) / (pi x psi'(v0)) = -2(v0' + a v0)/(pi x psi'),
     with v0' = lambda'(x)/psi'(v0) computed analytically.  Valid away from the
-    folds: psi'(v0) > ``guard`` is enforced.
+    folds: psi'(v0) > 0.1 is enforced.
     """
-    tf = get_transition(params)
+    guard = 0.1
     nu = 2 * n
     b = _nonlinear_branch(nu)
-    v0 = tf.inverse(b.lambda_of(x))
-    sp = tf.psi_prime(v0)
+    v0 = PSI.inverse(b.lambda_of(x))
+    sp = PSI.psi_prime(v0)
     if not sp > guard:
         raise DomainError(f"fold proximity: psi'(v0)={sp} <= guard {guard} at x={x}")
     v0p = b.lambda_prime(x) / sp
@@ -456,18 +406,16 @@ class ExitMeasurement:
     trajectory: RegTrajectory
 
 
-def capture_start(n: int, params: OscillatorParams,
-                  offset_frac: float = 0.25) -> tuple[float, float]:
+def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
     """A start state just above the attracting branch 2n, inside its basin.
 
     The basin ceiling is the adjacent repelling branch, a lambda-gap of 2/x
     away (ageing packs branches ~1/n apart), so the offset scales with it.
     """
-    tf = get_transition(params)
     nu = 2 * n
     xs = float(nu)  # lambda = 0 there; mid-branch
-    v0 = tf.inverse(_nonlinear_branch(nu).lambda_of(xs))
-    gap = (2.0 / xs) / tf.psi_prime(v0)
+    v0 = PSI.inverse(_nonlinear_branch(nu).lambda_of(xs))
+    gap = (2.0 / xs) / PSI.psi_prime(v0)
     return xs, v0 + offset_frac * gap
 
 
@@ -572,7 +520,7 @@ def boundary_return_map(sign: int, x_start: float, params: OscillatorParams) -> 
     e = params.epsilon
     if e <= 0.0:
         raise DomainError("boundary_return_map needs epsilon > 0")
-    dv = -params.a * e * sign - sinpi(params.omega(sign) * x_start)
+    dv = -params.a * e * sign - sinpi(omega(sign) * x_start)
     if sign * dv < -1e-9:
         raise DomainError(f"field at ({x_start}, v={sign}) points into the layer")
     return _ext_return(sign, x_start, float(sign), params)
@@ -630,19 +578,19 @@ class RegSlidingOrbit:
 
 
 def find_regularized_sliding_orbit_linear(a: float, params: OscillatorParams,
-                                          fd_step: float = 1e-4,
                                           rtol: float = 1e-11) -> RegSlidingOrbit:
     """Regularized sliding period-4 orbit of the linear model (large-a regime).
 
     Locates the fixed point of P_eps, verifies the orbit carries a captured
     layer segment (the slide along the attracting critical branch), and
     measures its contraction two ways: the spec's central finite difference
-    of P_eps (which underflows once the contraction drops below double
+    of P_eps with step 1e-4 (which underflows once the contraction drops below double
     precision; values then read 0) and the variational log-derivative
     accumulated along the orbit, which resolves the exponential smallness.
     """
     if params.a != a:
         raise DomainError("params.a must equal a")
+    fd_step = 1e-4
     fp = regularized_fixed_point(params, (0.02, 0.64), rtol=rtol, allow_capture=True)
     orbit = simulate_regularized(SwitchingModel.LINEAR, params, fp, 0.0,
                                  x_end=fp + 12.0, rtol=rtol, atol=rtol * 1e-2,

@@ -32,13 +32,16 @@ from .core import (
     cospi,
     forcing,
     forcing_dlam,
+    omega,
     sinpi,
 )
 from .analytic_flow import flow_from, flow_solution
-from .poincare import next_crossing
+from .poincare import _departure_ok, next_crossing
 
 Y_ZERO_TOL = 1e-12
 TANGENCY_FIELD_TOL = 1e-11
+#: Stored samples per unit of x on every hybrid trajectory segment.
+SAMPLES_PER_UNIT = 120
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,8 @@ class EntryDecision:
     lam_star: float | None = None
 
 
-def select_branch_on_entry(model: SwitchingModel, x_entry: float, from_side: int,
-                           params: OscillatorParams | None = None) -> EntryDecision:
+def select_branch_on_entry(model: SwitchingModel, x_entry: float,
+                           from_side: int) -> EntryDecision:
     """Resolve a threshold contact from S_(from_side): cross, or attach to a branch.
 
     The fast layer flow moving inward from lambda = from_side stops at the
@@ -145,7 +148,7 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float, from_side: int
     """
     if from_side not in (-1, 1):
         raise DomainError(f"from_side must be +-1, got {from_side}")
-    f_edge = forcing(model, x_entry, float(from_side), params)
+    f_edge = forcing(model, x_entry, float(from_side))
     if abs(f_edge) < TANGENCY_FIELD_TOL:
         return EntryDecision(kind="tangency")
     if from_side * f_edge < 0.0:
@@ -158,7 +161,7 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float, from_side: int
         return EntryDecision(kind="crossing")
     roots = sorted(((b.lambda_of(x_entry), b) for b in cands), key=lambda t: t[0])
     lam_star, branch = roots[-1] if from_side > 0 else roots[0]
-    slope = forcing_dlam(model, x_entry, lam_star, params)
+    slope = forcing_dlam(model, x_entry, lam_star)
     if abs(slope) < TANGENCY_FIELD_TOL:
         return EntryDecision(kind="tangency", branch=branch, lam_star=lam_star)
     if slope < 0.0:
@@ -170,12 +173,10 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float, from_side: int
     return EntryDecision(kind="sliding", branch=branch, lam_star=lam_star)
 
 
-def _departure_side(model: SwitchingModel, x: float, params: OscillatorParams) -> int:
+def _departure_side(x: float) -> int:
     """Unique half-plane a threshold point can depart into; raises if ambiguous."""
-    from .poincare import _departure_ok
-
-    ok_p = _departure_ok(+1, x, params)
-    ok_m = _departure_ok(-1, x, params)
+    ok_p = _departure_ok(+1, x)
+    ok_m = _departure_ok(-1, x)
     if ok_p and ok_m:
         raise DomainError(
             f"start (x={x}, y=0) lies in a repelling region: forward evolution is "
@@ -192,7 +193,7 @@ def _departure_side(model: SwitchingModel, x: float, params: OscillatorParams) -
 def _first_hit_from_interior(sign: int, x0: float, y0: float,
                              params: OscillatorParams) -> float:
     """First y = 0 contact of the general half-plane flow from (x0, y0 != 0)."""
-    w = params.omega(sign)
+    w = omega(sign)
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
     g = lambda x: flow_from(sign, x, x0, y0, params)
     amp = 1.0 / math.hypot(w * math.pi, params.a)
@@ -213,8 +214,7 @@ def _first_hit_from_interior(sign: int, x0: float, y0: float,
 
 def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                            initial: "HybridState | tuple[float, float]",
-                           x_end: float, tol: float = 1e-12,
-                           samples_per_unit: int = 120) -> Trajectory:
+                           x_end: float, tol: float = 1e-12) -> Trajectory:
     """Event-driven hybrid trajectory of the discontinuous (epsilon = 0) system.
 
     Half-plane arcs use the closed-form flow with crossings located by the
@@ -228,11 +228,10 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     """
     if params.epsilon != 0.0:
         raise DomainError("simulate_discontinuous requires epsilon = 0")
-    params.require_standard()
     if isinstance(initial, tuple):
         x0, y0 = initial
         if y0 == 0.0:
-            start_state = ("depart", x0, _departure_side(model, x0, params))
+            start_state = ("depart", x0, _departure_side(x0))
         else:
             start_state = ("interior", x0, (y0, +1 if y0 > 0 else -1))
     else:
@@ -252,7 +251,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                     raise DomainError(f"sliding start x={x0} outside branch domain")
             start_state = ("slide", x0, branch)
         elif initial.y == 0.0:
-            start_state = ("depart", x0, _departure_side(model, x0, params))
+            start_state = ("depart", x0, _departure_side(x0))
         else:
             start_state = ("interior", x0, (initial.y, +1 if initial.y > 0 else -1))
     if x_end <= x0:
@@ -260,7 +259,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     traj = Trajectory()
 
     def sample(xs0: float, xs1: float):
-        n = max(8, int(round((xs1 - xs0) * samples_per_unit)))
+        n = max(8, int(round((xs1 - xs0) * SAMPLES_PER_UNIT)))
         return [xs0 + (xs1 - xs0) * i / n for i in range(n + 1)]
 
     state = start_state
@@ -293,7 +292,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             state = ("contact", xc_hit, side)
         elif kind == "contact":
             side = payload
-            decision = select_branch_on_entry(model, x, side, params)
+            decision = select_branch_on_entry(model, x, side)
             if decision.kind == "crossing":
                 traj.events.append(TrajectoryEvent(x=x, kind="cross"))
                 state = ("depart", x, -side)
@@ -318,7 +317,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                 x=x_exit, kind="slide-exit", branch=branch.index))
             # the endpoint is a tangency point; exactly one half-plane field
             # points away from the threshold there and the orbit leaves into it
-            state = ("depart", x_exit, _departure_side(model, x_exit, params))
+            state = ("depart", x_exit, _departure_side(x_exit))
         else:  # pragma: no cover
             raise SolverError(f"unknown state {kind}")
         if traj.segments and traj.segments[-1].xs[-1] >= x_end:
@@ -341,8 +340,7 @@ class SlidingOrbitResult:
     reason: str = ""
 
 
-def find_sliding_period4_linear(a: float,
-                                params: OscillatorParams | None = None) -> SlidingOrbitResult:
+def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
     """Sliding period-4 orbit of the linear model through (10/3, 0).
 
     Simulates one period forward: the orbit exists iff the trajectory slides
@@ -350,7 +348,7 @@ def find_sliding_period4_linear(a: float,
     crossings drift past 22/3 and absence is reported, as expected in that
     regime.
     """
-    p = params or OscillatorParams(a=a)
+    p = OscillatorParams(a=a)
     # (10/3, 0) is the right edge of the first attracting interval: the only
     # consistent departure is a tangent one into S_+
     traj = simulate_discontinuous(
@@ -370,8 +368,7 @@ def find_sliding_period4_linear(a: float,
         reason=f"no sliding segment reaches x = 22/3 at a={a}; crossings={crossings}")
 
 
-def find_sliding_period4_nonlinear(a: float,
-                                   params: OscillatorParams | None = None) -> SlidingOrbitResult:
+def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     """The unique sliding period-4 orbit of the nonlinear model (exists for all a > 0).
 
     From (0, 0) the orbit dips into S_-, returns at x_a in (2, 4), attaches to
@@ -380,7 +377,7 @@ def find_sliding_period4_nonlinear(a: float,
     runs is only claimed here because the regularized limit confirms it
     (cross-module test); raw threshold concatenations would be unverified.
     """
-    p = params or OscillatorParams(a=a)
+    p = OscillatorParams(a=a)
     traj = simulate_discontinuous(
         SwitchingModel.NONLINEAR, p, (0.0, 0.0), x_end=4.0 + 0.5)
     entries = [e for e in traj.events if e.kind == "slide-entry"]
@@ -399,15 +396,14 @@ def find_sliding_period4_nonlinear(a: float,
         closure_error=closure, x_a=x_a, branch=entries[0].branch)
 
 
-def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int,
-                                           params: OscillatorParams | None = None):
+def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
     """Per-n margins showing candidate transversal closures are excluded.
 
     P_+^a(4n-2) must land strictly inside (4n-4/3, 4n-2/3) and P_-^a(4n)
     strictly inside (4n+2, 4n+4); positive margins rule out non-sliding
     periodic orbits through the x = 2n contact lattice.
     """
-    p = params or OscillatorParams(a=a)
+    p = OscillatorParams(a=a)
     rows = []
     for n in range(1, n_max + 1):
         xp = next_crossing(+1, 4.0 * n - 2.0, p).x_next

@@ -17,12 +17,12 @@ from switchosc.analytic_flow import (
     phase_constants,
     varphi_over_pi,
 )
-from switchosc.core import OscillatorParams, sinpi
+from switchosc.core import OscillatorParams, omega, sinpi
 
 
 def eq14_reference(sign: int, x: float, x_i: float, params: OscillatorParams) -> float:
     """Unshifted closed form, written directly from the constant-variation solution."""
-    w = params.omega(sign)
+    w = omega(sign)
     a = params.a
     den = (w * math.pi) ** 2 + a**2
     return (w * math.pi * math.cos(w * math.pi * x) - a * math.sin(w * math.pi * x)
@@ -48,7 +48,7 @@ def test_flow_initial_condition_and_slope():
         assert flow_solution(sign, x_i, x_i, p) == pytest.approx(0.0, abs=1e-14)
         d = 1e-7
         slope = (flow_solution(sign, x_i + d, x_i, p) - 0.0) / d
-        assert slope == pytest.approx(-sinpi(p.omega(sign) * x_i), abs=1e-6)
+        assert slope == pytest.approx(-sinpi(omega(sign) * x_i), abs=1e-6)
 
 
 def test_flow_matches_dense_integration():
@@ -89,7 +89,7 @@ def test_h_vanishes_at_zero_and_decays_to_hinf():
     p = OscillatorParams(a=1.0)
     for sign, x_i in ((+1, 10.0 / 3.0), (-1, 0.0), (-1, 4.5)):
         assert h(sign, 0.0, x_i, p) == pytest.approx(0.0, abs=1e-14)
-        w = p.omega(sign)
+        w = omega(sign)
         vq = varphi_over_pi(sign, x_i, p)
         for xbar in (5.0, 9.0):
             tail = abs(h(sign, xbar, x_i, p) - (-sinpi(w * xbar + vq)))
@@ -152,7 +152,7 @@ def test_sandwich_property():
         p = OscillatorParams(a=a)
         sign = 1 if rng.uniform() < 0.5 else -1
         x_i = float(rng.uniform(0.0, 12.0))
-        w = p.omega(sign)
+        w = omega(sign)
         vq = varphi_over_pi(sign, x_i, p)
         s = sinpi(vq)
         if abs(s) < 1e-6:

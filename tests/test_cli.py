@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from switchosc.cli import main
 
 
@@ -94,6 +96,18 @@ def test_reproduce_unknown_scenario_usage_error(tmp_path, capsys):
     code, _, err = run(["reproduce", "nope", "--out-dir", str(tmp_path)], capsys)
     assert code == 2
     assert "unknown scenario" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["map", "--model", "linear", "--a", "0.01", "--grid", "0:1"],
+    ["map", "--model", "linear", "--a", "0.01", "--grid", "0:1:2.5"],
+    ["manifolds", "--model", "nonlinear", "--a", "1", "--range", "0"],
+    ["ageing", "--model", "nonlinear", "--range", "0:inf"],
+])
+def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
+    code, _, err = run(args + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: --")
 
 
 def test_validate_psi(tmp_path, capsys):

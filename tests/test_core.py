@@ -122,10 +122,11 @@ def test_params_validation():
         OscillatorParams(a=1.0, epsilon=-0.1)
     with pytest.raises(DomainError):
         OscillatorParams(a=2.0, epsilon=0.6)  # a*eps >= 1
-    p = OscillatorParams(a=1.0, omega_plus=2.0)
-    assert not p.standard_frequencies
-    with pytest.raises(DomainError):
-        p.require_standard()
+    # non-finite values: a = inf would make the crossing probe step 1/(4a) zero
+    for bad in ({"a": math.inf}, {"a": math.nan},
+                {"a": 1.0, "epsilon": math.nan}, {"a": 1.0, "epsilon": math.inf}):
+        with pytest.raises(DomainError):
+            OscillatorParams(**bad)
 
 
 def test_hybrid_state_invariants():

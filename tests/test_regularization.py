@@ -20,7 +20,6 @@ from switchosc.regularization import (
     find_regularized_sliding_orbit_linear,
     fit_power_law,
     fold_points,
-    integrate_layer,
     layer_field,
     measure_exit_point,
     regularized_fixed_point,
@@ -55,7 +54,7 @@ def test_bad_transition_rejected():
 def test_layer_field_values():
     p = OscillatorParams(a=0.7, epsilon=1e-3)
     # on a critical branch the forcing vanishes and dv = -a v0
-    v0 = critical_branch(LIN, 1, 3.0, p)
+    v0 = critical_branch(LIN, 1, 3.0)
     _, dv = layer_field(LIN, p, LayerState(x=3.0, v=v0))
     assert dv == pytest.approx(-p.a * v0, abs=1e-9)
     _, dv2 = layer_field(NONLIN, p, LayerState(x=2.0, v=0.0))
@@ -71,14 +70,13 @@ def test_layer_field_values():
 
 
 def test_critical_branch_values():
-    p = OscillatorParams(a=1.0, epsilon=1e-3)
-    assert critical_branch(LIN, 1, 3.0, p) == pytest.approx(0.0, abs=1e-13)
-    assert critical_branch(NONLIN, 2, 2.0, p) == pytest.approx(0.0, abs=1e-13)
+    assert critical_branch(LIN, 1, 3.0) == pytest.approx(0.0, abs=1e-13)
+    assert critical_branch(NONLIN, 2, 2.0) == pytest.approx(0.0, abs=1e-13)
     # psi(v0) = 0.5 at x = 0.8 on branch 1: bisection oracle on the cubic
     ref = brentq(lambda v: 0.5 * v * (3 - v * v) - 0.5, -1, 1, xtol=1e-15)
-    assert critical_branch(NONLIN, 1, 0.8, p) == pytest.approx(ref, abs=1e-13)
+    assert critical_branch(NONLIN, 1, 0.8) == pytest.approx(ref, abs=1e-13)
     with pytest.raises(DomainError):
-        critical_branch(NONLIN, 1, 2.5, p)
+        critical_branch(NONLIN, 1, 2.5)
 
 
 def test_fold_points_formula():
@@ -109,9 +107,10 @@ def test_attracting_branch_capture_rate():
     p = OscillatorParams(a=0.01, epsilon=1e-3)
     tf = cubic_transition()
     n = 4
-    x0, v_start = capture_start(n, p, offset_frac=0.1)
-    traj = integrate_layer(NONLIN, p, (x0, v_start), x0 + 0.01, tol=1e-12)
-    v0 = critical_branch(NONLIN, 2 * n, x0, p)
+    x0, v_start = capture_start(n, offset_frac=0.1)
+    traj = simulate_regularized(NONLIN, p, x0, v_start, x0 + 0.01,
+                                rtol=1e-12, atol=1e-14)
+    v0 = critical_branch(NONLIN, 2 * n, x0)
     rate = math.pi * x0 / 2.0 * tf.psi_prime(v0) / p.epsilon
     xs = np.linspace(x0 + 5e-5, x0 + 2.5e-4, 7)
     ref = np.array([slow_manifold_expansion(n, float(x), p)["v_first_order"]
@@ -144,7 +143,7 @@ def test_measured_trajectory_matches_first_order_expansion():
     # deviation agrees with eps*v1
     p = OscillatorParams(a=0.01, epsilon=1e-3)
     n = 8
-    x0, v_start = capture_start(n, p)
+    x0, v_start = capture_start(n)
     traj = simulate_regularized(NONLIN, p, x0, v_start, 3.0 * n + 2.0,
                                 rtol=1e-11, atol=1e-13)
     for x in np.linspace(7.0 * n / 3.0, 3.0 * n + 2.0, 50):
@@ -355,5 +354,5 @@ def test_funnel_windows_capture_onto_branch_2n():
                                         rtol=1e-10, atol=1e-12)
             xq = x_in + 0.5
             v = float(traj.eval([xq])[0])
-            v0 = critical_branch(NONLIN, 6, xq, p)
+            v0 = critical_branch(NONLIN, 6, xq)
             assert abs(v - v0) < 0.01, (x_in, v_in, v, v0)

@@ -152,6 +152,16 @@ def test_simulate_linear_a2_sliding_orbit_structure():
     assert "slide-entry" in kinds and "slide-exit" in kinds
 
 
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
+def test_simulate_linear_long_run_keeps_leaving_slides(a):
+    # slide exits at 4n + 4/3 are tangent departures; past x ~ 2051 the
+    # rounding of x itself once made sin(w pi x) miss a fixed 1e-12 tolerance
+    traj = simulate_discontinuous(LIN, OscillatorParams(a=a), (10.0 / 3.0, 0.0), 2100.0)
+    assert traj.x_end == 2100.0
+    exits = [e.x for e in traj.events if e.kind == "slide-exit"]
+    assert exits[-1] == pytest.approx(2099.0 + 1.0 / 3.0, abs=1e-9)
+
+
 def test_simulate_nonlinear_theorem_structure():
     p = OscillatorParams(a=0.5)
     traj = simulate_discontinuous(NONLIN, p, (0.0, 0.0), 4.4)
