@@ -81,6 +81,18 @@ def _colon_floats(text: str, form: str, flag: str) -> list[float]:
     return vals
 
 
+def _comma_numbers(text: str, flag: str, integer: bool = False) -> list:
+    """The positive numbers (integers if ``integer``) of a ','-separated flag value."""
+    try:
+        vals = [(int if integer else float)(t) for t in text.split(",")]
+    except ValueError:
+        vals = []
+    if not vals or not all(math.isfinite(v) and v > 0 for v in vals):
+        kind = "positive integers" if integer else "positive finite numbers"
+        raise DomainError(f"{flag} takes a comma-separated list of {kind}, got {text!r}")
+    return vals
+
+
 def _model(args, cfg: dict) -> SwitchingModel:
     name = args.model or cfg.get("model")
     if name is None:
@@ -222,8 +234,8 @@ def cmd_ageing(args) -> int:
 def cmd_scaling(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
-    eps_grid = [float(t) for t in args.eps_grid.split(",")]
-    n_grid = [int(t) for t in args.n_grid.split(",")]
+    eps_grid = _comma_numbers(args.eps_grid, "--eps-grid")
+    n_grid = _comma_numbers(args.n_grid, "--n-grid", integer=True)
     fit_eps, fit_n = exit_scaling_fit(params.a, eps_grid, args.n_fixed,
                                       n_grid, args.eps_fixed)
     print(f"slope_eps = {_g(fit_eps.exponent)} (r^2 = {_g(fit_eps.r_squared)})")

@@ -6,9 +6,11 @@ the strip the dynamics is the stiff scalar ODE
 
     dv/dx = (-a eps v - f_i(x, psi(v))) / eps,
 
-integrated with an error-controlled implicit scheme and exact event location
-on |v| = 1; outside it psi is saturated, so the exterior flow is the closed
-form of the half-plane system and no numerical integration is used there.
+integrated by the in-house Radau IIA kernel of ``switchosc.radau`` (order 5,
+scalar Newton, embedded error estimate, exact event location on |v| = 1);
+outside it psi is saturated, so the exterior flow is the closed form of the
+half-plane system and no numerical integration is used there.  scipy's Radau
+serves only as a test oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .core import (
@@ -37,6 +38,7 @@ from .core import (
     sinpi,
 )
 from .analytic_flow import flow_from, flow_from_deriv
+from .radau import solve_ivp
 from .sliding import _linear_branch, _nonlinear_branch
 
 _NUDGE = 1e-12
@@ -55,6 +57,15 @@ def capture_threshold(epsilon: float) -> float:
 
 class CaptureError(SolverError):
     """A layer transit was captured by a slow manifold where that is not allowed."""
+
+
+class LayerIntegrationError(SolverError):
+    """The layer integrator failed; carries the last accepted state (x, v) and
+    the last step size attempted (h)."""
+
+    def __init__(self, message: str, x: float, v: float, h: float):
+        super().__init__(f"{message} (x={x!r}, v={v!r}, last attempted step {h!r})")
+        self.x, self.v, self.h = x, v, h
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +250,9 @@ def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> fl
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * a))
     amp = 1.0 / math.hypot(w * math.pi, a)
     horizon = x0 + 8.0 / w + (math.log(max(abs(y0) / amp, 1.0)) / a if a > 0 else 0.0)
-    t, gp = x0 + step, g(x0 + step)
+    # off the boundary g(x0) != 0, so a return within the first step is seen
+    t = x0 if abs(v0) > 1.0 else x0 + step
+    gp = g(t)
     if gp == 0.0:
         return t
     t2 = t
@@ -259,8 +272,8 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          with_sensitivity: bool = False) -> RegTrajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
-    Alternates stiff layer integration (Radau, analytic Jacobian, terminal
-    events on |v| = 1) with closed-form exterior arcs.  When
+    Alternates stiff layer integration (``radau.solve_ivp``, analytic
+    Jacobian, terminal events on |v| = 1) with closed-form exterior arcs.  When
     ``stop_at_downward_v0_after`` is set, the run terminates at the first
     downward v = 0 crossing past that abscissa (the Poincare section used by
     the regularized return map).  ``with_sensitivity`` co-integrates
@@ -312,11 +325,11 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                             rtol=rtol, atol=atol, events=events,
                             dense_output=True)
             if sol.status < 0:
-                raise SolverError(f"layer integration failed at x={sol.t[-1]}: {sol.message}")
-            x1 = sol.t[-1]
-            traj.segments.append(RegSegment(
-                kind="layer", side=0, x0=x, x1=x1,
-                _eval=(lambda s: (lambda q: float(s(q)[0])))(sol.sol)))
+                raise LayerIntegrationError(f"layer integration failed: {sol.message}",
+                                            float(sol.t[-1]), float(sol.y[0, -1]), sol.h_last)
+            x1 = float(sol.t[-1])
+            traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
+                                            _eval=sol.sol.value))
             if sol.status == 1:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc

@@ -103,6 +103,10 @@ def test_reproduce_unknown_scenario_usage_error(tmp_path, capsys):
     ["map", "--model", "linear", "--a", "0.01", "--grid", "0:1:2.5"],
     ["manifolds", "--model", "nonlinear", "--a", "1", "--range", "0"],
     ["ageing", "--model", "nonlinear", "--range", "0:inf"],
+    ["scaling", "--a", "0.01", "--eps-grid", "1e-2,x"],
+    ["scaling", "--a", "0.01", "--eps-grid", "1e-2,-1e-3"],
+    ["scaling", "--a", "0.01", "--n-grid", "4,8.5"],
+    ["scaling", "--a", "0.01", "--n-grid", ""],
 ])
 def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     code, _, err = run(args + ["--out-dir", str(tmp_path)], capsys)

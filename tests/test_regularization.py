@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from switchosc.analytic_flow import flow_solution
-from switchosc.core import DomainError, OscillatorParams, SwitchingModel, forcing, sinpi
+from switchosc import regularization
+from switchosc.core import (
+    DomainError,
+    OscillatorParams,
+    SolverError,
+    SwitchingModel,
+    forcing,
+    sinpi,
+)
 from switchosc.poincare import composite_map, find_nonsliding_period4, next_crossing
 from switchosc.regularization import (
     CaptureError,
@@ -356,3 +365,36 @@ def test_funnel_windows_capture_onto_branch_2n():
             v = float(traj.eval([xq])[0])
             v0 = critical_branch(NONLIN, 6, xq)
             assert abs(v - v0) < 0.01, (x_in, v_in, v, v0)
+
+
+def test_exterior_return_inside_the_first_probe_step():
+    # a start just above the layer on a falling phase returns to it within
+    # one probe step of _ext_return; the run must follow the full ODE there
+    p = OscillatorParams(a=0.01, epsilon=2.5e-3)
+    x0, v0 = 13.900927392651871, 1.0861487030897792
+    traj = simulate_regularized(NONLIN, p, x0, v0, 20.0)
+
+    def full(x, z):
+        v = z[0]
+        lam = 0.5 * v * (3.0 - v * v) if abs(v) <= 1.0 else math.copysign(1.0, v)
+        return [(-p.a * p.epsilon * v - forcing(NONLIN, x, lam)) / p.epsilon]
+
+    xq = np.array([13.95, 13.97757696, 14.5, 16.0, 18.0, 20.0])
+    ref = solve_ivp(full, (x0, 20.0), [v0], method="Radau", rtol=1e-11, atol=1e-13,
+                    t_eval=xq)
+    assert ref.status == 0
+    np.testing.assert_allclose(traj.eval(xq), ref.y[0], rtol=0.0, atol=1e-6)
+    assert traj.events[0].kind == "layer-entry" and traj.events[0].x < 13.96
+
+
+def test_failed_layer_integration_reports_its_state(monkeypatch):
+    real = regularization.forcing
+    x_bad = 0.3 + 1e-4  # inside the first layer transit from (0.3, 0)
+    monkeypatch.setattr(regularization, "forcing",
+                        lambda model, x, lam: math.nan if x > x_bad else real(model, x, lam))
+    with pytest.raises(SolverError) as info:
+        simulate_regularized(LIN, OscillatorParams(a=0.01, epsilon=1e-3), 0.3, 0.0, 2.0)
+    err = info.value
+    assert 0.3 <= err.x <= x_bad and -1.0 < err.v < 0.0
+    assert 0.0 < err.h < 10 * math.ulp(err.x)
+    assert f"x={err.x!r}" in str(err) and f"v={err.v!r}" in str(err)
