@@ -20,7 +20,6 @@ import math
 import sys
 from bisect import bisect_left
 
-import numpy as np
 from scipy.optimize import brentq
 
 EPS = sys.float_info.epsilon
@@ -58,33 +57,22 @@ MESSAGES = {
 class RadauSolution:
     """Dense output over the accepted steps, like scipy's ``OdeSolution``.
 
-    ``sol(t)`` returns shape (n,) for a scalar t and (n, m) for m points; at a
-    step boundary the earlier step is used.  ``value(t, i)`` is the scalar
-    path for component i.
+    ``value(t, i)`` is component i at t; at a step boundary the earlier step
+    is used.
     """
 
     def __init__(self, ts: list[float], steps: list[tuple]):
         self.ts = ts          # t0 and every accepted step end (or the terminal root)
         self.steps = steps    # per step: (t_old, h, y_old, Q), Q[i] = 3 coefficients
 
-    def _step_at(self, t: float) -> tuple:
-        j = bisect_left(self.ts, t) - 1
-        return self.steps[min(max(j, 0), len(self.steps) - 1)]
-
     def value(self, t: float, i: int = 0) -> float:
-        return _dense(t, *self._step_at(t))[i]
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return np.array(_dense(float(t), *self._step_at(float(t))))
-        n = len(self.steps[0][2])
-        rows = [_dense(x, *self._step_at(x)) for x in t.tolist()]
-        return np.array(rows, dtype=float).reshape(t.size, n).T
+        j = bisect_left(self.ts, t) - 1
+        return _dense(t, *self.steps[min(max(j, 0), len(self.steps) - 1)])[i]
 
 
 class RadauResult:
-    """What ``solve_ivp`` returns; attributes as in scipy's ``OdeResult``.
+    """What ``solve_ivp`` returns; attributes as in scipy's ``OdeResult``,
+    except that the state is kept only at the end, as ``y_end``.
 
     ``h_last`` is the size of the last step attempted, accepted or not: on a
     failure it is the step found too small.
@@ -99,17 +87,6 @@ def _dense(t: float, t_old: float, h: float, y_old: list, q: list) -> list[float
     s2 = s * s
     s3 = s2 * s
     return [y_old[i] + (qi[0] * s + qi[1] * s2 + qi[2] * s3) for i, qi in enumerate(q)]
-
-
-def _reciprocal(c: complex) -> complex:
-    """1/c as LAPACK's complex triangular solve forms it (then multiplied in)."""
-    if abs(c.real) >= abs(c.imag):
-        ratio = c.imag / c.real
-        den = 1.0 / (c.real * (1.0 + ratio * ratio))
-        return complex(den, -ratio * den)
-    ratio = c.real / c.imag
-    den = 1.0 / (c.imag * (1.0 + ratio * ratio))
-    return complex(ratio * den, -den)
 
 
 def _norm(values: list[float]) -> float:
@@ -207,13 +184,15 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
 
 
 def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
-              events=None, dense_output=False) -> RadauResult:
+              events=(), dense_output=True) -> RadauResult:
     """Integrate y' = fun(t, y) forward over t_span with Radau IIA (order 5).
 
     The call and the result follow ``scipy.integrate.solve_ivp``: ``fun(t, y)``
     and ``jac(t, y)`` take y as a list of floats and return a sequence and an
     n x n nested sequence; ``events`` are callables ``event(t, y)`` with
-    optional ``terminal`` (a bool) and ``direction`` attributes.
+    optional ``terminal`` (a bool) and ``direction`` attributes.  Dense output
+    is always built (``dense_output`` is accepted for the scipy call only);
+    ``t``, ``t_events`` and ``y_events`` are lists.
     Restrictions: method "Radau" only, forward integration, one or two
     components, a diagonal analytic Jacobian, scalar rtol and atol (rtol
     below 100 EPS is raised to it, as scipy does).
@@ -243,7 +222,8 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
     f = fun(t, y)
     jdiag = diag(t, y)
     nfev, njev, nlu = 1, 1, 0
-    ts, ys, steps = [t0], [y], []
+    ts, steps = [t0], []
+    y_end = y  # the state at ts[-1]
     h_abs = h_last = math.nan
     status = None
     if t == t_bound:
@@ -256,14 +236,11 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
     current_jac = True
     dense = None  # the last accepted step: (t_old, h, y_old, Q)
 
-    if events is not None:
-        directions = [float(getattr(ev, "direction", 0.0)) for ev in events]
-        terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
-        g = [ev(t, y) for ev in events]
-        t_events = [[] for _ in events]
-        y_events = [[] for _ in events]
-    else:
-        t_events = y_events = None
+    directions = [float(getattr(ev, "direction", 0.0)) for ev in events]
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    g = [ev(t, y) for ev in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
 
     while status is None:
         # -- one step of scipy's Radau._step_impl --------------------------
@@ -295,7 +272,7 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
             while not converged:
                 if lu is None:
                     lu = ([MU_REAL / h - d for d in jdiag],
-                          [_reciprocal(MU_COMPLEX / h - d) for d in jdiag])
+                          [1 / (MU_COMPLEX / h - d) for d in jdiag])
                     nlu += 2
                 converged, n_iter, z, rate, calls = _solve_collocation(
                     fun, t, y, h, z0, scale, newton_tol, lu[0], lu[1])
@@ -362,39 +339,34 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
 
         # -- events, as scipy's solve_ivp handles them ----------------------
         t_end, y_end = t, y
-        if events is not None:
-            g_new = [ev(t, y) for ev in events]
-            active = [k for k, d in enumerate(directions)
-                      if (d > 0 and g[k] <= 0 <= g_new[k])
-                      or (d < 0 and g[k] >= 0 >= g_new[k])
-                      or (d == 0 and (g[k] <= 0 <= g_new[k] or g[k] >= 0 >= g_new[k]))]
-            if active:
-                roots = [brentq(lambda s, ev=events[k]: ev(s, _dense(s, *dense)),
-                                t_old, t, xtol=4 * EPS, rtol=4 * EPS) for k in active]
-                if any(terminal[k] for k in active):
-                    # keep the roots up to the first terminal one
-                    order = sorted(range(len(active)), key=roots.__getitem__)
-                    active = [active[m] for m in order]
-                    roots = [roots[m] for m in order]
-                    cut = next(m for m, k in enumerate(active) if terminal[k])
-                    active, roots = active[:cut + 1], roots[:cut + 1]
-                    status = 1
-                    t_end = roots[-1]
-                    y_end = _dense(t_end, *dense)
-                for k, te in zip(active, roots):
-                    t_events[k].append(te)
-                    y_events[k].append(_dense(te, *dense))
-            g = g_new
-        if len(ts) > 1 and ts[-1] == t_end and dense_output:
+        g_new = [ev(t, y) for ev in events]
+        active = [k for k, d in enumerate(directions)
+                  if (d > 0 and g[k] <= 0 <= g_new[k])
+                  or (d < 0 and g[k] >= 0 >= g_new[k])
+                  or (d == 0 and (g[k] <= 0 <= g_new[k] or g[k] >= 0 >= g_new[k]))]
+        if active:
+            roots = [brentq(lambda s, ev=events[k]: ev(s, _dense(s, *dense)),
+                            t_old, t, xtol=4 * EPS, rtol=4 * EPS) for k in active]
+            if any(terminal[k] for k in active):
+                # keep the roots up to the first terminal one
+                order = sorted(range(len(active)), key=roots.__getitem__)
+                active = [active[m] for m in order]
+                roots = [roots[m] for m in order]
+                cut = next(m for m, k in enumerate(active) if terminal[k])
+                active, roots = active[:cut + 1], roots[:cut + 1]
+                status = 1
+                t_end = roots[-1]
+                y_end = _dense(t_end, *dense)
+            for k, te in zip(active, roots):
+                t_events[k].append(te)
+                y_events[k].append(_dense(te, *dense))
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t_end:
             continue  # a terminal root on the previous step end adds no step
         ts.append(t_end)
-        ys.append(y_end)
         steps.append(dense)
 
-    if t_events is not None:
-        t_events = [np.asarray(te, dtype=float) for te in t_events]
-        y_events = [np.asarray(ye, dtype=float) for ye in y_events]
     return RadauResult(
-        t=np.array(ts), y=np.array(ys).T, sol=RadauSolution(ts, steps) if dense_output else None,
-        t_events=t_events, y_events=y_events, nfev=nfev, njev=njev, nlu=nlu,
+        t=ts, y_end=y_end, sol=RadauSolution(ts, steps), t_events=t_events,
+        y_events=y_events, nfev=nfev, njev=njev, nlu=nlu,
         status=status, message=MESSAGES[status], h_last=h_last)

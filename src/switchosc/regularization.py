@@ -326,17 +326,17 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                             dense_output=True)
             if sol.status < 0:
                 raise LayerIntegrationError(f"layer integration failed: {sol.message}",
-                                            float(sol.t[-1]), float(sol.y[0, -1]), sol.h_last)
-            x1 = float(sol.t[-1])
+                                            sol.t[-1], sol.y_end[0], sol.h_last)
+            x1 = sol.t[-1]
             traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
                                             _eval=sol.sol.value))
             if sol.status == 1:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
                 if stop_at_downward_v0_after is not None and len(sol.t_events[2]):
-                    xc = float(sol.t_events[2][0])
+                    xc = sol.t_events[2][0]
                     if with_sensitivity:
-                        log_sens += (float(sol.y_events[2][0][1])
+                        log_sens += (sol.y_events[2][0][1]
                                      + math.log(abs(layer_rate(x, v_in)))
                                      - math.log(abs(layer_rate(xc, 0.0))))
                     if xc > stop_at_downward_v0_after:
@@ -345,11 +345,11 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                     x, v = xc, -_NUDGE
                     continue
                 if len(sol.t_events[0]):
-                    xe, ve, side = float(sol.t_events[0][0]), 1.0, +1
-                    j_end = float(sol.y_events[0][0][1]) if with_sensitivity else 0.0
+                    xe, ve, side = sol.t_events[0][0], 1.0, +1
+                    j_end = sol.y_events[0][0][1] if with_sensitivity else 0.0
                 else:
-                    xe, ve, side = float(sol.t_events[1][0]), -1.0, -1
-                    j_end = float(sol.y_events[1][0][1]) if with_sensitivity else 0.0
+                    xe, ve, side = sol.t_events[1][0], -1.0, -1
+                    j_end = sol.y_events[1][0][1] if with_sensitivity else 0.0
                 if with_sensitivity:
                     log_sens += (j_end + math.log(abs(layer_rate(x, v_in)))
                                  - math.log(abs(layer_rate(xe, ve))))
