@@ -11,6 +11,12 @@ scalar Newton, embedded error estimate, exact event location on |v| = 1);
 outside it psi is saturated, so the exterior flow is the closed form of the
 half-plane system and no numerical integration is used there.  scipy's Radau
 serves only as a test oracle for the kernel.
+
+Fixed points of the regularized return map P_eps are found by Newton's method
+on its variational derivative: a run with ``with_sensitivity`` yields both
+P_eps(x) and log P_eps'(x) (a section map of a planar flow preserves
+orientation, so P_eps' > 0), so each iterate costs one run; the bracket
+guards the iteration, with bisection as fallback.
 """
 
 from __future__ import annotations
@@ -282,6 +288,11 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized simulation needs epsilon > 0")
+    if not (math.isfinite(x0) and math.isfinite(v0) and math.isfinite(x_end)):
+        raise DomainError(f"regularized simulation needs finite x0, v0, x_end; "
+                          f"got {x0}, {v0}, {x_end}")
+    if x_end < x0:
+        raise DomainError(f"regularized simulation runs forward: x_end={x_end} < x0={x0}")
     e = params.epsilon
     a = params.a
     traj = RegTrajectory(params=params, model=model)
@@ -539,6 +550,24 @@ def boundary_return_map(sign: int, x_start: float, params: OscillatorParams) -> 
     return _ext_return(sign, x_start, float(sign), params)
 
 
+def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float,
+                    with_sensitivity: bool = False) -> RegTrajectory:
+    """The linear-model run from (x, 0) to its next downward v = 0 crossing."""
+    traj = simulate_regularized(SwitchingModel.LINEAR, params, x, 0.0,
+                                x_end=x + 12.0, rtol=rtol, atol=atol,
+                                stop_at_downward_v0_after=x + 0.5,
+                                with_sensitivity=with_sensitivity)
+    if traj.section_x is None:
+        raise SolverError(f"P_eps: no section return from x={x}")
+    return traj
+
+
+def _require_no_capture(traj: RegTrajectory) -> None:
+    if traj.captured_spans():
+        raise CaptureError(
+            f"layer capture at {traj.captured_spans()}; non-sliding regime violated")
+
+
 def regularized_poincare_linear(x: float, params: OscillatorParams,
                                 rtol: float = 1e-11, atol: float = 1e-13,
                                 allow_capture: bool = False) -> float:
@@ -551,34 +580,88 @@ def regularized_poincare_linear(x: float, params: OscillatorParams,
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized map needs epsilon > 0")
-    traj = simulate_regularized(SwitchingModel.LINEAR, params, x, 0.0,
-                                x_end=x + 12.0, rtol=rtol, atol=atol,
-                                stop_at_downward_v0_after=x + 0.5)
-    if traj.section_x is None:
-        raise SolverError(f"P_eps: no section return from x={x}")
-    if not allow_capture and traj.captured_spans():
-        raise CaptureError(
-            f"layer capture at {traj.captured_spans()}; non-sliding regime violated")
-
+    traj = _section_return(x, params, rtol, atol)
+    if not allow_capture:
+        _require_no_capture(traj)
     return traj.section_x
+
+
+#: Newton iterates (bisection steps included) before the fixed-point solve gives up.
+_FIXED_POINT_RUNS = 40
+
+
+def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
+                       rtol: float, allow_capture: bool,
+                       xtol: float) -> tuple[float, RegTrajectory]:
+    """Root of g(x) = P_eps(x) - (x + 4) in ``bracket`` and the orbit from it.
+
+    Newton on g' = P_eps' - 1, where P_eps' = exp(log_sensitivity) > 0 comes
+    from the variational equation of the same run that gives P_eps, so one
+    iterate costs one run.  Iterates start at the bracket midpoint and never
+    leave the bracket.  When a Newton step would leave it, or the step that
+    led to the current iterate did not halve |g|, the next iterate is the
+    bisection point; the bracket ends are evaluated only then, to learn which
+    side holds the root.  Only scalars of rejected iterates are kept, so one
+    trajectory is alive at a time.
+    """
+    lo, hi = sorted(bracket)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"fixed-point bracket must be finite, got {bracket}")
+    if not xtol > 0.0:
+        raise DomainError(f"xtol must be positive, got {xtol}")
+
+    def run(x):
+        traj = _section_return(x, params, rtol, 1e-13, with_sensitivity=True)
+        return traj.section_x - (x + 4.0), math.expm1(traj.log_sensitivity), traj
+
+    g_lo = g_hi = None  # end values, unknown until a bisection needs them
+    x, g_ref = 0.5 * (lo + hi), math.inf  # g_ref: |g| a Newton step must halve
+    for _ in range(_FIXED_POINT_RUNS):
+        traj = None
+        gx, dg, traj = run(x)
+        last = x, gx
+        step = -gx / dg if dg != 0.0 else math.inf
+        if abs(step) < xtol:
+            if not allow_capture:
+                _require_no_capture(traj)
+            return x, traj
+        if g_lo is None and not (lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref):
+            traj = None
+            g_lo, g_hi = run(lo)[0], run(hi)[0]
+            if g_lo * g_hi > 0.0:
+                raise DomainError(
+                    f"no fixed point of P_eps in [{lo}, {hi}]: "
+                    f"g = {g_lo} and {g_hi} at the ends")
+        if g_lo is not None:  # keep the sign change inside [lo, hi]
+            if (gx > 0.0) == (g_lo > 0.0):
+                lo, g_lo = x, gx
+            else:
+                hi, g_hi = x, gx
+        if lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref:
+            x, g_ref = x + step, abs(gx)
+        else:
+            x, g_ref = 0.5 * (lo + hi), math.inf
+    raise SolverError(
+        f"fixed-point iteration did not converge in {_FIXED_POINT_RUNS} runs: last "
+        f"iterate x={last[0]!r}, g={last[1]!r}, bracket=({lo!r}, {hi!r})")
 
 
 def regularized_fixed_point(params: OscillatorParams, bracket: tuple[float, float],
                             rtol: float = 1e-11, allow_capture: bool = False,
                             xtol: float = 1e-12) -> float:
-    """Fixed point of P_eps(x) - (x + 4) inside ``bracket``.
+    """Fixed point of P_eps(x) - (x + 4) inside ``bracket`` (ends in either order).
 
-    The return map stays total when an iterate brushes a sliding branch, so
-    bracketing tolerates capture; without ``allow_capture`` the orbit at the
+    Solved by Newton's method on the variational derivative P_eps' of each
+    run, guarded by the bracket with bisection as fallback; the located
+    iterate is returned once its Newton step falls below ``xtol``.  The
+    return map stays total when an iterate brushes a sliding branch, so the
+    iteration tolerates capture; without ``allow_capture`` the orbit at the
     located fixed point is then required to be capture-free (the non-sliding
-    regime check applies to the orbit, not to probe points).
+    regime check applies to the orbit, not to probe points).  A bracket
+    without a fixed point raises DomainError; an iteration that does not
+    converge raises SolverError with its last iterate, g and bracket.
     """
-    g = lambda x: regularized_poincare_linear(
-        x, params, rtol=rtol, allow_capture=True) - (x + 4.0)
-    fp = brentq(g, bracket[0], bracket[1], xtol=xtol)
-    if not allow_capture:
-        regularized_poincare_linear(fp, params, rtol=rtol, allow_capture=False)
-    return fp
+    return _fixed_point_orbit(params, bracket, rtol, allow_capture, xtol)[0]
 
 
 @dataclass
@@ -594,21 +677,20 @@ def find_regularized_sliding_orbit_linear(a: float, params: OscillatorParams,
                                           rtol: float = 1e-11) -> RegSlidingOrbit:
     """Regularized sliding period-4 orbit of the linear model (large-a regime).
 
-    Locates the fixed point of P_eps, verifies the orbit carries a captured
-    layer segment (the slide along the attracting critical branch), and
-    measures its contraction two ways: the spec's central finite difference
-    of P_eps with step 1e-4 (which underflows once the contraction drops below double
-    precision; values then read 0) and the variational log-derivative
-    accumulated along the orbit, which resolves the exponential smallness.
+    Locates the fixed point of P_eps by the Newton iteration of
+    ``regularized_fixed_point``, verifies the orbit from it carries a
+    captured layer segment (the slide along the attracting critical branch),
+    and measures its contraction two ways: the variational log-derivative
+    of that same final run, which resolves the exponential smallness, and the
+    spec's central finite difference of P_eps with step 1e-4 (which
+    underflows once the contraction drops below double precision; values then
+    read 0).
     """
     if params.a != a:
         raise DomainError("params.a must equal a")
     fd_step = 1e-4
-    fp = regularized_fixed_point(params, (0.02, 0.64), rtol=rtol, allow_capture=True)
-    orbit = simulate_regularized(SwitchingModel.LINEAR, params, fp, 0.0,
-                                 x_end=fp + 12.0, rtol=rtol, atol=rtol * 1e-2,
-                                 stop_at_downward_v0_after=fp + 0.5,
-                                 with_sensitivity=True)
+    fp, orbit = _fixed_point_orbit(params, (0.02, 0.64), rtol, allow_capture=True,
+                                   xtol=1e-12)
     captured = orbit.captured_spans()
     if not captured:
         raise NoOrbitError(

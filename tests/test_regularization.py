@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -398,3 +399,110 @@ def test_failed_layer_integration_reports_its_state(monkeypatch):
     assert 0.3 <= err.x <= x_bad and -1.0 < err.v < 0.0
     assert 0.0 < err.h < 10 * math.ulp(err.x)
     assert f"x={err.x!r}" in str(err) and f"v={err.v!r}" in str(err)
+
+
+@pytest.mark.parametrize("x0, v0, x_end", [
+    (math.nan, 0.0, 5.0),
+    (math.inf, 0.0, 5.0),
+    (0.5, math.nan, 5.0),
+    (0.5, math.inf, 5.0),
+    (0.5, 0.0, math.nan),
+    (0.5, 0.0, math.inf),
+    (0.5, 0.0, 0.4),
+], ids=["x0-nan", "x0-inf", "v0-nan", "v0-inf", "x_end-nan", "x_end-inf", "x_end-before-x0"])
+def test_simulate_regularized_rejects_bad_input(x0, v0, x_end):
+    p = OscillatorParams(a=0.01, epsilon=1e-2)
+    with pytest.raises(DomainError):
+        simulate_regularized(LIN, p, x0, v0, x_end)
+
+
+def test_regularized_map_rejects_non_finite_start():
+    with pytest.raises(DomainError):
+        regularized_poincare_linear(math.nan, OscillatorParams(a=0.01, epsilon=1e-2))
+
+
+def _count_runs(monkeypatch) -> list:
+    """Wrap simulate_regularized; the returned list collects one entry per run."""
+    runs = []
+    real = regularization.simulate_regularized
+
+    def counted(*args, **kwargs):
+        runs.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regularization, "simulate_regularized", counted)
+    return runs
+
+
+def test_regularized_fixed_point_bracket_contract(monkeypatch):
+    p = OscillatorParams(a=0.01, epsilon=1e-2)
+    runs = _count_runs(monkeypatch)
+    # ends in either order; from the midpoint 0.6 the first Newton step
+    # overshoots, so this solve also takes the bisection fallback
+    assert regularized_fixed_point(p, (0.7, 0.5)) == pytest.approx(0.63735, abs=1e-5)
+    assert 0.5 in runs and 0.7 in runs and len(runs) <= 12
+    for bracket in ((math.nan, 0.7), (0.5, math.inf)):
+        with pytest.raises(DomainError):
+            regularized_fixed_point(p, bracket)
+    for xtol in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            regularized_fixed_point(p, (0.5, 0.7), xtol=xtol)
+    # no fixed point: the Newton step leaves the bracket, the ends show no
+    # sign change; DomainError is a ValueError, like scipy's brentq error
+    runs.clear()
+    with pytest.raises(ValueError, match="no fixed point"):
+        regularized_fixed_point(p, (0.3, 0.4))
+    assert len(runs) <= 3
+
+
+def test_regularized_fixed_point_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(regularization, "_FIXED_POINT_RUNS", 2)
+    with pytest.raises(SolverError) as info:
+        regularized_fixed_point(OscillatorParams(a=0.01, epsilon=1e-2), (0.5, 0.7))
+    found = re.search(r"last iterate x=(\S+), g=(\S+), bracket=\((\S+), (\S+)\)",
+                      str(info.value))
+    x, g, lo, hi = map(float, found.groups())
+    assert 0.5 <= lo <= x <= hi <= 0.7 and g != 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 2.5e-3])
+def test_log_sensitivity_matches_finite_difference(eps):
+    # where P' < 1e-3 the finite difference's own error (P_eps to ~1e-14 over
+    # 2h = 2e-6) exceeds the bound, so those points are left out
+    a, h = 0.01, 1e-6
+    p = OscillatorParams(a=a, epsilon=eps)
+    x_star, _ = find_nonsliding_period4(a)
+    checked = 0
+    for x in np.linspace(x_star - 0.08, x_star + 0.08, 9):
+        x = float(x)
+        traj = simulate_regularized(LIN, p, x, 0.0, x + 12.0, rtol=1e-11, atol=1e-13,
+                                    stop_at_downward_v0_after=x + 0.5,
+                                    with_sensitivity=True)
+        slope = math.exp(traj.log_sensitivity)
+        if slope < 1e-3:
+            continue
+        fd = (regularized_poincare_linear(x + h, p, allow_capture=True)
+              - regularized_poincare_linear(x - h, p, allow_capture=True)) / (2.0 * h)
+        assert fd == pytest.approx(slope, rel=1e-6), x
+        checked += 1
+    assert checked >= 7
+
+
+@pytest.mark.parametrize("a, eps", [(a, eps) for a in (0.005, 0.01, 0.02)
+                                    for eps in (1e-2, 1e-3)] + [(2.0, 1e-2), (2.0, 1e-3)])
+def test_fixed_point_agrees_with_brentq_within_run_budget(monkeypatch, a, eps):
+    p = OscillatorParams(a=a, epsilon=eps)
+    runs = _count_runs(monkeypatch)
+    if a < 1.0:
+        x_star, _ = find_nonsliding_period4(a)
+        bracket = (x_star - 0.08, x_star + 0.08)
+        fp = regularized_fixed_point(p, bracket)
+        assert len(runs) <= 6
+    else:
+        bracket = (0.02, 0.64)
+        fp = find_regularized_sliding_orbit_linear(a, p).fixed_point
+        # the last two runs are the finite-difference contraction's
+        assert len(runs) <= 5 and runs[-2:] == [fp + 1e-4, fp - 1e-4]
+    ref = brentq(lambda x: regularized_poincare_linear(x, p, allow_capture=True) - (x + 4.0),
+                 *bracket, xtol=1e-13)
+    assert abs(fp - ref) <= 1e-12
