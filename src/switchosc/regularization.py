@@ -614,7 +614,7 @@ def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
         traj = _section_return(x, params, rtol, 1e-13, with_sensitivity=True)
         return traj.section_x - (x + 4.0), math.expm1(traj.log_sensitivity), traj
 
-    g_lo = g_hi = None  # end values, unknown until a bisection needs them
+    g_lo = None  # g at lo, unknown until a bisection needs the ends
     x, g_ref = 0.5 * (lo + hi), math.inf  # g_ref: |g| a Newton step must halve
     for _ in range(_FIXED_POINT_RUNS):
         traj = None
@@ -636,7 +636,7 @@ def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
             if (gx > 0.0) == (g_lo > 0.0):
                 lo, g_lo = x, gx
             else:
-                hi, g_hi = x, gx
+                hi = x
         if lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref:
             x, g_ref = x + step, abs(gx)
         else:
