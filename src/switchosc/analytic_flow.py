@@ -17,14 +17,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     OMEGA_MINUS,
     OMEGA_PLUS,
     DomainError,
     OscillatorParams,
     cospi,
+    cospi_array,
     omega,
     sinpi,
+    sinpi_array,
 )
 
 
@@ -75,6 +79,18 @@ def flow_from(sign: int, x: float, x0: float, y0: float,
     yp = particular_solution(sign, x, params)
     yp0 = particular_solution(sign, x0, params)
     return yp + math.exp(-params.a * (x - x0)) * (y0 - yp0)
+
+
+def flow_from_array(sign: int, x: np.ndarray, x0: float, y0: float,
+                    params: OscillatorParams) -> np.ndarray:
+    """``flow_from`` on an array of x, in the same operation order."""
+    w = omega(sign)
+    a = params.a
+    yp = (w * math.pi * cospi_array(w * x) - a * sinpi_array(w * x)) / (
+        (w * math.pi) ** 2 + a**2
+    )
+    yp0 = particular_solution(sign, x0, params)
+    return yp + np.exp(-a * (x - x0)) * (y0 - yp0)
 
 
 def flow_from_deriv(sign: int, x: float, x0: float, y0: float,

@@ -53,21 +53,36 @@ def _out_dir(args) -> Path:
     return d
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    doc = json.loads(Path(path).read_text())
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; anything else is a usage error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # also malformed UTF-8
+        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise DomainError("config file must hold a flat JSON object")
+        raise DomainError(f"{what} {path} must hold a JSON object")
     return doc
 
 
+def _load_config(path: str | None) -> dict:
+    return _read_json_object(path, "config file") if path else {}
+
+
+def _setting(args, cfg: dict, key: str, default=None):
+    """A numeric setting: the flag if given, else the config value, else ``default``."""
+    value = getattr(args, key)
+    if value is None:
+        value = cfg.get(key, default)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _params(args, cfg: dict) -> OscillatorParams:
-    a = args.a if args.a is not None else cfg.get("a")
+    a = _setting(args, cfg, "a")
     if a is None:
         raise DomainError("damping a is required (flag --a or config)")
-    eps = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 0.0)
-    return OscillatorParams(a=a, epsilon=eps)
+    return OscillatorParams(a=a, epsilon=_setting(args, cfg, "epsilon", 0.0))
 
 
 def _colon_floats(text: str, form: str, flag: str) -> list[float]:
@@ -97,7 +112,10 @@ def _model(args, cfg: dict) -> SwitchingModel:
     name = args.model or cfg.get("model")
     if name is None:
         raise DomainError("model is required (linear|nonlinear)")
-    return SwitchingModel(name)
+    try:
+        return SwitchingModel(name)
+    except ValueError:
+        raise DomainError(f"model must be linear or nonlinear, got {name!r}") from None
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -112,9 +130,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
     model = _model(args, cfg)
-    x0 = args.x0 if args.x0 is not None else cfg.get("x0", 0.0)
-    y0 = args.y0 if args.y0 is not None else cfg.get("y0", 0.0)
-    x_end = args.x_end if args.x_end is not None else cfg.get("x_end", x0 + 8.0)
+    x0 = _setting(args, cfg, "x0", 0.0)
+    y0 = _setting(args, cfg, "y0", 0.0)
+    x_end = _setting(args, cfg, "x_end", x0 + 8.0)
     out = _out_dir(args)
     if params.epsilon > 0.0:
         traj = simulate_regularized(model, params, x0, y0, x_end).to_trajectory()
@@ -270,11 +288,14 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_validate_psi(args) -> int:
-    doc = json.loads(Path(args.file).read_text())
+    doc = _read_json_object(args.file, "profile")
     if doc.get("type", "poly") != "poly":
         print("only polynomial transition profiles are supported", file=sys.stderr)
         return 2
-    coeffs = list(map(float, doc["coeffs"]))  # ascending powers
+    try:
+        coeffs = [float(c) for c in doc["coeffs"]]  # ascending powers
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(f'profile {args.file} needs "coeffs", a list of numbers') from None
     d1 = [k * c for k, c in enumerate(coeffs)][1:]
     d2 = [k * c for k, c in enumerate(d1)][1:]
     ev = lambda cs: (lambda v: sum(c * v**k for k, c in enumerate(cs)))
@@ -295,10 +316,19 @@ def cmd_plot_from_csv(args) -> int:
         print(f"unexpected CSV header (want {CSV_HEADER!r})", file=sys.stderr)
         return 2
     xs, ys = [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except (IndexError, ValueError):
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"{args.csv} line {number}: want finite numbers x,y_or_v "
+                              f"first, got {line!r}")
+        xs.append(x)
+        ys.append(y)
+    if not xs:
+        raise DomainError(f"{args.csv} holds no data rows")
     out = args.out or str(Path(args.csv).with_suffix(".svg"))
     line_plot([("trajectory", xs, ys)], path=out, title=Path(args.csv).stem,
               xlabel="x", ylabel="y or v")
@@ -382,10 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except OscillatorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (OscillatorError, OSError, UnicodeDecodeError) as exc:  # bad input or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

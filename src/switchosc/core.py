@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TWO_THIRDS = 2.0 / 3.0
 
 #: The driving frequencies (in units of pi) above and below the threshold.
@@ -65,6 +67,20 @@ def cospi(u: float) -> float:
     if r == 0.5:
         return 0.0
     return math.cos(math.pi * r)
+
+
+def sinpi_array(u: np.ndarray) -> np.ndarray:
+    """``sinpi`` on an array: the same fmod reduction and exact zeros."""
+    r = np.fmod(u, 2.0)
+    r = np.where(r > 1.0, r - 2.0, np.where(r < -1.0, r + 2.0, r))
+    return np.where((r == 0.0) | (np.abs(r) == 1.0), 0.0, np.sin(np.pi * r))
+
+
+def cospi_array(u: np.ndarray) -> np.ndarray:
+    """``cospi`` on an array: the same fmod reduction and exact zeros."""
+    r = np.fmod(np.abs(u), 2.0)
+    r = np.where(r > 1.0, 2.0 - r, r)
+    return np.where(r == 0.5, 0.0, np.cos(np.pi * r))
 
 
 class SwitchingModel(enum.Enum):

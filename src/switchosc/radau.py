@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 
+import numpy as np
 from scipy.optimize import brentq
 
 EPS = sys.float_info.epsilon
@@ -57,17 +57,29 @@ MESSAGES = {
 class RadauSolution:
     """Dense output over the accepted steps, like scipy's ``OdeSolution``.
 
-    ``value(t, i)`` is component i at t; at a step boundary the earlier step
-    is used.
+    ``value(t, i)`` is component i at t, a float or an array of them; at a
+    step boundary the earlier step is used.  The first call tabulates the
+    steps as arrays, so solutions that are never evaluated cost nothing extra.
     """
 
     def __init__(self, ts: list[float], steps: list[tuple]):
         self.ts = ts          # t0 and every accepted step end (or the terminal root)
         self.steps = steps    # per step: (t_old, h, y_old, Q), Q[i] = 3 coefficients
+        self._table = None    # (ts, t_old, h, y_old, Q) as arrays, built on first use
 
-    def value(self, t: float, i: int = 0) -> float:
-        j = bisect_left(self.ts, t) - 1
-        return _dense(t, *self.steps[min(max(j, 0), len(self.steps) - 1)])[i]
+    def value(self, t, i: int = 0):
+        if self._table is None:
+            t_old, h, y_old, q = zip(*self.steps)
+            self._table = (np.array(self.ts), np.array(t_old), np.array(h),
+                           np.array(y_old), np.array(q))
+        ts, t_old, h, y_old, q = self._table
+        j = np.clip(np.searchsorted(ts, t, "left") - 1, 0, len(h) - 1)
+        # the operations of _dense, in its order, so values agree bit for bit
+        s = (t - t_old[j]) / h[j]
+        s2 = s * s
+        s3 = s2 * s
+        qi = q[j, i]
+        return y_old[j, i] + (qi[..., 0] * s + qi[..., 1] * s2 + qi[..., 2] * s3)
 
 
 class RadauResult:

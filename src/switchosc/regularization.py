@@ -12,6 +12,12 @@ outside it psi is saturated, so the exterior flow is the closed form of the
 half-plane system and no numerical integration is used there.  scipy's Radau
 serves only as a test oracle for the kernel.
 
+Trajectories are evaluated on arrays: ``RegTrajectory.eval`` assigns the query
+points to segments by ``searchsorted`` and evaluates each segment once, a
+layer arc through the kernel's dense output (the step's cubic in numpy) and
+an exterior arc through the closed form ``flow_from_array``; ``v_r`` is
+evaluated the same way.
+
 Fixed points of the regularized return map P_eps are found by Newton's method
 on its variational derivative: a run with ``with_sensitivity`` yields both
 P_eps(x) and log P_eps'(x) (a section map of a planar flow preserves
@@ -22,8 +28,8 @@ guards the iteration, with bisection as fallback.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,7 +49,7 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import flow_from, flow_from_deriv
+from .analytic_flow import flow_from, flow_from_array, flow_from_deriv
 from .radau import solve_ivp
 from .sliding import _linear_branch, _nonlinear_branch
 
@@ -188,10 +194,14 @@ class RegSegment:
     side: int            # exterior half-plane sign; 0 for layer
     x0: float
     x1: float
-    _eval: callable
+    eval: callable       # v on an array of x in [x0, x1]
 
-    def eval(self, x: float) -> float:
-        return self._eval(x)
+
+def _exterior_v(side: int, x0: float, v0: float, params: OscillatorParams,
+                x: np.ndarray) -> np.ndarray:
+    """v on an array of x of the exterior flow from (x0, v0)."""
+    e = params.epsilon
+    return flow_from_array(side, x, x0, e * v0, params) / e
 
 
 @dataclass
@@ -206,23 +216,31 @@ class RegTrajectory:
     log_sensitivity: float | None = None
 
     def eval(self, xq) -> np.ndarray:
-        """v(x) on query points inside the simulated range."""
+        """v(x) on query points in [x_start, x_end]; others raise DomainError.
+
+        A point where one segment ends and the next starts takes the later
+        segment.  Each segment evaluates its points in one array call.
+        """
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        starts = [s.x0 for s in self.segments]
+        inside = (xq >= self.x_start) & (xq <= self.x_end)  # False for NaN
+        if not inside.all():
+            raise DomainError(
+                f"query point {xq[~inside][0]!r} outside the simulated range "
+                f"[{self.x_start!r}, {self.x_end!r}]")
+        idx = np.searchsorted([s.x0 for s in self.segments], xq, "right") - 1
         out = np.empty(xq.shape)
-        for i, x in enumerate(xq):
-            j = min(max(bisect_right(starts, x) - 1, 0), len(self.segments) - 1)
-            s = self.segments[j]
-            out[i] = s.eval(min(max(x, s.x0), s.x1))
+        for j in np.unique(idx):
+            sel = idx == j
+            out[sel] = self.segments[j].eval(xq[sel])
         return out
 
     @property
     def x_start(self) -> float:
-        return self.segments[0].x0
+        return self.segments[0].x0 if self.segments else math.nan
 
     @property
     def x_end(self) -> float:
-        return self.segments[-1].x1
+        return self.segments[-1].x1 if self.segments else math.nan
 
     def layer_spans(self) -> list[tuple[float, float]]:
         return [(s.x0, s.x1) for s in self.segments if s.kind == "layer"]
@@ -237,11 +255,11 @@ class RegTrajectory:
         traj = Trajectory(events=list(self.events))
         for s in self.segments:
             n = max(8, int(round((s.x1 - s.x0) * SAMPLES_PER_UNIT)))
-            xs = [s.x0 + (s.x1 - s.x0) * i / n for i in range(n + 1)]
-            ys = [s.eval(x) for x in xs]
+            xs = s.x0 + (s.x1 - s.x0) * np.arange(n + 1) / n
             mode = Mode.LAYER if s.kind == "layer" else (
                 Mode.FLOW_PLUS if s.side > 0 else Mode.FLOW_MINUS)
-            traj.segments.append(TrajectorySegment(mode=mode, xs=xs, ys=ys))
+            traj.segments.append(TrajectorySegment(
+                mode=mode, xs=xs.tolist(), ys=s.eval(xs).tolist()))
         return traj
 
 
@@ -340,7 +358,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                                             sol.t[-1], sol.y_end[0], sol.h_last)
             x1 = sol.t[-1]
             traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
-                                            _eval=sol.sol.value))
+                                            eval=sol.sol.value))
             if sol.status == 1:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
@@ -372,10 +390,8 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
         else:
             xr = _ext_return(side, x, v, params)
             seg_end = min(xr, x_end)
-            traj.segments.append(RegSegment(
-                kind="ext", side=side, x0=x, x1=seg_end,
-                _eval=(lambda s_, xa, va: (lambda q: flow_from(
-                    s_, q, xa, e * va, params) / e))(side, x, v)))
+            traj.segments.append(RegSegment(kind="ext", side=side, x0=x, x1=seg_end,
+                                            eval=partial(_exterior_v, side, x, v, params)))
             if with_sensitivity and xr <= x_end:
                 r_out = abs(flow_from_deriv(side, x, x, e * v, params))
                 r_in = abs(flow_from_deriv(side, xr, x, e * v, params))
@@ -727,15 +743,8 @@ class VrReference:
 
     def eval(self, xq) -> np.ndarray:
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        e = self.params.epsilon
-        out = np.empty(xq.shape)
-        for i, x in enumerate(xq):
-            if x <= self.x_reentry:
-                out[i] = flow_from(-1, max(x, self.x_start), self.x_start,
-                                   -e, self.params) / e
-            else:
-                out[i] = -1.0
-        return out
+        dip = _exterior_v(-1, self.x_start, -1.0, self.params, np.maximum(xq, self.x_start))
+        return np.where(xq <= self.x_reentry, dip, -1.0)
 
 
 def v_r_reference(n: int, params: OscillatorParams) -> VrReference:

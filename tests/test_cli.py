@@ -114,6 +114,36 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     assert err.startswith("error: --")
 
 
+@pytest.mark.parametrize("args, name, content", [
+    (["--config", "{file}", "orbit", "find"], "bad.json", '{"model": "linear", "a": '),
+    (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json", '{"a": "x"}'),
+    (["--config", "{file}", "orbit", "find"], "cfg.json", '{"model": "cubic", "a": 0.01}'),
+    (["--config", "{file}", "orbit", "find"], "cfg.json", "[0.01]"),
+    (["--config", "{file}", "simulate", "--model", "linear", "--a", "1",
+      "--out-dir", "{dir}"], "cfg.json", '{"x0": [0]}'),
+    (["validate-psi", "{file}"], "psi.json", '{"name": "cubic", "type": "poly"}'),
+    (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": [0.0, "abc"]}'),
+    (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": 1.5}'),
+    (["validate-psi", "{file}"], "psi.json", "coeffs = [0.0, 1.5]"),
+    (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n1.0,abc\n"),
+    (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,1.0\n1.0\n"),
+    (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,nan\n"),
+    (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n"),
+    (["plot-from-csv", "{file}"], "traj.csv", b"x,y_or_v,mode,branch,event\n\xff\n"),
+    (["--config", "{dir}", "orbit", "find"], "unused.json", "{}"),
+])
+def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code, out, err = run([a.format(file=path, dir=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_validate_psi(tmp_path, capsys):
     good = tmp_path / "cubic.json"
     good.write_text(json.dumps({"name": "cubic", "type": "poly",

@@ -12,9 +12,11 @@ from switchosc.core import (
     SwitchingModel,
     classify_threshold_point,
     cospi,
+    cospi_array,
     forcing,
     params_from_circuit,
     sinpi,
+    sinpi_array,
     vector_field,
 )
 
@@ -145,3 +147,19 @@ def test_sinpi_reduction_is_exact_at_lattice_points():
     for u in np.linspace(-3.7, 8.9, 401):
         assert sinpi(float(u)) == pytest.approx(math.sin(math.pi * u), abs=5e-15)
         assert cospi(float(u)) == pytest.approx(math.cos(math.pi * u), abs=5e-15)
+
+
+def test_array_trig_matches_scalar_reduction():
+    # exact zeros (integers for sinpi, odd halves for cospi) at any size and
+    # sign, and the scalar values elsewhere, up to the library sin/cos
+    zeros = np.array([-1001.0, -3.0, -1.0, -0.0, 0.0, 1.0, 2.0, 668.0, 10_000.0, 2.0**40])
+    assert np.all(sinpi_array(zeros) == 0.0)
+    assert np.all(cospi_array(zeros + 0.5) == 0.0)
+    assert np.all(cospi_array(zeros - 0.5) == 0.0)
+    u = np.concatenate([np.linspace(-3.7, 8.9, 401), np.linspace(1e3, 1e3 + 4.0, 97),
+                        zeros, zeros + 0.5])
+    for fa, fs in ((sinpi_array, sinpi), (cospi_array, cospi)):
+        got = fa(u)
+        want = np.array([fs(float(x)) for x in u])
+        assert np.all((got == 0.0) == (want == 0.0))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)

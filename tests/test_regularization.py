@@ -1,13 +1,14 @@
 import math
 import re
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from switchosc.analytic_flow import flow_solution
-from switchosc import regularization
+from switchosc.analytic_flow import flow_from, flow_solution
+from switchosc import radau, regularization
 from switchosc.core import (
     DomainError,
     OscillatorParams,
@@ -506,3 +507,75 @@ def test_fixed_point_agrees_with_brentq_within_run_budget(monkeypatch, a, eps):
     ref = brentq(lambda x: regularized_poincare_linear(x, p, allow_capture=True) - (x + 4.0),
                  *bracket, xtol=1e-13)
     assert abs(fp - ref) <= 1e-12
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
+
+
+def test_trajectory_eval_matches_per_point_semantics():
+    # a run with exterior arcs on both sides, a captured slide and transits;
+    # queried at every segment start and end, every layer step end, and
+    # points inside the steps and the exterior arcs
+    p = OscillatorParams(a=0.01, epsilon=1e-2)
+    e = p.epsilon
+    traj = simulate_regularized(NONLIN, p, 14.1, 1.1, 56.0)
+    spans = traj.layer_spans()
+    assert traj.captured_spans() and len(traj.captured_spans()) < len(spans)
+    assert {s.side for s in traj.segments if s.kind == "ext"} == {1, -1}
+
+    pts = [x for s in traj.segments for x in (s.x0, s.x1)]
+    for s in traj.segments:
+        if s.kind == "layer":
+            ts = s.eval.__self__.ts
+            pts += ts + [0.5 * (t0 + t1) for t0, t1 in zip(ts, ts[1:])]
+        else:
+            pts += np.linspace(s.x0, s.x1, 41)[1:-1].tolist()
+    xq = np.array(pts)
+    got = traj.eval(xq)
+    assert got.shape == xq.shape
+
+    starts = [s.x0 for s in traj.segments]
+    exact, ext_want, ext_got = 0, [], []
+    for x, v in zip(xq, got):
+        j = bisect_right(starts, x) - 1  # a segment start takes the later segment
+        seg = traj.segments[j]
+        if seg.kind == "layer":
+            sol = seg.eval.__self__
+            k = min(max(bisect_left(sol.ts, x) - 1, 0), len(sol.steps) - 1)  # a step end: earlier step
+            assert v == radau._dense(float(x), *sol.steps[k])[0], (x, j, k)
+            exact += 1
+        else:
+            v0 = 1.1 if j == 0 else float(seg.side)
+            ext_want.append(flow_from(seg.side, float(x), seg.x0, e * v0, p) / e)
+            ext_got.append(v)
+    assert exact > 1000 and len(ext_want) > 100
+    assert _relative_gap(np.array(ext_got), np.array(ext_want)) <= 1e-12
+
+    # the same values in any order and shape
+    perm = np.random.default_rng(6).permutation(len(xq))
+    assert np.array_equal(traj.eval(xq[perm]), got[perm])
+    assert np.array_equal(traj.eval(xq[:60].reshape(3, 20)), got[:60].reshape(3, 20))
+
+    vr = v_r_reference(11, p)
+    xs = np.concatenate([np.linspace(vr.x_start - 0.5, vr.x_start + 4.0, 601),
+                         [vr.x_start, vr.x_reentry]])
+    want = np.array([flow_from(-1, max(float(x), vr.x_start), vr.x_start, -e, p) / e
+                     if x <= vr.x_reentry else -1.0 for x in xs])
+    got_vr = vr.eval(xs)
+    assert np.all(got_vr[xs > vr.x_reentry] == -1.0)
+    assert _relative_gap(got_vr, want) <= 1e-12
+
+
+def test_trajectory_eval_rejects_points_outside_the_run():
+    p = OscillatorParams(a=0.01, epsilon=2.5e-3)
+    traj = simulate_regularized(NONLIN, p, 14.1, 1.1, 30.0)
+    assert (traj.x_start, traj.x_end) == (14.1, 30.0)
+    ends = traj.eval([14.1, 30.0])
+    assert ends[0] == pytest.approx(1.1, abs=1e-12) and abs(ends[1]) <= 1.0
+    for bad in (math.nan, math.inf, -math.inf, 5.0, 100.0, 14.1 - 1e-9, 30.0 + 1e-9):
+        with pytest.raises(DomainError, match="outside the simulated range"):
+            traj.eval([20.0, bad])
+    empty = simulate_regularized(NONLIN, p, 14.1, 1.1, 14.1)  # a run of length zero
+    with pytest.raises(DomainError, match="outside the simulated range"):
+        empty.eval([14.1])
