@@ -1,9 +1,9 @@
 """Interleaved parent/change benchmark pairs, written as a BENCH_<n>.json record.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --pairs 10 --out BENCH_6.json
+    python3 scripts/bench_pairs.py --parent ../parent --change . --out BENCH_6.json
 
 Both arguments are checkouts with their own ``perfbench/`` and ``src/``.  For
-every workload of the change's BENCHMARK.json and seed s = 1..pairs, the two
+every workload of the change's BENCHMARK.json and seed s = 1..10, the two
 sides run ``perfbench/run.py --seed s --trace 0`` one after the other, the
 parent first on odd seeds and the change first on even ones, with the run
 length from BENCHMARK.json.  Then each side runs seed 1 once with --trace 1.
@@ -23,6 +23,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10  # the fewest pairs that can support a gain claim (9 of 10 won)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -45,21 +47,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workloads", nargs="*")
     args = ap.parse_args(argv)
-    if args.pairs < 4:
-        ap.error("--pairs must be at least 4 (quartiles need four values)")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
-    seeds = list(range(1, args.pairs + 1))
-    record = {"pairs": args.pairs, "seeds": seeds, "run_seconds": seconds,
+    seeds = list(range(1, PAIRS + 1))
+    record = {"pairs": PAIRS, "seeds": seeds, "run_seconds": seconds,
               "order": "parent first on odd seeds, change first on even seeds",
               "workloads": {}}
-    for name in names:
+    for name in (w["name"] for w in spec["workloads"]):
         rows = {"parent": [], "change": []}
         for seed in seeds:
             sides = ("parent", "change") if seed % 2 else ("change", "parent")

@@ -69,12 +69,18 @@ def _load_config(path: str | None) -> dict:
 
 
 def _setting(args, cfg: dict, key: str, default=None):
-    """A numeric setting: the flag if given, else the config value, else ``default``."""
+    """A finite numeric setting: the flag if given, else the config value, else ``default``."""
     value = getattr(args, key)
     if value is None:
         value = cfg.get(key, default)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise DomainError(f"{key} must be a number, got {value!r}")
+    if value is None:
+        return None
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # a string, list or object; an int past float range
+        finite = False
+    if not finite:
+        raise DomainError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

@@ -254,6 +254,9 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             start_state = ("depart", x0, _departure_side(x0))
         else:
             start_state = ("interior", x0, (initial.y, +1 if initial.y > 0 else -1))
+    if not (math.isfinite(x0) and math.isfinite(x_end)):
+        raise DomainError(f"simulate_discontinuous needs finite x0 and x_end; "
+                          f"got {x0}, {x_end}")
     if x_end <= x0:
         raise DomainError("x_end must exceed the initial x")
     traj = Trajectory()

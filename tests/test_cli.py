@@ -121,6 +121,14 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["--config", "{file}", "orbit", "find"], "cfg.json", "[0.01]"),
     (["--config", "{file}", "simulate", "--model", "linear", "--a", "1",
       "--out-dir", "{dir}"], "cfg.json", '{"x0": [0]}'),
+    (["--config", "{file}", "simulate", "--model", "nonlinear", "--a", "0.5",
+      "--out-dir", "{dir}"], "cfg.json", '{"x_end": Infinity}'),
+    (["--config", "{file}", "simulate", "--model", "nonlinear", "--a", "0.5",
+      "--out-dir", "{dir}"], "cfg.json", '{"x0": NaN}'),
+    (["--config", "{file}", "simulate", "--model", "nonlinear", "--a", "0.5",
+      "--x-end", "inf", "--out-dir", "{dir}"], "cfg.json", "{}"),
+    (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json",
+     '{"a": 1' + "0" * 400 + "}"),
     (["validate-psi", "{file}"], "psi.json", '{"name": "cubic", "type": "poly"}'),
     (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": [0.0, "abc"]}'),
     (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": 1.5}'),

@@ -176,6 +176,13 @@ def test_simulate_rejects_ambiguous_repelling_start():
         simulate_discontinuous(LIN, OscillatorParams(a=1.0), (1.0, 0.0), 5.0)
 
 
+@pytest.mark.parametrize("start, x_end", [
+    ((0.0, 0.0), float("inf")), ((0.0, 0.0), float("nan")), ((float("nan"), 0.5), 5.0)])
+def test_simulate_rejects_non_finite_range(start, x_end):
+    with pytest.raises(DomainError):
+        simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), start, x_end)
+
+
 def test_explicit_repelling_start_slides_then_exits():
     # forward simulation from an explicit on-branch state is allowed
     p = OscillatorParams(a=0.5)
