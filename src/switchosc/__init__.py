@@ -15,17 +15,12 @@ from .core import (
     Trajectory,
     classify_threshold_point,
     forcing,
-    params_from_circuit,
     vector_field,
 )
 from .analytic_flow import (
-    PhaseConstants,
     flow_solution,
     h,
-    h0_zeros,
-    hinf_zeros,
     p0_map,
-    phase_constants,
 )
 from .poincare import (
     PoincareResult,
@@ -40,7 +35,6 @@ from .sliding import (
     SlidingBranch,
     ageing_metrics,
     check_no_nonsliding_periodic_nonlinear,
-    confinement_check,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
     linear_branches,
@@ -49,17 +43,12 @@ from .sliding import (
     simulate_discontinuous,
 )
 from .regularization import (
-    LayerState,
     ScalingFit,
-    TransitionFunction,
-    boundary_return_map,
     convergence_to_vr,
     critical_branch,
-    cubic_transition,
     exit_scaling_fit,
     find_regularized_sliding_orbit_linear,
     fold_points,
-    layer_field,
     measure_exit_point,
     regularized_poincare_linear,
     simulate_regularized,

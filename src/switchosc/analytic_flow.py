@@ -15,13 +15,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    OMEGA_MINUS,
-    OMEGA_PLUS,
     DomainError,
     OscillatorParams,
     cospi,
@@ -38,29 +35,15 @@ def flow_scale(sign: int, params: OscillatorParams) -> float:
     return math.hypot(w * math.pi, params.a)
 
 
-@dataclass(frozen=True)
-class PhaseConstants:
+def phase_lag(sign: int, params: OscillatorParams) -> float:
     """phi+- = arctan(w+- pi / a), the phase lag of the particular solution."""
-
-    phi_plus: float
-    phi_minus: float
-
-    def phi(self, sign: int) -> float:
-        return self.phi_plus if sign > 0 else self.phi_minus
-
-
-def phase_constants(params: OscillatorParams) -> PhaseConstants:
-    a = params.a
-    return PhaseConstants(
-        phi_plus=math.atan2(OMEGA_PLUS * math.pi, a),
-        phi_minus=math.atan2(OMEGA_MINUS * math.pi, a),
-    )
+    return math.atan2(omega(sign) * math.pi, params.a)
 
 
 def varphi_over_pi(sign: int, x_i: float, params: OscillatorParams) -> float:
     """(w*pi*x_i - phi)/pi reduced mod 2, so trig of it stays exact at large x."""
     w = omega(sign)
-    phi = phase_constants(params).phi(sign)
+    phi = phase_lag(sign, params)
     return math.fmod(w * x_i, 2.0) - phi / math.pi
 
 
@@ -146,7 +129,7 @@ def h0_zero_iter(sign: int, x_i: float, params: OscillatorParams):
     Lazy merge so bracket scans can look arbitrarily far ahead.
     """
     w = omega(sign)
-    phi = phase_constants(params).phi(sign)
+    phi = phase_lag(sign, params)
     fam_a = _arithmetic(0.0, 2.0 / w)
     start_b = 1.0 / w + 2.0 * phi / (w * math.pi) - 2.0 * math.fmod(x_i, 2.0 / w)
     fam_b = _arithmetic(start_b, 2.0 / w)
@@ -156,21 +139,9 @@ def h0_zero_iter(sign: int, x_i: float, params: OscillatorParams):
 def hinf_zero_iter(sign: int, x_i: float, params: OscillatorParams):
     """Sorted nonnegative zeros of hinf = -sin(w pi xbar + varphi): one lattice of pitch 1/w."""
     w = omega(sign)
-    phi = phase_constants(params).phi(sign)
+    phi = phase_lag(sign, params)
     start = phi / (w * math.pi) - math.fmod(x_i, 1.0 / w)
     return _arithmetic(start, 1.0 / w)
-
-
-def h0_zeros(sign: int, x_i: float, params: OscillatorParams, count: int) -> list[float]:
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    return list(itertools.islice(h0_zero_iter(sign, x_i, params), count))
-
-
-def hinf_zeros(sign: int, x_i: float, params: OscillatorParams, count: int) -> list[float]:
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    return list(itertools.islice(hinf_zero_iter(sign, x_i, params), count))
 
 
 def p0_map(sign: int, x_i: float) -> float:

@@ -24,7 +24,6 @@ from .core import (
     OscillatorError,
 )
 from .regularization import (
-    TransitionFunction,
     critical_branch,
     exit_scaling_fit,
     regularized_poincare_linear,
@@ -293,29 +292,6 @@ def cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_validate_psi(args) -> int:
-    doc = _read_json_object(args.file, "profile")
-    if doc.get("type", "poly") != "poly":
-        print("only polynomial transition profiles are supported", file=sys.stderr)
-        return 2
-    try:
-        coeffs = [float(c) for c in doc["coeffs"]]  # ascending powers
-    except (KeyError, TypeError, ValueError):
-        raise DomainError(f'profile {args.file} needs "coeffs", a list of numbers') from None
-    d1 = [k * c for k, c in enumerate(coeffs)][1:]
-    d2 = [k * c for k, c in enumerate(d1)][1:]
-    ev = lambda cs: (lambda v: sum(c * v**k for k, c in enumerate(cs)))
-    tf = TransitionFunction(name=doc.get("name", "user"), psi=ev(coeffs),
-                            psi_prime=ev(d1), psi_second=ev(d2))
-    try:
-        tf.validate()
-    except DomainError as exc:
-        print(f"FAIL {exc}")
-        return 1
-    print(f"PASS transition function {tf.name!r} satisfies the property suite")
-    return 0
-
-
 def cmd_plot_from_csv(args) -> int:
     lines = Path(args.csv).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -349,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file; flags override its values")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=False):
+    def common(p):
         p.add_argument("--model", choices=["linear", "nonlinear"])
         p.add_argument("--a", type=float)
         p.add_argument("--epsilon", type=float)
@@ -401,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--no-plot", dest="plot", action="store_false", default=True)
     p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("validate-psi", help="property suite for a user transition profile")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate_psi)
 
     p = sub.add_parser("plot-from-csv", help="re-plot a trajectory CSV")
     p.add_argument("csv")

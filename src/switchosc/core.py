@@ -126,19 +126,12 @@ def omega(sign: int) -> float:
     return OMEGA_PLUS if sign > 0 else OMEGA_MINUS
 
 
-def params_from_circuit(R: float, L: float) -> OscillatorParams:
-    """RL-circuit parameters: a = R/L with the standard frequency pair."""
-    if not (R > 0.0 and L > 0.0):
-        raise DomainError(f"need R > 0 and L > 0, got R={R}, L={L}")
-    return OscillatorParams(a=R / L)
-
-
 @dataclass(frozen=True)
 class HybridState:
     """A phase point tagged with its dynamical mode.
 
     ``y`` holds the vertical coordinate; in layer scale callers divide by
-    epsilon themselves (the regularization module has its own LayerState).
+    epsilon themselves.
     """
 
     x: float

@@ -29,8 +29,6 @@ from .core import (
     forcing,
 )
 from .regularization import (
-    PSI,
-    cubic_transition,
     exit_scaling_fit,
     find_regularized_sliding_orbit_linear,
     fold_points,
@@ -40,6 +38,8 @@ from .regularization import (
     v_r_reference,
     convergence_to_vr,
     capture_start,
+    psi,
+    psi_prime,
 )
 from .sliding import (
     find_sliding_period4_linear,
@@ -319,6 +319,7 @@ def _run_regularized_linear(sc: Scenario) -> dict:
         "log_contraction_coarse": logc[e_coarse],
         "log_contraction_fine": logc[e_fine],
         "log_decrease_10x": logc[e_fine] <= logc[e_coarse] - math.log(10.0),
+        "log_contraction_ratio": logc[e_fine] / logc[e_coarse],
     })
     return out
 
@@ -367,7 +368,7 @@ def _run_fig11(sc: Scenario) -> dict:
     spans = traj.layer_spans()
     entry, exit_x = max(spans, key=lambda s: s[1] - s[0])
     xs = np.linspace(0.5 * (entry + exit_x) - 1.0, 0.5 * (entry + exit_x) + 1.0, 9)
-    lam_mid = float(np.mean([PSI.psi(v) for v in traj.eval(xs)]))
+    lam_mid = float(np.mean([psi(v) for v in traj.eval(xs)]))
     branch = round(float(np.mean(xs)) * (1.0 + lam_mid / 2.0))
     x_t = min(e.x for e in traj.events if e.kind == "layer-entry")
     grid = np.linspace(x_t + 1e-6, traj.x_end - 1e-6, 4000)
@@ -410,8 +411,14 @@ def _run_property_suite(sc: Scenario) -> dict:
             dev = max(dev,
                       abs(forcing(model, float(x), 1.0) - sinpi(1.5 * x)),
                       abs(forcing(model, float(x), -1.0) - sinpi(0.5 * x)))
-    # transition-function property suite
-    cubic_transition().validate()
+    # transition-function properties: psi(+-1) = +-1, psi' > 0 on (-1, 1) and
+    # psi''(+-1) of sign -+ (one-sided differences of psi' at the ends)
+    inner = np.linspace(-1.0, 1.0, 2001)[1:-1]
+    step = 1e-6
+    psi_valid = (abs(psi(1.0) - 1.0) <= 1e-12 and abs(psi(-1.0) + 1.0) <= 1e-12
+                 and all(psi_prime(float(v)) > 0.0 for v in inner)
+                 and psi_prime(1.0 - step) > psi_prime(1.0)
+                 and psi_prime(-1.0 + step) > psi_prime(-1.0))
     # branch nullclines
     res = 0.0
     for b in linear_branches((0.0, 12.0)):
@@ -428,7 +435,7 @@ def _run_property_suite(sc: Scenario) -> dict:
     x_ivp = ivp_fixed_point(a, x_map)
     return {
         "forcing_agreement": dev,
-        "psi_valid": True,
+        "psi_valid": psi_valid,
         "nullcline_residual": res,
         "x_star_map": x_map,
         "x_star_ivp": x_ivp,
@@ -526,30 +533,6 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                               "epsilon", 0.0) == 0.0 else "v")
                 report.artifacts.append(str(svg_path))
     return report
-
-
-def sweep(parameter: str, grid: list, scenario_template: Scenario,
-          out_dir: str | Path | None = None) -> list[Report]:
-    """Run a scenario once per grid point, overriding one parameter."""
-    if not grid:
-        raise DomainError("sweep grid is empty")
-    reports = []
-    for val in grid:
-        doc = {
-            "id": f"{scenario_template.id}_{parameter}_{val}",
-            "kind": scenario_template.kind,
-            "description": scenario_template.description,
-            "model": scenario_template.model,
-            "params": dict(scenario_template.params),
-            "spec": dict(scenario_template.spec),
-            "expected": list(scenario_template.expected),
-        }
-        if parameter in ("a", "epsilon"):
-            doc["params"][parameter] = val
-        else:
-            doc["spec"][parameter] = val
-        reports.append(run_scenario(Scenario(**doc), out_dir=out_dir))
-    return reports
 
 
 def write_traceability(out_dir: str | Path) -> Path:

@@ -166,18 +166,11 @@ def solve_x0() -> float:
     return brentq(dP_da_at_zero, 0.5, 2.0 / 3.0 - 1e-12, xtol=1e-12)
 
 
-def dP_dx(x: float, a: float, mode: str = "closed-form") -> float:
-    """Derivative of the composite map.
+def dP_dx(x: float, a: float) -> float:
+    """Derivative of the composite map at a fixed point of P(x) - (x + 4).
 
-    closed-form assumes x is a fixed point of P(x) - (x + 4) and uses the
-    triple-angle reduction; finite-difference is a central difference with
-    step 1e-6 and is valid anywhere in the domain.
+    Closed form by the triple-angle reduction; x must be such a fixed point.
     """
-    if mode == "finite-difference":
-        d = 1e-6
-        return (composite_map(x + d, a) - composite_map(x - d, a)) / (2.0 * d)
-    if mode != "closed-form":
-        raise DomainError(f"unknown mode {mode!r}")
     pm = next_crossing(-1, x, OscillatorParams(a=a)).x_next
     den = 3.0 - 4.0 * sinpi(x / 2.0) ** 2
     if abs(den) < 1e-9:
@@ -224,5 +217,5 @@ def find_nonsliding_period4(a: float, tol: float = 1e-12) -> tuple[float, float]
                 f"fixed point candidate x={root} touches a non-crossing region at "
                 f"x={contact}; the transversal orbit does not exist at a={a}"
             )
-    multiplier = dP_dx(root, a, "closed-form")
+    multiplier = dP_dx(root, a)
     return root, multiplier

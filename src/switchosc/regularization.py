@@ -47,7 +47,6 @@ from .core import (
     forcing,
     forcing_dlam,
     omega,
-    sinpi,
 )
 from .analytic_flow import flow_from, flow_from_array, flow_from_deriv
 from .radau import solve_ivp
@@ -81,91 +80,75 @@ class LayerIntegrationError(SolverError):
 
 
 # ---------------------------------------------------------------------------
-# transition functions
+# the transition function psi and the layer system
 
 
-@dataclass(frozen=True)
-class TransitionFunction:
-    """Smooth monotone switch profile psi on [-1, 1] with psi(+-1) = +-1."""
-
-    name: str
-    psi: callable
-    psi_prime: callable
-    psi_second: callable
-
-    def inverse(self, lam: float, tol: float = 1e-13) -> float:
-        """Monotone inverse by a safeguarded Newton/bisection hybrid.
-
-        Newton from a bisection-maintained bracket; psi' -> 0 at +-1 makes a
-        pure Newton iteration fragile exactly where branch endpoints live.
-        """
-        if not -1.0 <= lam <= 1.0:
-            raise DomainError(f"psi inverse needs lambda in [-1, 1], got {lam}")
-        lo, hi = -1.0, 1.0
-        v = lam  # decent seed for any odd-ish profile
-        for _ in range(200):
-            err = self.psi(v) - lam
-            if abs(err) < tol:
-                return v
-            if err > 0.0:
-                hi = v
-            else:
-                lo = v
-            dp = self.psi_prime(v)
-            v_newton = v - err / dp if dp > 0.0 else None
-            v = v_newton if v_newton is not None and lo < v_newton < hi else 0.5 * (lo + hi)
-        raise SolverError(f"psi inverse did not converge for lambda={lam}")
-
-    def validate(self, samples: int = 2001) -> None:
-        """Property suite: boundary values, interior monotonicity, edge curvature."""
-        if abs(self.psi(1.0) - 1.0) > 1e-12 or abs(self.psi(-1.0) + 1.0) > 1e-12:
-            raise DomainError(f"psi({self.name}) must satisfy psi(+-1) = +-1")
-        for i in range(1, samples - 1):
-            v = -1.0 + 2.0 * i / (samples - 1)
-            if not self.psi_prime(v) > 0.0:
-                raise DomainError(f"psi'({v}) <= 0: transition not monotone")
-        if not self.psi_second(1.0) < 0.0 or not self.psi_second(-1.0) > 0.0:
-            raise DomainError("sign(psi'') at +-1 must be -+ (fold curvature)")
+def psi(v: float) -> float:
+    """The cubic switch profile psi(v) = v (3 - v^2) / 2, psi(+-1) = +-1."""
+    return 0.5 * v * (3.0 - v * v)
 
 
-def cubic_transition() -> TransitionFunction:
-    """The cubic profile v (3 - v^2) / 2, the paper's concrete instance."""
-    return TransitionFunction(
-        name="cubic",
-        psi=lambda v: 0.5 * v * (3.0 - v * v),
-        psi_prime=lambda v: 1.5 * (1.0 - v * v),
-        psi_second=lambda v: -3.0 * v,
-    )
+def psi_prime(v: float) -> float:
+    return 1.5 * (1.0 - v * v)
 
 
-#: The transition profile of the regularized system.
-PSI = cubic_transition()
+def psi_inverse(lam: float) -> float:
+    """The v in [-1, 1] with psi(v) = lam, in closed form.
+
+    With v = 2 sin(t), psi(v) = 3 sin(t) - 4 sin(t)^3 = sin(3t), so
+    psi^-1(lam) = 2 sin(asin(lam) / 3).
+    """
+    if not -1.0 <= lam <= 1.0:
+        raise DomainError(f"psi inverse needs lambda in [-1, 1], got {lam}")
+    return 2.0 * math.sin(math.asin(lam) / 3.0)
+
+
+def layer_system(model: SwitchingModel, params: OscillatorParams,
+                 with_sensitivity: bool):
+    """The layer ODE dv/dx = (-a eps v - f_i(x, psi(v))) / eps, for eps > 0.
+
+    Returns ``(rate, rhs, jac)``: the scalar rate(x, v), and the right-hand
+    side and Jacobian that ``radau.solve_ivp`` integrates.  With
+    ``with_sensitivity`` the state is (v, J), where J' = d/dv (dv/dx)
+    accumulates the log-derivative of the flow map along the arc.  The
+    closures look ``forcing`` and ``forcing_dlam`` up in this module at each
+    call, so a wrapper patched in here (a test, the perfbench tracer) sees
+    every evaluation.
+    """
+    e = params.epsilon
+    a = params.a
+
+    def rate(x, v):
+        return (-a * e * v - forcing(model, x, _clip(psi(v)))) / e
+
+    def rate_dv(x, v):
+        return (-a * e - forcing_dlam(model, x, _clip(psi(v))) * psi_prime(v)) / e
+
+    def rhs(x, yv):
+        dv = rate(x, yv[0])
+        if with_sensitivity:
+            return [dv, rate_dv(x, yv[0])]
+        return [dv]
+
+    def jac(x, yv):
+        d = rate_dv(x, yv[0])
+        return [[d, 0.0], [0.0, 0.0]] if with_sensitivity else [[d]]
+
+    return rate, rhs, jac
+
+
+def _clip(lam: float) -> float:
+    return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
 
 
 # ---------------------------------------------------------------------------
 # layer geometry
 
 
-@dataclass(frozen=True)
-class LayerState:
-    x: float
-    v: float
-
-
-def layer_field(model: SwitchingModel, params: OscillatorParams,
-                state: LayerState) -> tuple[float, float]:
-    """(dx, dv) inside the layer; epsilon = 0 is rejected."""
-    if params.epsilon <= 0.0:
-        raise DomainError("layer_field needs epsilon > 0")
-    e = params.epsilon
-    lam = PSI.psi(state.v)
-    return 1.0, (-params.a * e * state.v - forcing(model, state.x, lam)) / e
-
-
 def critical_branch(model: SwitchingModel, index: int, x: float) -> float:
     """v0 with psi(v0) = branch lambda(x); the layer image of a sliding branch."""
     b = _linear_branch(index) if model is SwitchingModel.LINEAR else _nonlinear_branch(index)
-    return PSI.inverse(b.lambda_of(x))
+    return psi_inverse(b.lambda_of(x))
 
 
 def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
@@ -315,23 +298,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     a = params.a
     traj = RegTrajectory(params=params, model=model)
     log_sens = 0.0
-
-    def layer_rate(x, v):
-        return (-a * e * v - forcing(model, x, _clip(PSI.psi(v)))) / e
-
-    def layer_rate_dv(x, v):
-        return (-a * e - forcing_dlam(model, x, _clip(PSI.psi(v)))
-                * PSI.psi_prime(v)) / e
-
-    def rhs(x, yv):
-        dv = layer_rate(x, yv[0])
-        if with_sensitivity:
-            return [dv, layer_rate_dv(x, yv[0])]
-        return [dv]
-
-    def jac(x, yv):
-        d = layer_rate_dv(x, yv[0])
-        return [[d, 0.0], [0.0, 0.0]] if with_sensitivity else [[d]]
+    layer_rate, rhs, jac = layer_system(model, params, with_sensitivity)
 
     hit_up = lambda x, yv: yv[0] - 1.0
     hit_up.terminal, hit_up.direction = True, +1
@@ -408,9 +375,6 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     return traj
 
 
-def _clip(lam: float) -> float:
-    return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
-
 
 # ---------------------------------------------------------------------------
 # slow manifolds, exit points, scaling fits (nonlinear model)
@@ -426,8 +390,8 @@ def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
     guard = 0.1
     nu = 2 * n
     b = _nonlinear_branch(nu)
-    v0 = PSI.inverse(b.lambda_of(x))
-    sp = PSI.psi_prime(v0)
+    v0 = psi_inverse(b.lambda_of(x))
+    sp = psi_prime(v0)
     if not sp > guard:
         raise DomainError(f"fold proximity: psi'(v0)={sp} <= guard {guard} at x={x}")
     v0p = b.lambda_prime(x) / sp
@@ -454,8 +418,8 @@ def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
     """
     nu = 2 * n
     xs = float(nu)  # lambda = 0 there; mid-branch
-    v0 = PSI.inverse(_nonlinear_branch(nu).lambda_of(xs))
-    gap = (2.0 / xs) / PSI.psi_prime(v0)
+    v0 = psi_inverse(_nonlinear_branch(nu).lambda_of(xs))
+    gap = (2.0 / xs) / psi_prime(v0)
     return xs, v0 + offset_frac * gap
 
 
@@ -547,23 +511,7 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 
 
 # ---------------------------------------------------------------------------
-# boundary return map and the regularized linear maps
-
-
-def boundary_return_map(sign: int, x_start: float, params: OscillatorParams) -> float:
-    """Next intersection with v = sign*1 of the exterior flow leaving x_start.
-
-    The start must have an outward field (sign * dv/dx >= 0 at the boundary);
-    fold points themselves, where the field is tangent, are accepted as the
-    canonical departure states.
-    """
-    e = params.epsilon
-    if e <= 0.0:
-        raise DomainError("boundary_return_map needs epsilon > 0")
-    dv = -params.a * e * sign - sinpi(omega(sign) * x_start)
-    if sign * dv < -1e-9:
-        raise DomainError(f"field at ({x_start}, v={sign}) points into the layer")
-    return _ext_return(sign, x_start, float(sign), params)
+# the regularized linear maps
 
 
 def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float,

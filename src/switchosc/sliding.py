@@ -421,24 +421,6 @@ def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
     return rows
 
 
-def confinement_check(trajectory: Trajectory,
-                      tol: float = 1e-10) -> tuple[float, bool]:
-    """First threshold contact x_T and whether y <= tol for all x > x_T."""
-    seg0 = trajectory.segments[0]
-    if seg0.mode in (Mode.SLIDING, Mode.FLOW_MINUS) or seg0.ys[0] <= 0.0:
-        first = seg0.xs[0]  # already in the closure of S_-
-    else:
-        first = next((e.x for e in trajectory.events), None)
-        if first is None:
-            return math.nan, False
-    confined = True
-    for seg in trajectory.segments:
-        for x, y in zip(seg.xs, seg.ys):
-            if x > first + 1e-12 and y > tol:
-                confined = False
-    return first, confined
-
-
 def ageing_metrics(model: SwitchingModel,
                    x_range: tuple[float, float] | None = None,
                    trajectory: Trajectory | None = None):
@@ -471,58 +453,3 @@ def ageing_metrics(model: SwitchingModel,
                 row["slid_length"] += length
     return rows
 
-
-def periodicity_report(trajectory: Trajectory, model: SwitchingModel,
-                       period: float = 4.0, grid: int = 400,
-                       match_tol: float = 1e-5) -> dict:
-    """Window-to-window deviation over one period shift.
-
-    ``match_tol`` accounts for the piecewise-linear resampling of the stored
-    path samples.  For the nonlinear model an apparent match is reported as
-    "unverified at threshold": branch lengths grow with x, so one-period
-    agreement does not imply periodicity; confirmation requires the
-    regularized path.
-    """
-    x0 = trajectory.segments[0].xs[0]
-    x1 = trajectory.x_end
-    if x1 - x0 < 2 * period:
-        raise DomainError("trajectory too short for a period comparison")
-    xs = [x0 + (x1 - x0 - period) * i / grid for i in range(grid + 1)]
-    samples = _resample(trajectory, xs)
-    shifted = _resample(trajectory, [x + period for x in xs])
-    dev = max(abs(u - v) for u, v in zip(samples, shifted))
-    claim = "periodic (apparent)" if dev < match_tol else "not periodic over window"
-    if model is SwitchingModel.NONLINEAR and dev < match_tol:
-        claim = "periodic (apparent) - unverified at threshold"
-    return {"max_deviation": dev, "claim": claim}
-
-
-def _resample(trajectory: Trajectory, xs: list[float]) -> list[float]:
-    """Piecewise-linear resampling of a trajectory's (x, y) samples."""
-    out = []
-    segs = trajectory.segments
-    for x in xs:
-        val = None
-        for seg in segs:
-            if seg.xs[0] - 1e-12 <= x <= seg.xs[-1] + 1e-12:
-                val = _interp(seg.xs, seg.ys, x)
-                break
-        if val is None:
-            raise DomainError(f"x={x} outside trajectory range")
-        out.append(val)
-    return out
-
-
-def _interp(xs: list[float], ys: list[float], x: float) -> float:
-    import bisect
-
-    i = bisect.bisect_left(xs, x)
-    if i <= 0:
-        return ys[0]
-    if i >= len(xs):
-        return ys[-1]
-    x0, x1 = xs[i - 1], xs[i]
-    if x1 == x0:
-        return ys[i]
-    t = (x - x0) / (x1 - x0)
-    return ys[i - 1] * (1 - t) + ys[i] * t

@@ -11,10 +11,9 @@ from switchosc.analytic_flow import (
     flow_solution,
     h,
     h0_zero_iter,
-    h0_zeros,
-    hinf_zeros,
+    hinf_zero_iter,
     p0_map,
-    phase_constants,
+    phase_lag,
     varphi_over_pi,
 )
 from switchosc.core import OscillatorParams, omega, sinpi
@@ -33,13 +32,13 @@ def eq14_reference(sign: int, x: float, x_i: float, params: OscillatorParams) ->
 
 def test_phase_constants_values():
     # tan(phi) = w pi / a = 1 when a = 1.5 pi
-    pc = phase_constants(OscillatorParams(a=1.5 * math.pi))
-    assert pc.phi_plus == pytest.approx(math.pi / 4.0, abs=1e-14)
-    pc0 = phase_constants(OscillatorParams(a=1e-12))
-    assert pc0.phi_plus == pytest.approx(math.pi / 2.0, abs=1e-10)
-    assert pc0.phi_minus == pytest.approx(math.pi / 2.0, abs=1e-10)
-    pc_inf = phase_constants(OscillatorParams(a=1e6))
-    assert pc_inf.phi_plus < 1e-5 and pc_inf.phi_minus < 1e-5
+    assert phase_lag(+1, OscillatorParams(a=1.5 * math.pi)) == pytest.approx(
+        math.pi / 4.0, abs=1e-14)
+    p0 = OscillatorParams(a=1e-12)
+    assert phase_lag(+1, p0) == pytest.approx(math.pi / 2.0, abs=1e-10)
+    assert phase_lag(-1, p0) == pytest.approx(math.pi / 2.0, abs=1e-10)
+    p_inf = OscillatorParams(a=1e6)
+    assert phase_lag(+1, p_inf) < 1e-5 and phase_lag(-1, p_inf) < 1e-5
 
 
 def test_flow_initial_condition_and_slope():
@@ -115,7 +114,7 @@ def test_h_is_scaled_flow():
 
 def test_h0_zeros_contain_period_lattice_and_are_roots():
     p = OscillatorParams(a=1.0)
-    zs = h0_zeros(+1, 10.0 / 3.0, p, 8)
+    zs = list(itertools.islice(h0_zero_iter(+1, 10.0 / 3.0, p), 8))
     assert zs == sorted(zs)
     # the 2n/w family is always present
     for k in (0.0, 4.0 / 3.0, 8.0 / 3.0):
@@ -129,7 +128,7 @@ def test_h0_zeros_contain_period_lattice_and_are_roots():
 def test_hinf_zeros_large_a_limit():
     # as a -> infinity the first nondegenerate zero from x_i = 10/3 tends to 2/3
     p = OscillatorParams(a=1e6)
-    zs = hinf_zeros(+1, 10.0 / 3.0, p, 3)
+    zs = list(itertools.islice(hinf_zero_iter(+1, 10.0 / 3.0, p), 3))
     assert zs[0] == pytest.approx(0.0, abs=1e-5)
     assert zs[1] == pytest.approx(2.0 / 3.0, abs=1e-5)
     vq = varphi_over_pi(+1, 10.0 / 3.0, p)

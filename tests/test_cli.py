@@ -129,10 +129,11 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
       "--x-end", "inf", "--out-dir", "{dir}"], "cfg.json", "{}"),
     (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json",
      '{"a": 1' + "0" * 400 + "}"),
-    (["validate-psi", "{file}"], "psi.json", '{"name": "cubic", "type": "poly"}'),
-    (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": [0.0, "abc"]}'),
-    (["validate-psi", "{file}"], "psi.json", '{"type": "poly", "coeffs": 1.5}'),
-    (["validate-psi", "{file}"], "psi.json", "coeffs = [0.0, 1.5]"),
+    (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json", '{"a": true}'),
+    (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json", '{"a": null}'),
+    (["--config", "{file}", "orbit", "find"], "cfg.json", '{"model": 3, "a": 0.01}'),
+    (["--config", "{file}", "orbit", "find", "--model", "linear", "--a", "0.01"],
+     "cfg.json", '{"epsilon": -0.5}'),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n1.0,abc\n"),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,1.0\n1.0\n"),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,nan\n"),
@@ -150,18 +151,6 @@ def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
-
-
-def test_validate_psi(tmp_path, capsys):
-    good = tmp_path / "cubic.json"
-    good.write_text(json.dumps({"name": "cubic", "type": "poly",
-                                "coeffs": [0.0, 1.5, 0.0, -0.5]}))
-    assert run(["validate-psi", str(good)], capsys)[0] == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "bad", "type": "poly",
-                               "coeffs": [0.0, 0.5]}))
-    code, out, _ = run(["validate-psi", str(bad)], capsys)
-    assert code == 1 and "FAIL" in out
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -14,7 +14,6 @@ from switchosc.core import (
     cospi,
     cospi_array,
     forcing,
-    params_from_circuit,
     sinpi,
     sinpi_array,
     vector_field,
@@ -108,13 +107,6 @@ def test_classify_matches_field_directions():
             assert dy_minus < 0 < dy_plus
         elif region is Region.CROSSING:
             assert (dy_plus > 0) == (dy_minus > 0)
-
-
-def test_params_from_circuit():
-    assert params_from_circuit(1.0, 1.0).a == 1.0
-    assert params_from_circuit(2.0, 100.0).a == pytest.approx(0.02)
-    with pytest.raises(DomainError):
-        params_from_circuit(0.0, 1.0)
 
 
 def test_params_validation():

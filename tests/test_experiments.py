@@ -2,16 +2,15 @@ from pathlib import Path
 
 import pytest
 
+from switchosc import experiments
 from switchosc.core import DomainError
 from switchosc.experiments import (
-    Scenario,
     TRACEABILITY,
     ivp_crossing,
     ivp_fixed_point,
     list_scenarios,
     load_scenario,
     run_scenario,
-    sweep,
     write_traceability,
 )
 from switchosc.poincare import find_nonsliding_period4, next_crossing
@@ -73,14 +72,16 @@ def test_scenario_csv_is_deterministic(tmp_path):
     assert b1 == b2
 
 
-def test_sweep_over_damping(tmp_path):
-    template = Scenario(id="SW", kind="sliding_linear", params={"a": 10.0},
-                        spec={"a_absent": 1e-3}, expected=[])
-    reports = sweep("a", [10.0, 0.1], template, out_dir=tmp_path)
-    assert len(reports) == 2
-    assert all(r.measured["exists"] for r in reports)
-    with pytest.raises(DomainError):
-        sweep("a", [], template)
+@pytest.mark.parametrize("name, broken", [
+    ("psi", lambda v: 0.5 * v),                                    # psi(+-1) = +-1/2
+    ("psi_prime", lambda v: 1.5 * (1.0 - v * v) * (v * v - 0.25)),  # psi' < 0 near 0
+    ("psi_prime", lambda v: 1.5 * (1.0 + v * v)),                  # psi''(1) > 0
+], ids=["ends", "monotone", "curvature"])
+def test_property_suite_fails_on_a_broken_psi(monkeypatch, name, broken):
+    assert run_scenario(load_scenario("E13")).measured["psi_valid"] is True
+    monkeypatch.setattr(experiments, name, broken)
+    rep = run_scenario(load_scenario("E13"))
+    assert rep.measured["psi_valid"] is False and not rep.passed
 
 
 def test_traceability_matrix(tmp_path):

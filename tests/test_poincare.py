@@ -103,8 +103,9 @@ def test_dP_dx_limits_and_modes():
     x0 = solve_x0()
     assert dP_dx(x0, 1e-8) == pytest.approx(1.0, abs=1e-6)
     x_star, _ = find_nonsliding_period4(0.01)
-    closed = dP_dx(x_star, 0.01, "closed-form")
-    fd = dP_dx(x_star, 0.01, "finite-difference")
+    closed = dP_dx(x_star, 0.01)
+    d = 1e-6
+    fd = (composite_map(x_star + d, 0.01) - composite_map(x_star - d, 0.01)) / (2.0 * d)
     assert 0.0 < closed < 1.0
     assert fd == pytest.approx(closed, abs=1e-4)
 

@@ -6,27 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from switchosc.core import SwitchingModel, forcing, forcing_dlam
+from switchosc.core import OscillatorParams, SwitchingModel
 from switchosc.radau import solve_ivp
-from switchosc.regularization import PSI, _clip
+from switchosc.regularization import layer_system
 
 
 def layer_problem(model, a, eps, with_sensitivity):
-    """rhs, jac and events of the layer ODE, as simulate_regularized builds them."""
-    def rate(x, v):
-        return (-a * eps * v - forcing(model, x, _clip(PSI.psi(v)))) / eps
-
-    def rate_dv(x, v):
-        return (-a * eps - forcing_dlam(model, x, _clip(PSI.psi(v))) * PSI.psi_prime(v)) / eps
-
-    def rhs(x, yv):
-        dv = rate(x, yv[0])
-        return [dv, rate_dv(x, yv[0])] if with_sensitivity else [dv]
-
-    def jac(x, yv):
-        d = rate_dv(x, yv[0])
-        return [[d, 0.0], [0.0, 0.0]] if with_sensitivity else [[d]]
-
+    """rhs and jac of simulate_regularized's layer ODE, and events on v = +-1, 0."""
+    _, rhs, jac = layer_system(model, OscillatorParams(a=a, epsilon=eps), with_sensitivity)
     up = lambda x, yv: yv[0] - 1.0
     up.terminal, up.direction = True, +1
     down = lambda x, yv: yv[0] + 1.0

@@ -20,19 +20,18 @@ from switchosc.core import (
 from switchosc.poincare import composite_map, find_nonsliding_period4, next_crossing
 from switchosc.regularization import (
     CaptureError,
-    LayerState,
-    TransitionFunction,
-    boundary_return_map,
     capture_start,
     convergence_to_vr,
     critical_branch,
-    cubic_transition,
     exit_scaling_fit,
     find_regularized_sliding_orbit_linear,
     fit_power_law,
     fold_points,
-    layer_field,
+    layer_system,
     measure_exit_point,
+    psi,
+    psi_inverse,
+    psi_prime,
     regularized_fixed_point,
     regularized_poincare_linear,
     simulate_regularized,
@@ -46,38 +45,42 @@ NONLIN = SwitchingModel.NONLINEAR
 
 
 def test_cubic_psi_properties_and_inverse():
-    tf = cubic_transition()
-    tf.validate()
-    # inverse against plain bisection on the monotone cubic
+    assert psi(1.0) == 1.0 and psi(-1.0) == -1.0
+    assert all(psi_prime(float(v)) > 0.0 for v in np.linspace(-1.0, 1.0, 2001)[1:-1])
+    # closed-form inverse against plain bisection on the monotone cubic
     for lam in (-0.999, -0.5, 0.0, 0.5, 0.97):
-        ref = brentq(lambda v: tf.psi(v) - lam, -1.0, 1.0, xtol=1e-15)
-        assert tf.inverse(lam) == pytest.approx(ref, abs=1e-13)
-    assert tf.inverse(1.0) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_bad_transition_rejected():
-    bad = TransitionFunction(name="shrunk", psi=lambda v: 0.5 * v,
-                             psi_prime=lambda v: 0.5, psi_second=lambda v: 0.0)
-    with pytest.raises(DomainError):
-        bad.validate()
+        ref = brentq(lambda v: psi(v) - lam, -1.0, 1.0, xtol=1e-15)
+        assert psi_inverse(lam) == pytest.approx(ref, abs=1e-13)
+    # round trip to a few ulp on a grid holding both ends, and the ends themselves
+    lams = np.linspace(-1.0, 1.0, 20001)
+    assert lams[0] == -1.0 and lams[-1] == 1.0
+    assert max(abs(psi(psi_inverse(float(lam))) - lam) for lam in lams) <= 4.5e-16
+    assert abs(psi_inverse(1.0) - 1.0) <= 2.3e-16
+    assert abs(psi_inverse(-1.0) + 1.0) <= 2.3e-16
+    for lam in (1.0 + 1e-12, math.nan):
+        with pytest.raises(DomainError):
+            psi_inverse(lam)
 
 
 def test_layer_field_values():
     p = OscillatorParams(a=0.7, epsilon=1e-3)
     # on a critical branch the forcing vanishes and dv = -a v0
     v0 = critical_branch(LIN, 1, 3.0)
-    _, dv = layer_field(LIN, p, LayerState(x=3.0, v=v0))
-    assert dv == pytest.approx(-p.a * v0, abs=1e-9)
-    _, dv2 = layer_field(NONLIN, p, LayerState(x=2.0, v=0.0))
-    assert dv2 == pytest.approx(0.0, abs=1e-12)
+    rate = layer_system(LIN, p, False)[0]
+    assert rate(3.0, v0) == pytest.approx(-p.a * v0, abs=1e-9)
+    rate, rhs, jac = layer_system(NONLIN, p, False)
+    assert rate(2.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     # generic point agrees with the core forcing scaled by 1/eps
-    tf = cubic_transition()
-    st = LayerState(x=1.234, v=0.4)
-    _, dv3 = layer_field(NONLIN, p, st)
-    expected = (-p.a * p.epsilon * st.v - forcing(NONLIN, st.x, tf.psi(st.v))) / p.epsilon
-    assert dv3 == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(DomainError):
-        layer_field(LIN, OscillatorParams(a=1.0), LayerState(x=0.0, v=0.0))
+    x, v = 1.234, 0.4
+    expected = (-p.a * p.epsilon * v - forcing(NONLIN, x, psi(v))) / p.epsilon
+    assert rate(x, v) == pytest.approx(expected, rel=1e-12)
+    # the kernel's rhs and jac, without and with the sensitivity J' = d rate/dv
+    d_rate = jac(x, [v])[0][0]
+    assert d_rate == pytest.approx((rate(x, v + 1e-6) - rate(x, v - 1e-6)) / 2e-6, rel=1e-7)
+    assert rhs(x, [v]) == [rate(x, v)]
+    _, rhs_s, jac_s = layer_system(NONLIN, p, True)
+    assert rhs_s(x, [v, 0.0]) == [rate(x, v), d_rate]
+    assert jac_s(x, [v, 0.0]) == [[d_rate, 0.0], [0.0, 0.0]]
 
 
 def test_critical_branch_values():
@@ -116,13 +119,12 @@ def test_attracting_branch_capture_rate():
     # distance to the slow manifold decays exponentially at the linearized
     # fast rate |df/dv| / eps once the transient is in the linear regime
     p = OscillatorParams(a=0.01, epsilon=1e-3)
-    tf = cubic_transition()
     n = 4
     x0, v_start = capture_start(n, offset_frac=0.1)
     traj = simulate_regularized(NONLIN, p, x0, v_start, x0 + 0.01,
                                 rtol=1e-12, atol=1e-14)
     v0 = critical_branch(NONLIN, 2 * n, x0)
-    rate = math.pi * x0 / 2.0 * tf.psi_prime(v0) / p.epsilon
+    rate = math.pi * x0 / 2.0 * psi_prime(v0) / p.epsilon
     xs = np.linspace(x0 + 5e-5, x0 + 2.5e-4, 7)
     ref = np.array([slow_manifold_expansion(n, float(x), p)["v_first_order"]
                     for x in xs])
@@ -194,19 +196,18 @@ def test_exit_scaling_fit_short_grid():
 
 
 def test_boundary_return_map_windows():
+    # the exterior return from a fold of the boundary v = +-1 to that boundary
     p = OscillatorParams(a=1.0, epsilon=1e-3)
-    r_plus = boundary_return_map(+1, fold_points(+1, 1, p), p)
+    r_plus = regularization._ext_return(+1, fold_points(+1, 1, p), 1.0, p)
     assert fold_points(+1, 2, p) < r_plus < fold_points(+1, 3, p)
-    r_minus = boundary_return_map(-1, fold_points(-1, 0, p), p)
+    r_minus = regularization._ext_return(-1, fold_points(-1, 0, p), -1.0, p)
     assert fold_points(-1, 1, p) < r_minus < fold_points(-1, 2, p)
-    with pytest.raises(DomainError):
-        boundary_return_map(-1, 2.5, p)  # inward field at v = -1 there
 
 
 def test_boundary_return_map_eps_limit_is_next_crossing():
     p = OscillatorParams(a=1.0, epsilon=1e-8)
     ref = next_crossing(-1, 0.0, OscillatorParams(a=1.0)).x_next
-    assert boundary_return_map(-1, fold_points(-1, 0, p), p) == pytest.approx(
+    assert regularization._ext_return(-1, fold_points(-1, 0, p), -1.0, p) == pytest.approx(
         ref, abs=1e-5)
 
 
@@ -303,15 +304,14 @@ def test_normal_hyperbolicity_signs():
     from switchosc.core import forcing_dlam
     from switchosc.sliding import linear_branches, nonlinear_branches
 
-    tf = cubic_transition()
     for model, branches in ((LIN, linear_branches((0.0, 12.0))),
                             (NONLIN, nonlinear_branches((0.0, 20.0)))):
         for b in branches:
             for t in (0.2, 0.5, 0.8):
                 x = b.domain[0] + t * b.width
                 lam = b.lambda_of(x)
-                v0 = tf.inverse(lam)
-                dfdv = tf.psi_prime(v0) * forcing_dlam(model, x, lam)
+                v0 = psi_inverse(lam)
+                dfdv = psi_prime(v0) * forcing_dlam(model, x, lam)
                 if b.stability == "attracting":
                     assert dfdv > 0.0, (model, b.index, x)
                 else:
@@ -325,10 +325,10 @@ def test_riccati_window_dominance():
     eps = 1e-3
     n = 10
     p = OscillatorParams(a=a, epsilon=eps)
-    tf = cubic_transition()
     m = measure_exit_point(n, p, rtol=1e-11)
+    psi_second = 3.0  # psi''(-1) = -3 v at v = -1
     alpha = (math.pi / 2.0 * math.asin(a * eps)
-             + n * math.pi**2 * tf.psi_second(-1.0) / 2.0) ** (1.0 / 3.0)
+             + n * math.pi**2 * psi_second / 2.0) ** (1.0 / 3.0)
     x_scale = eps ** (2.0 / 3.0) / alpha
     v_scale = math.pi * eps ** (1.0 / 3.0) / (2.0 * alpha**2)
     worst = 0.0
@@ -336,7 +336,7 @@ def test_riccati_window_dominance():
         x = m.fold_x + x_scale * xt
         v = float(m.trajectory.eval([x])[0])
         vt = (v + 1.0) / v_scale
-        dvdx = (-a * eps * v - forcing(NONLIN, x, tf.psi(v))) / eps
+        dvdx = (-a * eps * v - forcing(NONLIN, x, psi(v))) / eps
         vt_prime = dvdx * x_scale / v_scale
         dominant = xt + vt * vt
         resid = abs(vt_prime + dominant)
@@ -402,17 +402,19 @@ def test_failed_layer_integration_reports_its_state(monkeypatch):
     assert f"x={err.x!r}" in str(err) and f"v={err.v!r}" in str(err)
 
 
-@pytest.mark.parametrize("x0, v0, x_end", [
-    (math.nan, 0.0, 5.0),
-    (math.inf, 0.0, 5.0),
-    (0.5, math.nan, 5.0),
-    (0.5, math.inf, 5.0),
-    (0.5, 0.0, math.nan),
-    (0.5, 0.0, math.inf),
-    (0.5, 0.0, 0.4),
-], ids=["x0-nan", "x0-inf", "v0-nan", "v0-inf", "x_end-nan", "x_end-inf", "x_end-before-x0"])
-def test_simulate_regularized_rejects_bad_input(x0, v0, x_end):
-    p = OscillatorParams(a=0.01, epsilon=1e-2)
+@pytest.mark.parametrize("x0, v0, x_end, eps", [
+    (math.nan, 0.0, 5.0, 1e-2),
+    (math.inf, 0.0, 5.0, 1e-2),
+    (0.5, math.nan, 5.0, 1e-2),
+    (0.5, math.inf, 5.0, 1e-2),
+    (0.5, 0.0, math.nan, 1e-2),
+    (0.5, 0.0, math.inf, 1e-2),
+    (0.5, 0.0, 0.4, 1e-2),
+    (0.5, 0.0, 5.0, 0.0),
+], ids=["x0-nan", "x0-inf", "v0-nan", "v0-inf", "x_end-nan", "x_end-inf", "x_end-before-x0",
+        "eps-zero"])
+def test_simulate_regularized_rejects_bad_input(x0, v0, x_end, eps):
+    p = OscillatorParams(a=0.01, epsilon=eps)
     with pytest.raises(DomainError):
         simulate_regularized(LIN, p, x0, v0, x_end)
 

@@ -15,12 +15,10 @@ from switchosc.sliding import (
     ageing_metrics,
     branches_at,
     check_no_nonsliding_periodic_nonlinear,
-    confinement_check,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
     linear_branches,
     nonlinear_branches,
-    periodicity_report,
     select_branch_on_entry,
     simulate_discontinuous,
 )
@@ -234,23 +232,28 @@ def test_no_nonsliding_periodic_nonlinear_margins(a):
         assert 4.0 * n + 2.0 < r["p_minus"] < 4.0 * n + 4.0
 
 
+def _max_y_after(traj, x_t):
+    """Largest y the trajectory reaches past x_t."""
+    return max(y for seg in traj.segments for x, y in zip(seg.xs, seg.ys) if x > x_t + 1e-12)
+
+
 def test_confinement_from_upper_half_plane():
+    # after its first threshold contact the orbit stays in the closure of S_-
     p = OscillatorParams(a=0.5)
     traj = simulate_discontinuous(NONLIN, p, (0.1, 0.5), 12.0)
-    x_t, confined = confinement_check(traj)
-    assert confined and x_t < 12.0
+    x_t = traj.events[0].x
+    assert x_t < 12.0 and _max_y_after(traj, x_t) <= 1e-10
     # and an ageing-regime start analogous to the long-slide figure
     p2 = OscillatorParams(a=0.01)
     traj2 = simulate_discontinuous(NONLIN, p2, (14.1, 0.001), 30.0)
-    _, confined2 = confinement_check(traj2)
-    assert confined2
+    assert _max_y_after(traj2, traj2.events[0].x) <= 1e-10
 
 
 def test_confinement_trivial_for_lower_start():
     p = OscillatorParams(a=0.5)
     traj = simulate_discontinuous(NONLIN, p, (0.3, -0.4), 6.0)
-    x_t, confined = confinement_check(traj)
-    assert confined and x_t == pytest.approx(0.3)
+    assert traj.segments[0].xs[0] == pytest.approx(0.3)
+    assert _max_y_after(traj, 0.3) <= 1e-10
 
 
 def test_ageing_metrics_tables():
@@ -264,15 +267,6 @@ def test_ageing_metrics_tables():
     t_rows = ageing_metrics(NONLIN, trajectory=res.trajectory)
     slid = {r["n"]: r["slid_length"] for r in t_rows if r["slid_length"] > 0}
     assert slid[2] == pytest.approx(4.0 - res.x_a, abs=1e-9)
-
-
-def test_periodicity_flagged_unverified_for_nonlinear():
-    res = find_sliding_period4_nonlinear(0.5)
-    p = OscillatorParams(a=0.5)
-    traj = simulate_discontinuous(NONLIN, p, (0.0, 0.0), 12.5)
-    rep = periodicity_report(traj, NONLIN)
-    assert rep["max_deviation"] < 1e-5
-    assert "unverified at threshold" in rep["claim"]
 
 
 def test_tangency_contact_flagged():
