@@ -8,7 +8,6 @@ All floating output is printed at 12 significant digits so paper-quoted
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -52,19 +51,8 @@ def _out_dir(args) -> Path:
     return d
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    """The JSON object in ``path``; anything else is a usage error."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # also malformed UTF-8
-        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DomainError(f"{what} {path} must hold a JSON object")
-    return doc
-
-
 def _load_config(path: str | None) -> dict:
-    return _read_json_object(path, "config file") if path else {}
+    return experiments.read_json_object(path, "config file") if path else {}
 
 
 def _setting(args, cfg: dict, key: str, default=None):
@@ -150,10 +138,8 @@ def cmd_simulate(args) -> int:
     _write_csv(csv_path, traj.rows())
     print(f"wrote {csv_path}")
     if args.plot:
-        xs = [x for seg in traj.segments for x in seg.xs]
-        ys = [y for seg in traj.segments for y in seg.ys]
         svg_path = out / "trajectory.svg"
-        line_plot([("trajectory", xs, ys)], path=str(svg_path),
+        line_plot([("trajectory", *traj.xy())], path=str(svg_path),
                   title=f"{model.value}, a={_g(params.a)}", xlabel="x", ylabel=ylab)
         print(f"wrote {svg_path}")
     return 0
@@ -295,8 +281,7 @@ def cmd_reproduce(args) -> int:
 def cmd_plot_from_csv(args) -> int:
     lines = Path(args.csv).read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        print(f"unexpected CSV header (want {CSV_HEADER!r})", file=sys.stderr)
-        return 2
+        raise DomainError(f"{args.csv}: unexpected CSV header (want {CSV_HEADER!r})")
     xs, ys = [], []
     for number, line in enumerate(lines[1:], start=2):
         parts = line.split(",")

@@ -245,6 +245,11 @@ class Trajectory:
     def x_end(self) -> float:
         return self.segments[-1].xs[-1] if self.segments else math.nan
 
+    def xy(self) -> tuple[list[float], list[float]]:
+        """Every sample as flat x and y lists, in segment order, for plotting."""
+        return ([x for seg in self.segments for x in seg.xs],
+                [y for seg in self.segments for y in seg.ys])
+
     def rows(self):
         """Flat (x, y, mode, branch, event) rows for CSV emission."""
         ev = {round(e.x, 12): e.kind for e in self.events}

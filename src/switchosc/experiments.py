@@ -107,10 +107,22 @@ def list_scenarios() -> list[str]:
                   if p.name.endswith(".json"))
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; anything else is a usage error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # also malformed UTF-8
+        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def load_scenario(id_or_path: str) -> Scenario:
+    """A built-in scenario by id, or a scenario file; a malformed file raises DomainError."""
     p = Path(id_or_path)
     if p.suffix == ".json" and p.exists():
-        doc = json.loads(p.read_text())
+        doc = read_json_object(p, "scenario file")
     else:
         res = _scenario_dir() / f"{id_or_path}.json"
         try:
@@ -122,7 +134,10 @@ def load_scenario(id_or_path: str) -> Scenario:
            if c.get("provenance") not in ("PAPER", "TRIVIAL", "DERIVED")]
     if bad:
         raise DomainError(f"checks missing provenance tags: {bad}")
-    return Scenario(**doc)
+    try:
+        return Scenario(**doc)
+    except TypeError as exc:  # an unknown or missing key
+        raise DomainError(f"scenario {id_or_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +473,7 @@ def _run_trajectory(sc: Scenario) -> dict:
             t = traj.to_trajectory()
         else:
             t = simulate_discontinuous(model, p, (x0, y0), x_end)
-        xs = [x for seg in t.segments for x in seg.xs]
-        ys = [y for seg in t.segments for y in seg.ys]
-        series.append((run.get("label", f"run{i}"), xs, ys))
+        series.append((run.get("label", f"run{i}"), *t.xy()))
         measured[f"run{i}_events"] = len(t.events)
     measured["_series"] = series
     return measured
@@ -522,10 +535,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         if plot:
             series = measured.get("_series")
             if series is None and "_traj" in measured:
-                tr = measured["_traj"].to_trajectory()
-                series = [("v(x)",
-                           [x for s in tr.segments for x in s.xs],
-                           [y for s in tr.segments for y in s.ys])]
+                series = [("v(x)", *measured["_traj"].to_trajectory().xy())]
             if series:
                 svg_path = out / f"{scenario.id}.svg"
                 line_plot(series, path=str(svg_path), title=scenario.id,

@@ -1,17 +1,19 @@
 """Radau IIA (order 5) for the scalar switching-layer ODE, on plain Python floats.
 
 A transcription of scipy.integrate's ``Radau`` (Hairer & Wanner, *Solving
-ODEs II*, sec. IV.8) for a state of one component, or two when a sensitivity
-is carried along.  It keeps scipy's constants, simplified Newton iteration,
-error estimate, step-size rule, dense output and event location (``brentq``
-with xtol = rtol = 4 EPS), so its steps, counts and results match
-``scipy.integrate.solve_ivp(method="Radau")`` up to rounding.
+ODEs II*, sec. IV.8) for the one problem the regularized engine solves: the
+scalar stiff ODE v' = rate(x, v), optionally with the sensitivity
+J' = d rate / dv carried along, run until v reaches one of a few stop levels.
+It keeps scipy's constants, simplified Newton iteration, error estimate,
+step-size rule, dense output and root location (``brentq`` with
+xtol = rtol = 4 EPS), so its steps, counts and results match
+``scipy.integrate.solve_ivp(method="Radau")`` with the stop levels as
+terminal events, up to rounding.
 
-The Jacobian must be diagonal (the layer rate does not depend on the
-sensitivity), so each "LU factorisation" of the real and complex collocation
-matrices is one real and one complex number per component, and each solve is
-a division.  ``nlu`` counts those factorisations as scipy counts its LU
-decompositions.
+The Jacobian is diagonal (the rate does not depend on J), so each "LU
+factorisation" of the real and complex collocation matrices is one real and
+one complex number per component, and each solve is a division.  ``nlu``
+counts those factorisations as scipy counts its LU decompositions.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ MAX_FACTOR = 10.0
 MESSAGES = {
     -1: "Required step size is less than spacing between numbers.",
     0: "The solver successfully reached the end of the integration interval.",
-    1: "A termination event occurred.",
+    1: "A stop level was reached.",
 }
 
 
@@ -63,7 +65,7 @@ class RadauSolution:
     """
 
     def __init__(self, ts: list[float], steps: list[tuple]):
-        self.ts = ts          # t0 and every accepted step end (or the terminal root)
+        self.ts = ts          # t0 and every accepted step end (or the stop point)
         self.steps = steps    # per step: (t_old, h, y_old, Q), Q[i] = 3 coefficients
         self._table = None    # (ts, t_old, h, y_old, Q) as arrays, built on first use
 
@@ -83,8 +85,9 @@ class RadauSolution:
 
 
 class RadauResult:
-    """What ``solve_ivp`` returns; attributes as in scipy's ``OdeResult``,
-    except that the state is kept only at the end, as ``y_end``.
+    """What ``solve_ivp`` returns; ``t``, ``sol``, the counts, ``status`` and
+    ``message`` as in scipy's ``OdeResult``.  The state is kept only at the
+    end, as ``y_end``; ``stop`` is the index of the stop level reached, or None.
 
     ``h_last`` is the size of the last step attempted, accepted or not: on a
     failure it is the step found too small.
@@ -195,39 +198,41 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
-              events=(), dense_output=True) -> RadauResult:
-    """Integrate y' = fun(t, y) forward over t_span with Radau IIA (order 5).
+def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
+              sensitivity) -> RadauResult:
+    """Integrate the layer ODE v' = rate(x, v) forward over x_span with Radau IIA.
 
-    The call and the result follow ``scipy.integrate.solve_ivp``: ``fun(t, y)``
-    and ``jac(t, y)`` take y as a list of floats and return a sequence and an
-    n x n nested sequence; ``events`` are callables ``event(t, y)`` with
-    optional ``terminal`` (a bool) and ``direction`` attributes.  Dense output
-    is always built (``dense_output`` is accepted for the scipy call only);
-    ``t``, ``t_events`` and ``y_events`` are lists.
-    Restrictions: method "Radau" only, forward integration, one or two
-    components, a diagonal analytic Jacobian, scalar rtol and atol (rtol
-    below 100 EPS is raised to it, as scipy does).
+    ``rate_dv(x, v)`` is d rate / dv, the Jacobian.  With ``sensitivity`` the
+    state is (v, J) with J' = rate_dv(x, v), J(x_span[0]) = 0, and the
+    Jacobian is diag(rate_dv, 0).  ``stops`` are (level, direction) pairs: the
+    run ends where v crosses a level in its direction (+1 rising, -1
+    falling), at the smallest such root; ``stop`` is then that pair's index,
+    and ``t[-1]``/``y_end`` hold the stop point.  ``t`` is a list; rtol below
+    100 EPS is raised to it, as scipy does.
     """
-    if method != "Radau":
-        raise ValueError(f"only method='Radau' is implemented, got {method!r}")
-    if jac is None or not callable(jac):
-        raise ValueError("jac must be a callable returning the diagonal Jacobian")
-    t0, t_bound = float(t_span[0]), float(t_span[1])
+    t0, t_bound = float(x_span[0]), float(x_span[1])
     if not t_bound >= t0:
-        raise ValueError("only forward integration (t_span[1] >= t_span[0]) is supported")
-    y = [float(v) for v in y0]
-    n = len(y)
-    if n not in (1, 2):
-        raise ValueError(f"one or two components are supported, got {n}")
+        raise ValueError("only forward integration (x_span[1] >= x_span[0]) is supported")
     rtol = max(float(rtol), 100 * EPS)
     atol = float(atol)
+    if sensitivity:
+        y = [float(v0), 0.0]
 
-    def diag(t, yv):
-        m = jac(t, yv)
-        if n == 2 and (m[0][1] != 0.0 or m[1][0] != 0.0):
-            raise ValueError("the Jacobian must be diagonal")
-        return [float(m[i][i]) for i in range(n)]
+        def fun(t, yv):
+            v = yv[0]
+            return [rate(t, v), rate_dv(t, v)]
+
+        def diag(t, yv):
+            return [rate_dv(t, yv[0]), 0.0]
+    else:
+        y = [float(v0)]
+
+        def fun(t, yv):
+            return [rate(t, yv[0])]
+
+        def diag(t, yv):
+            return [rate_dv(t, yv[0])]
+    n = len(y)
 
     newton_tol = max(10 * EPS / rtol, min(0.03, rtol ** 0.5))
     t = t0
@@ -237,7 +242,7 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
     ts, steps = [t0], []
     y_end = y  # the state at ts[-1]
     h_abs = h_last = math.nan
-    status = None
+    status = stop = None
     if t == t_bound:
         status = 0
     else:
@@ -248,11 +253,9 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
     current_jac = True
     dense = None  # the last accepted step: (t_old, h, y_old, Q)
 
-    directions = [float(getattr(ev, "direction", 0.0)) for ev in events]
-    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
-    g = [ev(t, y) for ev in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    levels = [level for level, _ in stops]
+    rising = [direction > 0 for _, direction in stops]
+    g = [y[0] - level for level in levels]
 
     while status is None:
         # -- one step of scipy's Radau._step_impl --------------------------
@@ -286,7 +289,7 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
                     lu = ([MU_REAL / h - d for d in jdiag],
                           [1 / (MU_COMPLEX / h - d) for d in jdiag])
                     nlu += 2
-                converged, n_iter, z, rate, calls = _solve_collocation(
+                converged, n_iter, z, newton_rate, calls = _solve_collocation(
                     fun, t, y, h, z0, scale, newton_tol, lu[0], lu[1])
                 nfev += calls
                 if not converged:
@@ -323,7 +326,7 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
         if status == -1:
             break
 
-        recompute_jac = n_iter > 2 and rate > 1e-3
+        recompute_jac = n_iter > 2 and newton_rate > 1e-3
         factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
         factor = min(MAX_FACTOR, safety * factor)
         if not recompute_jac and factor < 1.2:
@@ -349,36 +352,24 @@ def solve_ivp(fun, t_span, y0, method="Radau", jac=None, rtol=1e-3, atol=1e-6,
         if t >= t_bound:
             status = 0
 
-        # -- events, as scipy's solve_ivp handles them ----------------------
+        # -- stop levels, located as scipy's solve_ivp locates events -------
         t_end, y_end = t, y
-        g_new = [ev(t, y) for ev in events]
-        active = [k for k, d in enumerate(directions)
-                  if (d > 0 and g[k] <= 0 <= g_new[k])
-                  or (d < 0 and g[k] >= 0 >= g_new[k])
-                  or (d == 0 and (g[k] <= 0 <= g_new[k] or g[k] >= 0 >= g_new[k]))]
+        g_new = [y[0] - level for level in levels]
+        active = [k for k in range(len(levels))
+                  if (g[k] <= 0 <= g_new[k] if rising[k] else g[k] >= 0 >= g_new[k])]
         if active:
-            roots = [brentq(lambda s, ev=events[k]: ev(s, _dense(s, *dense)),
+            roots = [brentq(lambda s, level=levels[k]: _dense(s, *dense)[0] - level,
                             t_old, t, xtol=4 * EPS, rtol=4 * EPS) for k in active]
-            if any(terminal[k] for k in active):
-                # keep the roots up to the first terminal one
-                order = sorted(range(len(active)), key=roots.__getitem__)
-                active = [active[m] for m in order]
-                roots = [roots[m] for m in order]
-                cut = next(m for m, k in enumerate(active) if terminal[k])
-                active, roots = active[:cut + 1], roots[:cut + 1]
-                status = 1
-                t_end = roots[-1]
-                y_end = _dense(t_end, *dense)
-            for k, te in zip(active, roots):
-                t_events[k].append(te)
-                y_events[k].append(_dense(te, *dense))
+            m = min(range(len(active)), key=roots.__getitem__)
+            stop, t_end, status = active[m], roots[m], 1
+            y_end = _dense(t_end, *dense)
         g = g_new
         if len(ts) > 1 and ts[-1] == t_end:
-            continue  # a terminal root on the previous step end adds no step
+            continue  # a stop on the previous step end adds no step
         ts.append(t_end)
         steps.append(dense)
 
     return RadauResult(
-        t=ts, y_end=y_end, sol=RadauSolution(ts, steps), t_events=t_events,
-        y_events=y_events, nfev=nfev, njev=njev, nlu=nlu,
+        t=ts, y_end=y_end, sol=RadauSolution(ts, steps), stop=stop,
+        nfev=nfev, njev=njev, nlu=nlu,
         status=status, message=MESSAGES[status], h_last=h_last)

@@ -7,7 +7,7 @@ the strip the dynamics is the stiff scalar ODE
     dv/dx = (-a eps v - f_i(x, psi(v))) / eps,
 
 integrated by the in-house Radau IIA kernel of ``switchosc.radau`` (order 5,
-scalar Newton, embedded error estimate, exact event location on |v| = 1);
+scalar Newton, embedded error estimate, stop levels on v located exactly);
 outside it psi is saturated, so the exterior flow is the closed form of the
 half-plane system and no numerical integration is used there.  scipy's Radau
 serves only as a test oracle for the kernel.
@@ -103,17 +103,15 @@ def psi_inverse(lam: float) -> float:
     return 2.0 * math.sin(math.asin(lam) / 3.0)
 
 
-def layer_system(model: SwitchingModel, params: OscillatorParams,
-                 with_sensitivity: bool):
+def layer_system(model: SwitchingModel, params: OscillatorParams):
     """The layer ODE dv/dx = (-a eps v - f_i(x, psi(v))) / eps, for eps > 0.
 
-    Returns ``(rate, rhs, jac)``: the scalar rate(x, v), and the right-hand
-    side and Jacobian that ``radau.solve_ivp`` integrates.  With
-    ``with_sensitivity`` the state is (v, J), where J' = d/dv (dv/dx)
-    accumulates the log-derivative of the flow map along the arc.  The
-    closures look ``forcing`` and ``forcing_dlam`` up in this module at each
-    call, so a wrapper patched in here (a test, the perfbench tracer) sees
-    every evaluation.
+    Returns ``(rate, rate_dv)``: the scalar rate(x, v) and its derivative
+    d rate / dv, which ``radau.solve_ivp`` takes as the Jacobian and, with a
+    sensitivity, as J' (J accumulates the log-derivative of the flow map
+    along the arc).  The closures look ``forcing`` and ``forcing_dlam`` up in
+    this module at each call, so a wrapper patched in here (a test, the
+    perfbench tracer) sees every evaluation.
     """
     e = params.epsilon
     a = params.a
@@ -124,17 +122,7 @@ def layer_system(model: SwitchingModel, params: OscillatorParams,
     def rate_dv(x, v):
         return (-a * e - forcing_dlam(model, x, _clip(psi(v))) * psi_prime(v)) / e
 
-    def rhs(x, yv):
-        dv = rate(x, yv[0])
-        if with_sensitivity:
-            return [dv, rate_dv(x, yv[0])]
-        return [dv]
-
-    def jac(x, yv):
-        d = rate_dv(x, yv[0])
-        return [[d, 0.0], [0.0, 0.0]] if with_sensitivity else [[d]]
-
-    return rate, rhs, jac
+    return rate, rate_dv
 
 
 def _clip(lam: float) -> float:
@@ -280,12 +268,13 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     """Full regularized trajectory from (x0, v0) to x_end.
 
     Alternates stiff layer integration (``radau.solve_ivp``, analytic
-    Jacobian, terminal events on |v| = 1) with closed-form exterior arcs.  When
-    ``stop_at_downward_v0_after`` is set, the run terminates at the first
-    downward v = 0 crossing past that abscissa (the Poincare section used by
-    the regularized return map).  ``with_sensitivity`` co-integrates
-    J = d/dv (dv/dx) along the path, yielding the log-derivative of the flow
-    map for contraction estimates.
+    Jacobian, stop levels v = +-1 where v leaves the layer) with closed-form
+    exterior arcs.  When ``stop_at_downward_v0_after`` is set, a downward
+    v = 0 stop is added and the run terminates at the first such crossing
+    past that abscissa (the Poincare section used by the regularized return
+    map).  ``with_sensitivity`` co-integrates J = d/dv (dv/dx) along the
+    path, yielding the log-derivative of the flow map for contraction
+    estimates.
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized simulation needs epsilon > 0")
@@ -298,14 +287,11 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     a = params.a
     traj = RegTrajectory(params=params, model=model)
     log_sens = 0.0
-    layer_rate, rhs, jac = layer_system(model, params, with_sensitivity)
-
-    hit_up = lambda x, yv: yv[0] - 1.0
-    hit_up.terminal, hit_up.direction = True, +1
-    hit_dn = lambda x, yv: yv[0] + 1.0
-    hit_dn.terminal, hit_dn.direction = True, -1
-    mid = lambda x, yv: yv[0]
-    mid.terminal, mid.direction = True, -1
+    rate, rate_dv = layer_system(model, params)
+    # v leaves the layer through +-1; the section is the downward v = 0
+    stops = [(1.0, +1), (-1.0, -1)]
+    if stop_at_downward_v0_after is not None:
+        stops.append((0.0, -1))
 
     x, v = x0, v0
     mode = "layer" if abs(v) <= 1.0 else "ext"
@@ -315,45 +301,32 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             break
         if mode == "layer":
             v_in = min(max(v, -1.0 + _NUDGE), 1.0 - _NUDGE)
-            y_init = [v_in, 0.0] if with_sensitivity else [v_in]
-            events = [hit_up, hit_dn] + ([mid] if stop_at_downward_v0_after is not None else [])
-            sol = solve_ivp(rhs, (x, x_end), y_init, method="Radau", jac=jac,
-                            rtol=rtol, atol=atol, events=events,
-                            dense_output=True)
+            sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, atol, stops,
+                            with_sensitivity)
             if sol.status < 0:
                 raise LayerIntegrationError(f"layer integration failed: {sol.message}",
                                             sol.t[-1], sol.y_end[0], sol.h_last)
             x1 = sol.t[-1]
             traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
                                             eval=sol.sol.value))
-            if sol.status == 1:
+            if sol.stop is None:
+                x = x1
+                continue
+            level = stops[sol.stop][0]
+            if with_sensitivity:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
-                if stop_at_downward_v0_after is not None and len(sol.t_events[2]):
-                    xc = sol.t_events[2][0]
-                    if with_sensitivity:
-                        log_sens += (sol.y_events[2][0][1]
-                                     + math.log(abs(layer_rate(x, v_in)))
-                                     - math.log(abs(layer_rate(xc, 0.0))))
-                    if xc > stop_at_downward_v0_after:
-                        traj.section_x = xc
-                        break
-                    x, v = xc, -_NUDGE
-                    continue
-                if len(sol.t_events[0]):
-                    xe, ve, side = sol.t_events[0][0], 1.0, +1
-                    j_end = sol.y_events[0][0][1] if with_sensitivity else 0.0
-                else:
-                    xe, ve, side = sol.t_events[1][0], -1.0, -1
-                    j_end = sol.y_events[1][0][1] if with_sensitivity else 0.0
-                if with_sensitivity:
-                    log_sens += (j_end + math.log(abs(layer_rate(x, v_in)))
-                                 - math.log(abs(layer_rate(xe, ve))))
-                x, v = xe, ve
-                traj.events.append(TrajectoryEvent(x=x, kind="layer-exit", branch=side))
-                mode = "ext"
-            else:
-                x = x1
+                log_sens += (sol.y_end[1] + math.log(abs(rate(x, v_in)))
+                             - math.log(abs(rate(x1, level))))
+            if level == 0.0:
+                if x1 > stop_at_downward_v0_after:
+                    traj.section_x = x1
+                    break
+                x, v = x1, -_NUDGE
+                continue
+            x, v, side = x1, level, int(level)
+            traj.events.append(TrajectoryEvent(x=x, kind="layer-exit", branch=side))
+            mode = "ext"
         else:
             xr = _ext_return(side, x, v, params)
             seg_end = min(xr, x_end)

@@ -140,6 +140,13 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n"),
     (["plot-from-csv", "{file}"], "traj.csv", b"x,y_or_v,mode,branch,event\n\xff\n"),
     (["--config", "{dir}", "orbit", "find"], "unused.json", "{}"),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "bad.json",
+     '{"id": "X", "kind": "x0_root", '),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "bogus": 1}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '["X", "x0_root"]'),
+    (["plot-from-csv", "{file}"], "traj.csv", "a,b\n1.0,2.0\n"),
 ])
 def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys):
     path = tmp_path / name

@@ -66,21 +66,17 @@ def test_layer_field_values():
     p = OscillatorParams(a=0.7, epsilon=1e-3)
     # on a critical branch the forcing vanishes and dv = -a v0
     v0 = critical_branch(LIN, 1, 3.0)
-    rate = layer_system(LIN, p, False)[0]
+    rate = layer_system(LIN, p)[0]
     assert rate(3.0, v0) == pytest.approx(-p.a * v0, abs=1e-9)
-    rate, rhs, jac = layer_system(NONLIN, p, False)
+    rate, rate_dv = layer_system(NONLIN, p)
     assert rate(2.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     # generic point agrees with the core forcing scaled by 1/eps
     x, v = 1.234, 0.4
     expected = (-p.a * p.epsilon * v - forcing(NONLIN, x, psi(v))) / p.epsilon
     assert rate(x, v) == pytest.approx(expected, rel=1e-12)
-    # the kernel's rhs and jac, without and with the sensitivity J' = d rate/dv
-    d_rate = jac(x, [v])[0][0]
-    assert d_rate == pytest.approx((rate(x, v + 1e-6) - rate(x, v - 1e-6)) / 2e-6, rel=1e-7)
-    assert rhs(x, [v]) == [rate(x, v)]
-    _, rhs_s, jac_s = layer_system(NONLIN, p, True)
-    assert rhs_s(x, [v, 0.0]) == [rate(x, v), d_rate]
-    assert jac_s(x, [v, 0.0]) == [[d_rate, 0.0], [0.0, 0.0]]
+    # the kernel's Jacobian and sensitivity rate, d rate/dv
+    assert rate_dv(x, v) == pytest.approx(
+        (rate(x, v + 1e-6) - rate(x, v - 1e-6)) / 2e-6, rel=1e-7)
 
 
 def test_critical_branch_values():
