@@ -130,10 +130,7 @@ def load_scenario(id_or_path: str) -> Scenario:
         except FileNotFoundError:
             raise DomainError(f"unknown scenario {id_or_path!r}; "
                               f"available: {', '.join(list_scenarios())}") from None
-    bad = [c["name"] for c in doc.get("expected", [])
-           if c.get("provenance") not in ("PAPER", "TRIVIAL", "DERIVED")]
-    if bad:
-        raise DomainError(f"checks missing provenance tags: {bad}")
+    _validate_checks(id_or_path, doc.get("expected", []))
     try:
         return Scenario(**doc)
     except TypeError as exc:  # an unknown or missing key
@@ -144,28 +141,43 @@ def load_scenario(id_or_path: str) -> Scenario:
 # check evaluation
 
 
-#: check op -> (verdict on the measured value v and the check c, detail template)
+#: check op -> (operands, verdict on the measured value v and the check c, template)
 _CHECK_OPS = {
-    "abs_tol": (lambda v, c: abs(v - c["target"]) <= c["tol"],
+    "abs_tol": (("target", "tol"), lambda v, c: abs(v - c["target"]) <= c["tol"],
                 "{val!r} vs {target!r} +- {tol}"),
-    "interval": (lambda v, c: c["lo"] < v < c["hi"], "{val!r} in ({lo}, {hi})"),
-    "le": (lambda v, c: v <= c["target"], "{val!r} <= {target}"),
-    "ge": (lambda v, c: v >= c["target"], "{val!r} >= {target}"),
-    "lt": (lambda v, c: v < c["target"], "{val!r} < {target}"),
-    "gt": (lambda v, c: v > c["target"], "{val!r} > {target}"),
-    "is_true": (lambda v, c: bool(v), "{val!r} is true"),
-    "is_false": (lambda v, c: not bool(v), "{val!r} is false"),
+    "interval": (("lo", "hi"), lambda v, c: c["lo"] < v < c["hi"], "{val!r} in ({lo}, {hi})"),
+    "le": (("target",), lambda v, c: v <= c["target"], "{val!r} <= {target}"),
+    "ge": (("target",), lambda v, c: v >= c["target"], "{val!r} >= {target}"),
+    "lt": (("target",), lambda v, c: v < c["target"], "{val!r} < {target}"),
+    "gt": (("target",), lambda v, c: v > c["target"], "{val!r} > {target}"),
+    "is_true": ((), lambda v, c: bool(v), "{val!r} is true"),
+    "is_false": ((), lambda v, c: not bool(v), "{val!r} is false"),
 }
+
+
+def _validate_checks(scenario: str, checks) -> None:
+    """Reject a malformed ``expected`` list with DomainError before anything runs."""
+    if not (isinstance(checks, list) and all(isinstance(c, dict) and "name" in c for c in checks)):
+        raise DomainError(f"scenario {scenario}: 'expected' must be a list of named checks")
+    bad = [c["name"] for c in checks
+           if c.get("provenance") not in ("PAPER", "TRIVIAL", "DERIVED")]
+    if bad:
+        raise DomainError(f"checks missing provenance tags: {bad}")
+    for c in checks:
+        op = c.get("op")
+        operands = _CHECK_OPS[op][0] if isinstance(op, str) and op in _CHECK_OPS else None
+        if operands is None or any(type(c.get(k)) not in (int, float) for k in operands):
+            raise DomainError(f"scenario {scenario}: check {c['name']!r} needs a known op "
+                              f"and its numeric operands, got {c}")
 
 
 def _evaluate_check(check: dict, measured: dict) -> CheckResult:
     name = check["name"]
     key = check.get("key", name)
+    if key not in measured:
+        raise DomainError(f"check {name!r}: the runner measures no {key!r}")
     val = measured[key]
-    op = check["op"]
-    if op not in _CHECK_OPS:
-        raise DomainError(f"unknown check op {op!r}")
-    verdict, template = _CHECK_OPS[op]
+    _, verdict, template = _CHECK_OPS[check["op"]]
     ok = verdict(val, check)
     detail = template.format(**check, val=val)
     return CheckResult(name=name, passed=bool(ok), measured=val, detail=detail,

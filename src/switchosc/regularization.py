@@ -21,8 +21,9 @@ evaluated the same way.
 Fixed points of the regularized return map P_eps are found by Newton's method
 on its variational derivative: a run with ``with_sensitivity`` yields both
 P_eps(x) and log P_eps'(x) (a section map of a planar flow preserves
-orientation, so P_eps' > 0), so each iterate costs one run; the bracket
-guards the iteration, with bisection as fallback.
+orientation, so P_eps' > 0) in the steps of a plain run, since the kernel
+carries J' = d/dv (dv/dx) as a quadrature; so each iterate costs one run.
+The bracket guards the iteration, with bisection as fallback.
 """
 
 from __future__ import annotations
@@ -272,9 +273,9 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     exterior arcs.  When ``stop_at_downward_v0_after`` is set, a downward
     v = 0 stop is added and the run terminates at the first such crossing
     past that abscissa (the Poincare section used by the regularized return
-    map).  ``with_sensitivity`` co-integrates J = d/dv (dv/dx) along the
-    path, yielding the log-derivative of the flow map for contraction
-    estimates.
+    map).  ``with_sensitivity`` also accumulates J = d/dv (dv/dx) along the
+    path (a quadrature in the kernel, which leaves the steps unchanged),
+    yielding the log-derivative of the flow map for contraction estimates.
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized simulation needs epsilon > 0")
@@ -305,7 +306,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                             with_sensitivity)
             if sol.status < 0:
                 raise LayerIntegrationError(f"layer integration failed: {sol.message}",
-                                            sol.t[-1], sol.y_end[0], sol.h_last)
+                                            sol.t[-1], sol.v_end, sol.h_last)
             x1 = sol.t[-1]
             traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
                                             eval=sol.sol.value))
@@ -316,7 +317,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             if with_sensitivity:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
-                log_sens += (sol.y_end[1] + math.log(abs(rate(x, v_in)))
+                log_sens += (sol.j_end + math.log(abs(rate(x, v_in)))
                              - math.log(abs(rate(x1, level))))
             if level == 0.0:
                 if x1 > stop_at_downward_v0_after:
@@ -489,8 +490,12 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 
 def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float,
                     with_sensitivity: bool = False) -> RegTrajectory:
-    """The linear-model run from (x, 0) to its next downward v = 0 crossing."""
-    traj = simulate_regularized(SwitchingModel.LINEAR, params, x, 0.0,
+    """The linear-model run from (x, -1e-12) to its next downward v = 0 crossing.
+
+    A start at (x, 0) would stop at once where the field points down, as for
+    x in (0, 1); where it points up, the run begins 1e-12 below the section.
+    """
+    traj = simulate_regularized(SwitchingModel.LINEAR, params, x, -_NUDGE,
                                 x_end=x + 12.0, rtol=rtol, atol=atol,
                                 stop_at_downward_v0_after=x + 0.5,
                                 with_sensitivity=with_sensitivity)

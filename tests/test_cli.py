@@ -147,6 +147,14 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
      '["X", "x0_root"]'),
     (["plot-from-csv", "{file}"], "traj.csv", "a,b\n1.0,2.0\n"),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "expected": 3}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "expected": '
+     '[{"name": "q", "op": "is_true", "provenance": "PAPER"}]}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "expected": '
+     '[{"name": "x0", "op": "le", "provenance": "PAPER"}]}'),
 ])
 def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys):
     path = tmp_path / name

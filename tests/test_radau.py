@@ -1,7 +1,10 @@
 """The scalar Radau IIA kernel against scipy's Radau on switching-layer problems.
 
-scipy integrates the same (v, J) system with the stop levels on v as
-terminal events, so both must stop at the same level and point.
+scipy integrates the same ODE with the stop levels on v as terminal events,
+so both must take the same steps and stop at the same level and point.  The
+kernel carries the sensitivity J as a quadrature that does not steer the
+steps, so its steps and v are compared with scipy's run on v alone and its J
+with scipy's run on the (v, J) system.
 """
 
 import math
@@ -57,7 +60,7 @@ def test_kernel_matches_scipy_radau(k):
     # each start runs both with and without the sensitivity
     x0, v0 = STARTS[(k // 2) % len(STARTS)]
     rate, rate_dv = layer_problem(model, a, eps)
-    ref = scipy_reference(rate, rate_dv, (x0, x0 + 2.5), v0, sens, STOPS)
+    ref = scipy_reference(rate, rate_dv, (x0, x0 + 2.5), v0, False, STOPS)
     got = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, 1e-12, STOPS, sens)
 
     assert got.status == ref.status >= 0
@@ -66,17 +69,47 @@ def test_kernel_matches_scipy_radau(k):
     assert fired == ([got.stop] if got.stop is not None else [])
     if fired:
         assert got.t[-1] == pytest.approx(ref.t_events[got.stop][0], abs=1e-10)
-        np.testing.assert_allclose(got.y_end, ref.y_events[got.stop][0],
+        np.testing.assert_allclose(got.v_end, ref.y_events[got.stop][0][0],
                                    rtol=1e-10, atol=1e-10)
 
     xq = np.linspace(x0, ref.t[-1], 52)[1:-1]
-    dense = [[got.sol.value(x, i) for x in xq] for i in range(len(got.y_end))]
-    np.testing.assert_allclose(dense, ref.sol(xq), rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(got.y_end, ref.y[:, -1], rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(got.sol.value(xq), ref.sol(xq)[0], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(got.v_end, ref.y[0, -1], rtol=1e-10, atol=1e-10)
 
     assert abs((len(got.t) - 1) - (len(ref.t) - 1)) <= 0.03 * (len(ref.t) - 1)
     assert abs(got.nfev - ref.nfev) <= 0.03 * ref.nfev
     assert got.njev >= 1 and got.nlu >= 2
+
+    if not sens:
+        assert got.j_end is None
+        return
+    # J is not error-controlled: the run takes the plain run's steps exactly
+    plain = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, 1e-12, STOPS, False)
+    assert got.t == plain.t
+    assert (got.nfev, got.njev, got.nlu) == (plain.nfev, plain.njev, plain.nlu)
+    assert (got.stop, got.v_end) == (plain.stop, plain.v_end)
+    ends = np.array(plain.t)
+    assert np.array_equal(got.sol.value(ends), plain.sol.value(ends))
+    ref_j = scipy_reference(rate, rate_dv, (x0, x0 + 2.5), v0, True, STOPS)
+    assert [i for i, te in enumerate(ref_j.t_events) if len(te)] == fired
+    want = ref_j.y_events[got.stop][0][1] if fired else ref_j.y[1, -1]
+    np.testing.assert_allclose(got.j_end, want, rtol=1e-10, atol=1e-10)
+
+
+def test_earliest_stop_wins_when_one_step_crosses_two_levels():
+    # v = 0.9 - x falls through 0 at x = 0.9 and through -0.1 at x = 1.0,
+    # both inside one step; the run stops at the earlier root
+    stops = [(-0.1, -1), (0.0, -1)]
+    rate, rate_dv = (lambda x, v: -1.0), (lambda x, v: 0.0)
+    got = solve_ivp(rate, rate_dv, (0.0, 10.0), 0.9, 1e-10, 1e-12, stops, False)
+    t_old, h = got.sol.steps[-1][:2]
+    assert t_old < 0.9 and t_old + h > 1.0  # the last step crosses both levels
+    assert got.status == 1 and got.stop == 1
+    assert got.t[-1] == pytest.approx(0.9, abs=1e-12)
+    assert got.v_end == pytest.approx(0.0, abs=1e-12)
+    ref = scipy_reference(rate, rate_dv, (0.0, 10.0), 0.9, False, stops)
+    assert [i for i, te in enumerate(ref.t_events) if len(te)] == [got.stop]
+    assert got.t[-1] == pytest.approx(ref.t_events[1][0], abs=1e-10)
 
 
 def test_kernel_reaches_the_end_without_events():
@@ -84,8 +117,8 @@ def test_kernel_reaches_the_end_without_events():
     got = solve_ivp(rate, rate_dv, (1.0, 1.5), 0.0, 1e-10, 1e-12, [], False)
     ref = scipy_reference(rate, rate_dv, (1.0, 1.5), 0.0, False, [])
     assert got.status == 0 and got.t[-1] == 1.5 and got.stop is None
-    assert got.y_end[0] == pytest.approx(ref.y[0, -1], rel=1e-10)
-    assert got.sol.value(1.5) == got.y_end[0]
+    assert got.v_end == pytest.approx(ref.y[0, -1], rel=1e-10)
+    assert got.sol.value(1.5) == got.v_end
     empty = solve_ivp(rate, rate_dv, (1.0, 1.0), 0.0, 1e-3, 1e-6, [], False)
     assert empty.status == 0 and list(empty.t) == [1.0]
 

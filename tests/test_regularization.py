@@ -219,6 +219,15 @@ def test_regularized_map_converges_to_discontinuous():
     assert gaps[2] < 4e-3 * 1.0  # O(eps) magnitude
 
 
+def test_section_return_has_no_zero_length_arc():
+    # a start on the section, where the field points down, would stop at once
+    # and leave a zero-length layer arc; the run starts just below it instead
+    p = OscillatorParams(a=0.01, epsilon=1e-3)
+    traj = regularization._section_return(0.3, p, 1e-11, 1e-13)
+    assert traj.segments[0].x0 == 0.3 and traj.eval(0.3)[0] == -1e-12
+    assert all(s.x1 > s.x0 for s in traj.segments)
+
+
 def test_regularized_fixed_point_near_discontinuous():
     a = 0.01
     eps = 0.0025
@@ -541,7 +550,7 @@ def test_trajectory_eval_matches_per_point_semantics():
         if seg.kind == "layer":
             sol = seg.eval.__self__
             k = min(max(bisect_left(sol.ts, x) - 1, 0), len(sol.steps) - 1)  # a step end: earlier step
-            assert v == radau._dense(float(x), *sol.steps[k])[0], (x, j, k)
+            assert v == radau._dense(float(x), *sol.steps[k]), (x, j, k)
             exact += 1
         else:
             v0 = 1.1 if j == 0 else float(seg.side)
