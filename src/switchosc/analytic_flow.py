@@ -7,13 +7,16 @@ driven linear ODE.  Its zero set is governed by
 
 whose own zeros cannot be written down, but are sandwiched between the zeros
 of the two explicit comparison functions h0 (drop the decay) and hinf (drop
-the transient).  Those lattices drive bracketing in the Poincare module.
+the transient).  Both zero lattices are listed up to a horizon; the Poincare
+module probes the h0 lattice.
+
+``h_array`` and ``flow_from_array`` evaluate h and the general flow on arrays
+in the scalar operation order; ``flow_solution`` takes a float or an array,
+so a sampled arc is one call.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -82,12 +85,16 @@ def flow_from_deriv(sign: int, x: float, x0: float, y0: float,
     return -params.a * flow_from(sign, x, x0, y0, params) - sinpi(omega(sign) * x)
 
 
-def flow_solution(sign: int, x: float, x_i: float, params: OscillatorParams) -> float:
+def flow_solution(sign: int, x: "float | np.ndarray", x_i: float,
+                  params: OscillatorParams) -> "float | np.ndarray":
     """Y_+-(x, x_i): the half-plane solution leaving the threshold at (x_i, 0).
 
     Evaluated in the phase-shifted form, which avoids cancellation between
-    large-x sines and makes Y exactly h / flow_scale.
+    large-x sines and makes Y exactly h / flow_scale.  An array of x is
+    evaluated in one call through ``h_array``.
     """
+    if isinstance(x, np.ndarray):
+        return h_array(sign, x - x_i, x_i, params) / flow_scale(sign, params)
     if x < x_i:
         raise DomainError(f"flow is evaluated forward only (x={x} < x_i={x_i})")
     return h(sign, x - x_i, x_i, params) / flow_scale(sign, params)
@@ -102,6 +109,16 @@ def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     return math.exp(-params.a * xbar) * sinpi(vq) - sinpi(w * xbar + vq)
 
 
+def h_array(sign: int, xbar: np.ndarray, x_i: float,
+            params: OscillatorParams) -> np.ndarray:
+    """``h`` on an array of xbar, in the same operation order."""
+    if np.any(xbar < 0.0):
+        raise DomainError(f"xbar must be >= 0, got min {np.min(xbar)}")
+    w = omega(sign)
+    vq = varphi_over_pi(sign, x_i, params)
+    return np.exp(-params.a * xbar) * sinpi(vq) - sinpi_array(w * xbar + vq)
+
+
 def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     """dh/dxbar, used for grazing detection at located roots."""
     w = omega(sign)
@@ -111,37 +128,31 @@ def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> flo
     )
 
 
-def _arithmetic(start: float, step: float):
-    """Nonnegative arithmetic progression start + k*step, k >= 0, shifted into xbar >= 0."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    k0 = 0 if start >= 0 else math.ceil(-start / step)
-    for k in itertools.count(k0):
-        v = start + k * step
-        if v >= 0.0:
-            yield v
+def _lattice(start: float, step: float, horizon: float) -> list[float]:
+    """The points start + k*step, k = 0, 1, ..., that lie in [0, horizon]."""
+    n = max(0, math.floor((horizon - start) / step) + 2)
+    return [v for v in (start + k * step for k in range(n)) if 0.0 <= v <= horizon]
 
 
-def h0_zero_iter(sign: int, x_i: float, params: OscillatorParams):
-    """Sorted nonnegative zeros of h0 = sin(varphi) - sin(w pi xbar + varphi).
+def h0_zeros(sign: int, x_i: float, params: OscillatorParams,
+             horizon: float) -> list[float]:
+    """Sorted zeros in [0, horizon] of h0 = sin(varphi) - sin(w pi xbar + varphi).
 
     Two interleaved lattices: xbar = 2n/w, and xbar = (2n+1)/w + 2 phi/(w pi) - 2 x_i.
-    Lazy merge so bracket scans can look arbitrarily far ahead.
     """
     w = omega(sign)
     phi = phase_lag(sign, params)
-    fam_a = _arithmetic(0.0, 2.0 / w)
     start_b = 1.0 / w + 2.0 * phi / (w * math.pi) - 2.0 * math.fmod(x_i, 2.0 / w)
-    fam_b = _arithmetic(start_b, 2.0 / w)
-    return heapq.merge(fam_a, fam_b)
+    return sorted(_lattice(0.0, 2.0 / w, horizon) + _lattice(start_b, 2.0 / w, horizon))
 
 
-def hinf_zero_iter(sign: int, x_i: float, params: OscillatorParams):
-    """Sorted nonnegative zeros of hinf = -sin(w pi xbar + varphi): one lattice of pitch 1/w."""
+def hinf_zeros(sign: int, x_i: float, params: OscillatorParams,
+               horizon: float) -> list[float]:
+    """Sorted zeros in [0, horizon] of hinf = -sin(w pi xbar + varphi): pitch 1/w."""
     w = omega(sign)
     phi = phase_lag(sign, params)
     start = phi / (w * math.pi) - math.fmod(x_i, 1.0 / w)
-    return _arithmetic(start, 1.0 / w)
+    return _lattice(start, 1.0 / w, horizon)
 
 
 def p0_map(sign: int, x_i: float) -> float:

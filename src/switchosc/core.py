@@ -72,8 +72,11 @@ def cospi(u: float) -> float:
 def sinpi_array(u: np.ndarray) -> np.ndarray:
     """``sinpi`` on an array: the same fmod reduction and exact zeros."""
     r = np.fmod(u, 2.0)
-    r = np.where(r > 1.0, r - 2.0, np.where(r < -1.0, r + 2.0, r))
-    return np.where((r == 0.0) | (np.abs(r) == 1.0), 0.0, np.sin(np.pi * r))
+    r[r > 1.0] -= 2.0
+    r[r < -1.0] += 2.0
+    s = np.sin(np.pi * r)
+    s[np.fmod(r, 1.0) == 0.0] = 0.0  # r in {-1, 0, 1}
+    return s
 
 
 def cospi_array(u: np.ndarray) -> np.ndarray:

@@ -2,18 +2,19 @@
 
 The next threshold contact after a departure at (x_i, 0) is the first positive
 zero of the crossing function h.  h has a trivial zero at 0 (double when the
-departure is tangent), so the solver never probes near 0: it walks a grid
-whose step resolves both the oscillation (1/(8w)) and the decay (1/(4a)),
-with the explicit h0/hinf lattice zeros inserted as mandatory probes, then
-polishes the first sign change with a bracketed root finder.
+departure is tangent), so the solver never probes near 0.  Its probes are a
+grid whose step resolves both the oscillation (1/(8w)) and the decay (1/(4a)),
+merged with the zeros of the comparison function h0; the hinf lattice is not
+probed.  h is evaluated on all probes in one array call, and the first sign
+change is polished with a bracketed root finder on the scalar h.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .core import (
@@ -27,7 +28,7 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import h, h_dxbar, h0_zero_iter, hinf_zero_iter
+from .analytic_flow import h, h0_zeros, h_array, h_dxbar
 
 GRAZING_DERIV_TOL = 1e-8
 BRACKET_WIDTH = 1e-13
@@ -65,20 +66,19 @@ def _departure_ok(sign: int, x_i: float) -> bool:
     return sign * dy > 0.0
 
 
-def _probe_points(sign: int, x_i: float, params: OscillatorParams, horizon: float):
-    """Sorted scan abscissae: uniform grid merged with the comparison-lattice zeros."""
+def _probe_points(sign: int, x_i: float, params: OscillatorParams,
+                  horizon: float) -> np.ndarray:
+    """Sorted scan abscissae in (floor, horizon]: the uniform grid and the h0 zeros."""
     w = omega(sign)
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
-    uniform = itertools.takewhile(
-        lambda t: t <= horizon, (k * step for k in itertools.count(1))
-    )
-    lattice = itertools.takewhile(
-        lambda t: t <= horizon,
-        itertools.chain(h0_zero_iter(sign, x_i, params), hinf_zero_iter(sign, x_i, params)),
-    )
-    pts = sorted(set(itertools.chain(uniform, lattice)))
     floor = min(step * 1e-3, 1e-4)
-    return [t for t in pts if t > floor]
+    uniform = np.arange(1, math.floor(horizon / step) + 2) * step
+    # a zero that is also a grid point k*step is probed once
+    extra = [t for t in set(h0_zeros(sign, x_i, params, horizon))
+             if t > floor and round(t / step) * step != t]
+    pts = np.concatenate((uniform[uniform <= horizon], extra))
+    pts.sort()
+    return pts
 
 
 def next_crossing(sign: int, x_i: float, params: OscillatorParams,
@@ -98,27 +98,24 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
         )
     horizon = 6.0 / omega(sign)
     f = lambda u: h(sign, u, x_i, params)
-    prev_t = 0.0
-    prev_sign = sign  # h carries the sign of y, which is `sign` until the first zero
-    root = None
-    iters = 0
-    for t in _probe_points(sign, x_i, params, horizon):
-        val = f(t)
-        if val == 0.0:
-            lo, hi = prev_t, t
-            root = t
-            break
-        if (val > 0.0) != (prev_sign > 0):
-            lo, hi = prev_t, t
-            root, info = brentq(f, lo, hi, xtol=BRACKET_WIDTH / 2, full_output=True)
-            iters = info.iterations
-            break
-        prev_t, prev_sign = t, 1 if val > 0.0 else -1
-    if root is None:
+    pts = _probe_points(sign, x_i, params, horizon)
+    vals = h_array(sign, pts, x_i, params)
+    # h carries the sign of y, which is `sign` until the first zero
+    hit = vals <= 0.0 if sign > 0 else vals >= 0.0
+    i = int(hit.argmax())
+    if not hit[i]:
         raise SolverError(
             f"no crossing located within horizon {horizon} from x_i={x_i} "
             f"(sign={sign}, a={params.a})"
         )
+    lo, hi = (float(pts[i - 1]) if i else 0.0), float(pts[i])
+    if vals[i] == 0.0:
+        root, iters = hi, 0
+    else:
+        root, info = brentq(f, lo, hi, xtol=BRACKET_WIDTH / 2, full_output=True)
+        # h(0) = 0 exactly, and brentq returns such a bracket end at once
+        # without setting its iteration count
+        iters = info.iterations if lo != 0.0 else 0
     residual = abs(f(root))
     if residual > tol:
         # bracket has collapsed below 1e-13; a residual above tol means the

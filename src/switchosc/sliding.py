@@ -10,6 +10,10 @@ lambda = +1 the motion stops at the largest root of f_i(x, .) in (-1, 1),
 ascending from lambda = -1 at the smallest.  A root reached this way is
 automatically fast-attracting (df/dlambda > 0); the regularization module is
 the validating oracle for this rule.
+
+The hybrid simulator stores SAMPLES_PER_UNIT samples per unit of x on every
+arc; each arc's samples are built and evaluated in one array call and kept
+as lists.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .core import (
@@ -35,7 +40,7 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import flow_from, flow_solution
+from .analytic_flow import flow_from, flow_from_array, flow_solution
 from .poincare import _departure_ok, next_crossing
 
 Y_ZERO_TOL = 1e-12
@@ -218,7 +223,8 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     """Event-driven hybrid trajectory of the discontinuous (epsilon = 0) system.
 
     Half-plane arcs use the closed-form flow with crossings located by the
-    Poincare machinery (no fixed-step integration anywhere); threshold
+    Poincare machinery (no fixed-step integration anywhere), and each arc's
+    stored samples are evaluated in one array call; threshold
     contacts are classified by select_branch_on_entry; sliding segments run
     along their branch until lambda reaches +-1 at the right endpoint, then
     exit into the half-plane whose field points outward.
@@ -261,9 +267,9 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
         raise DomainError("x_end must exceed the initial x")
     traj = Trajectory()
 
-    def sample(xs0: float, xs1: float):
+    def sample(xs0: float, xs1: float) -> np.ndarray:
         n = max(8, int(round((xs1 - xs0) * SAMPLES_PER_UNIT)))
-        return [xs0 + (xs1 - xs0) * i / n for i in range(n + 1)]
+        return xs0 + (xs1 - xs0) * np.arange(n + 1) / n
 
     state = start_state
     for _guard in range(100000):
@@ -273,10 +279,10 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             res = next_crossing(side, x, params, tol=tol)
             xc = min(res.x_next, x_end)
             xs = sample(x, xc)
-            ys = [flow_solution(side, t, x, params) for t in xs]
+            ys = flow_solution(side, xs, x, params).tolist()
             ys[0] = 0.0
             traj.segments.append(TrajectorySegment(
-                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs, ys=ys))
+                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs.tolist(), ys=ys))
             if res.x_next > x_end:
                 break
             ys[-1] = 0.0
@@ -286,9 +292,9 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             xc_hit = _first_hit_from_interior(side, x, y0, params)
             xc = min(xc_hit, x_end)
             xs = sample(x, xc)
-            ys = [flow_from(side, t, x, y0, params) for t in xs]
+            ys = flow_from_array(side, xs, x, y0, params).tolist()
             traj.segments.append(TrajectorySegment(
-                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs, ys=ys))
+                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs.tolist(), ys=ys))
             if xc_hit > x_end:
                 break
             ys[-1] = 0.0
@@ -311,7 +317,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             branch = payload
             x_exit = branch.domain[1]
             xc = min(x_exit, x_end)
-            xs = sample(x, xc)
+            xs = sample(x, xc).tolist()
             traj.segments.append(TrajectorySegment(
                 mode=Mode.SLIDING, xs=xs, ys=[0.0] * len(xs), branch=branch.index))
             if x_exit > x_end:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -10,8 +9,8 @@ from switchosc.analytic_flow import (
     flow_scale,
     flow_solution,
     h,
-    h0_zero_iter,
-    hinf_zero_iter,
+    h0_zeros,
+    hinf_zeros,
     p0_map,
     phase_lag,
     varphi_over_pi,
@@ -114,7 +113,7 @@ def test_h_is_scaled_flow():
 
 def test_h0_zeros_contain_period_lattice_and_are_roots():
     p = OscillatorParams(a=1.0)
-    zs = list(itertools.islice(h0_zero_iter(+1, 10.0 / 3.0, p), 8))
+    zs = h0_zeros(+1, 10.0 / 3.0, p, 12.0)[:8]
     assert zs == sorted(zs)
     # the 2n/w family is always present
     for k in (0.0, 4.0 / 3.0, 8.0 / 3.0):
@@ -128,7 +127,7 @@ def test_h0_zeros_contain_period_lattice_and_are_roots():
 def test_hinf_zeros_large_a_limit():
     # as a -> infinity the first nondegenerate zero from x_i = 10/3 tends to 2/3
     p = OscillatorParams(a=1e6)
-    zs = list(itertools.islice(hinf_zero_iter(+1, 10.0 / 3.0, p), 3))
+    zs = hinf_zeros(+1, 10.0 / 3.0, p, 2.0)[:3]
     assert zs[0] == pytest.approx(0.0, abs=1e-5)
     assert zs[1] == pytest.approx(2.0 / 3.0, abs=1e-5)
     vq = varphi_over_pi(+1, 10.0 / 3.0, p)
@@ -136,9 +135,9 @@ def test_hinf_zeros_large_a_limit():
         assert sinpi(1.5 * z + vq) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_zero_iterators_are_lazily_sorted():
+def test_zero_lattices_are_sorted():
     p = OscillatorParams(a=0.5)
-    zs = list(itertools.islice(h0_zero_iter(-1, 7.7, p), 200))
+    zs = h0_zeros(-1, 7.7, p, 400.0)[:200]
     assert all(z2 >= z1 for z1, z2 in zip(zs, zs[1:]))
     assert all(z >= 0.0 for z in zs)
 

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from switchosc.analytic_flow import flow_solution, p0_map
-from switchosc.core import DomainError, NoOrbitError, OscillatorParams
+from switchosc.analytic_flow import flow_solution, h, h_dxbar, p0_map, phase_lag
+from switchosc.core import DomainError, NoOrbitError, OscillatorParams, SolverError, omega
 from switchosc.poincare import (
+    BRACKET_WIDTH,
+    GRAZING_DERIV_TOL,
+    _departure_ok,
     composite_map,
     dP_da_at_zero,
     dP_dx,
@@ -125,3 +130,87 @@ def test_fixed_point_tends_to_x0():
 def test_no_orbit_reported_in_large_a_regime():
     with pytest.raises(NoOrbitError):
         find_nonsliding_period4(10.0)
+
+
+def test_zero_bracket_end_reports_no_iterations():
+    # the first probe already has the other sign, so the bracket is (0, t1)
+    # with h(0) = 0 exactly: brentq returns 0 at once (the zero-length arc of
+    # the open contact-finder fault) and leaves its own count unset
+    res = next_crossing(+1, 6.642139527593896, OscillatorParams(a=1.068))
+    assert res.bracket[0] == 0.0
+    assert res.x_next == res.x_start
+    assert res.iterations == 0
+
+
+def scalar_scan_crossing(sign, x_i, params):
+    """Oracle: the probe-by-probe scan that the array probe replaces.
+
+    Probes are the uniform grid k*step and the two h0 zero lattices, built
+    term by term up to the horizon, deduplicated, sorted and cut at the
+    floor; the scan stops at the first exact zero or sign change of h and
+    polishes a sign change with brentq.
+    """
+    if not _departure_ok(sign, x_i):
+        raise DomainError("inconsistent departure")
+    w = omega(sign)
+    horizon = 6.0 / w
+    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
+    pts = set(itertools.takewhile(lambda t: t <= horizon,
+                                  (k * step for k in itertools.count(1))))
+    start_b = (1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi)
+               - 2.0 * math.fmod(x_i, 2.0 / w))
+    for start in (0.0, start_b):
+        k0 = 0 if start >= 0 else math.ceil(-start / (2.0 / w))
+        for k in itertools.count(k0):
+            t = start + k * (2.0 / w)
+            if t > horizon:
+                break
+            if t >= 0.0:
+                pts.add(t)
+    floor = min(step * 1e-3, 1e-4)
+    f = lambda u: h(sign, u, x_i, params)
+    prev = 0.0
+    for t in sorted(t for t in pts if t > floor):
+        val = f(t)
+        if val == 0.0:
+            root = t
+            break
+        if (val > 0.0) != (sign > 0):
+            root = brentq(f, prev, t, xtol=BRACKET_WIDTH / 2)
+            break
+        prev = t
+    else:
+        raise SolverError("no crossing")
+    residual = abs(f(root))
+    if residual > 1e-12:
+        raise SolverError("residual")
+    grazing = abs(h_dxbar(sign, root, x_i, params)) < GRAZING_DERIV_TOL
+    return x_i + root, (prev, t), residual, grazing
+
+
+def test_array_probe_matches_scalar_scan_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [(+1, 1.068, 6.642139527593896)]
+    for k in range(600):
+        sign = 1 if rng.uniform() < 0.5 else -1
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        if k % 3 == 0:
+            x_i = 2.0 * int(rng.integers(0, 3000)) / 3.0  # contact lattice 2n/3
+        elif k % 3 == 1:
+            x_i = float(rng.uniform(0.0, 2000.0))
+        else:
+            x_i = float(rng.uniform(0.0, 20.0))
+        cases.append((sign, a, x_i))
+    accepted = 0
+    for sign, a, x_i in cases:
+        p = OscillatorParams(a=a)
+        try:
+            expected = scalar_scan_crossing(sign, x_i, p)
+        except (DomainError, SolverError) as exc:
+            with pytest.raises(type(exc)):
+                next_crossing(sign, x_i, p)
+            continue
+        res = next_crossing(sign, x_i, p)
+        assert (res.x_next, res.bracket, res.residual, res.grazing_suspect) == expected
+        accepted += 1
+    assert accepted > 200

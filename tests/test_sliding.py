@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from switchosc.analytic_flow import flow_from, flow_solution
 from switchosc.core import (
     DomainError,
     HybridState,
@@ -19,6 +20,7 @@ from switchosc.sliding import (
     find_sliding_period4_nonlinear,
     linear_branches,
     nonlinear_branches,
+    SAMPLES_PER_UNIT,
     select_branch_on_entry,
     simulate_discontinuous,
 )
@@ -273,3 +275,34 @@ def test_tangency_contact_flagged():
     # at x = 2/3 the S+ field is tangent to the threshold: fold handling case
     d = select_branch_on_entry(NONLIN, 2.0 / 3.0, +1)
     assert d.kind == "tangency"
+
+
+@pytest.mark.parametrize("model,start,x_end", [
+    (LIN, (10.0 / 3.0, 0.0), 10.0 / 3.0 + 40.5),
+    (NONLIN, (0.0, 0.0), 40.5),
+    (NONLIN, (1.3, 0.2), 30.0),
+])
+@pytest.mark.parametrize("a", [0.005, 0.1, 0.7, 4.0])
+def test_sampled_arcs_match_scalar_samples(model, start, x_end, a):
+    p = OscillatorParams(a=a)
+    traj = simulate_discontinuous(model, p, start, x_end)
+    last = len(traj.segments) - 1
+    for k, seg in enumerate(traj.segments):
+        assert type(seg.xs) is list and type(seg.ys) is list
+        x0, x1 = seg.xs[0], seg.xs[-1]
+        n = max(8, int(round((x1 - x0) * SAMPLES_PER_UNIT)))
+        assert seg.xs == [x0 + (x1 - x0) * i / n for i in range(n + 1)]
+        if seg.mode is Mode.SLIDING:
+            assert seg.ys == [0.0] * len(seg.xs)
+            continue
+        side = 1 if seg.mode is Mode.FLOW_PLUS else -1
+        interior = k == 0 and start[1] != 0.0
+        if not interior:
+            assert seg.ys[0] == 0.0  # departs from the threshold
+        if k < last:
+            assert seg.ys[-1] == 0.0  # ends on a contact
+        lo, hi = (0 if interior else 1), (n if k == last else n - 1)
+        for x, y in zip(seg.xs[lo:hi + 1], seg.ys[lo:hi + 1]):
+            ref = (flow_from(side, x, start[0], start[1], p) if interior
+                   else flow_solution(side, x, x0, p))
+            assert abs(y - ref) <= 1e-15 * max(1.0, abs(ref))
