@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     x_end = _setting(args, cfg, "x_end", x0 + 8.0)
     out = _out_dir(args)
     if params.epsilon > 0.0:
-        traj = simulate_regularized(model, params, x0, y0, x_end).to_trajectory()
+        traj = simulate_regularized(model, params, x0, y0, x_end)
         ylab = "v"
     else:
         traj = simulate_discontinuous(model, params, (x0, y0), x_end,

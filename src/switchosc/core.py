@@ -5,17 +5,21 @@ off the threshold ``y = 0``.  Two forcing models exist: a convex (linear in
 lambda) combination of two sinusoids, and a single sinusoid whose frequency is
 a (nonlinear) function of lambda.  They agree for y != 0 and differ only in
 threshold semantics, which is what the rest of the library is about.
+
+Both engines return one ``Trajectory``: its segments keep the closed form (or
+the layer kernel's dense output) they were computed from, so ``eval`` works on
+arrays for either engine, and samples are tabulated only when read.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-
-TWO_THIRDS = 2.0 / 3.0
 
 #: The driving frequencies (in units of pi) above and below the threshold.
 #: Every closed-form region, branch and lattice formula assumes this pair.
@@ -24,6 +28,8 @@ OMEGA_MINUS = 0.5
 
 #: Largest jump allowed where consecutive trajectory segments meet.
 GAP_TOL = 1e-9
+#: Samples per unit of x when a trajectory segment is tabulated (at least 8 each).
+SAMPLES_PER_UNIT = 120
 
 
 class OscillatorError(Exception):
@@ -214,39 +220,101 @@ class TrajectoryEvent:
 
 @dataclass
 class TrajectorySegment:
+    """One arc of a run on [x0, x1]: mode, end values y0/y1 and evaluator.
+
+    ``eval`` maps an array of x to y (v on a regularized run).  The end values
+    cost no evaluation; y1 is nan where the run was cut at x_end.  ``xs`` and
+    ``ys`` are tabulated on first read and cached; an end value 0.0 (on the
+    threshold) is pinned exactly in ``ys``.
+    """
+
     mode: Mode
-    xs: list[float]
-    ys: list[float]
+    x0: float
+    x1: float
+    y0: float
+    y1: float
+    eval: Callable[[np.ndarray], np.ndarray]
     branch: int | None = None
+
+    @cached_property
+    def xs(self) -> list[float]:
+        n = max(8, int(round((self.x1 - self.x0) * SAMPLES_PER_UNIT)))
+        return (self.x0 + (self.x1 - self.x0) * np.arange(n + 1) / n).tolist()
+
+    @cached_property
+    def ys(self) -> list[float]:
+        ys = self.eval(np.array(self.xs)).tolist()
+        if self.y0 == 0.0:
+            ys[0] = 0.0
+        if self.y1 == 0.0:
+            ys[-1] = 0.0
+        return ys
+
+
+def capture_threshold(epsilon: float) -> float:
+    """Layer spans beyond this are slow-manifold captures (O(1) in x), not
+    transits (O(eps), an order of magnitude at most for the fields here)."""
+    return max(25.0 * epsilon, 0.02)
 
 
 @dataclass
 class Trajectory:
-    """Ordered mode-tagged path segments with the events separating them."""
+    """A run of either engine: segments in x order, the events between them
+    and the P_eps outputs (``section_x``, ``log_sensitivity``) of a section run."""
 
+    params: OscillatorParams
+    model: SwitchingModel
     segments: list[TrajectorySegment] = field(default_factory=list)
     events: list[TrajectoryEvent] = field(default_factory=list)
+    section_x: float | None = None
+    log_sensitivity: float | None = None
 
-    def validate(self) -> None:
-        """Check segment abutment and monotone x; raises SolverError on breach."""
-        prev = None
-        for seg in self.segments:
-            if len(seg.xs) != len(seg.ys) or not seg.xs:
-                raise SolverError("segment sample arrays malformed")
-            for i in range(1, len(seg.xs)):
-                if not seg.xs[i] >= seg.xs[i - 1]:
-                    raise SolverError("x not increasing within a segment")
-            if prev is not None:
-                if abs(seg.xs[0] - prev[0]) > GAP_TOL or abs(seg.ys[0] - prev[1]) > GAP_TOL:
-                    raise SolverError(
-                        f"segments do not abut at x={seg.xs[0]} (gap "
-                        f"{abs(seg.ys[0] - prev[1]):.2e})"
-                    )
-            prev = (seg.xs[-1], seg.ys[-1])
+    def eval(self, xq) -> np.ndarray:
+        """y (v on a regularized run) at points in [x_start, x_end], else DomainError.
+
+        A point where two segments meet takes the later one.  Each segment
+        evaluates its points in one array call.
+        """
+        xq = np.atleast_1d(np.asarray(xq, dtype=float))
+        inside = (xq >= self.x_start) & (xq <= self.x_end)  # False for NaN
+        if not inside.all():
+            raise DomainError(
+                f"query point {xq[~inside][0]!r} outside the simulated range "
+                f"[{self.x_start!r}, {self.x_end!r}]")
+        idx = np.searchsorted([s.x0 for s in self.segments], xq, "right") - 1
+        out = np.empty(xq.shape)
+        for j in np.unique(idx):
+            sel = idx == j
+            out[sel] = self.segments[j].eval(xq[sel])
+        return out
+
+    @property
+    def x_start(self) -> float:
+        return self.segments[0].x0 if self.segments else math.nan
 
     @property
     def x_end(self) -> float:
-        return self.segments[-1].xs[-1] if self.segments else math.nan
+        return self.segments[-1].x1 if self.segments else math.nan
+
+    def layer_spans(self) -> list[tuple[float, float]]:
+        return [(s.x0, s.x1) for s in self.segments if s.mode is Mode.LAYER]
+
+    def captured_spans(self, threshold: float | None = None) -> list[tuple[float, float]]:
+        if threshold is None:
+            threshold = capture_threshold(self.params.epsilon)
+        return [sp for sp in self.layer_spans() if sp[1] - sp[0] > threshold]
+
+    def validate(self) -> None:
+        """Check from the stored ends that segments run forward and abut; raises
+        SolverError."""
+        for seg in self.segments:
+            if not seg.x0 <= seg.x1:
+                raise SolverError(f"segment runs backwards: x0={seg.x0!r} > x1={seg.x1!r}")
+        for prev, seg in zip(self.segments, self.segments[1:]):
+            if not (abs(seg.x0 - prev.x1) <= GAP_TOL and abs(seg.y0 - prev.y1) <= GAP_TOL):
+                raise SolverError(
+                    f"segments do not abut at x={seg.x0!r}: the previous one ends at "
+                    f"({prev.x1!r}, {prev.y1!r}), this one starts at y={seg.y0!r}")
 
     def xy(self) -> tuple[list[float], list[float]]:
         """Every sample as flat x and y lists, in segment order, for plotting."""

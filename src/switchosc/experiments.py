@@ -482,11 +482,10 @@ def _run_trajectory(sc: Scenario) -> dict:
         x_end = run["x_end"]
         if p.epsilon > 0.0:
             traj = simulate_regularized(model, p, x0, y0, x_end)
-            t = traj.to_trajectory()
         else:
-            t = simulate_discontinuous(model, p, (x0, y0), x_end)
-        series.append((run.get("label", f"run{i}"), *t.xy()))
-        measured[f"run{i}_events"] = len(t.events)
+            traj = simulate_discontinuous(model, p, (x0, y0), x_end)
+        series.append((run.get("label", f"run{i}"), *traj.xy()))
+        measured[f"run{i}_events"] = len(traj.events)
     measured["_series"] = series
     return measured
 
@@ -547,7 +546,7 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
         if plot:
             series = measured.get("_series")
             if series is None and "_traj" in measured:
-                series = [("v(x)", *measured["_traj"].to_trajectory().xy())]
+                series = [("v(x)", *measured["_traj"].xy())]
             if series:
                 svg_path = out / f"{scenario.id}.svg"
                 line_plot(series, path=str(svg_path), title=scenario.id,

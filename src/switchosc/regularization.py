@@ -12,11 +12,10 @@ outside it psi is saturated, so the exterior flow is the closed form of the
 half-plane system and no numerical integration is used there.  scipy's Radau
 serves only as a test oracle for the kernel.
 
-Trajectories are evaluated on arrays: ``RegTrajectory.eval`` assigns the query
-points to segments by ``searchsorted`` and evaluates each segment once, a
-layer arc through the kernel's dense output (the step's cubic in numpy) and
-an exterior arc through the closed form ``flow_from_array``; ``v_r`` is
-evaluated the same way.
+A run is a ``core.Trajectory`` in (x, v): each layer arc keeps the kernel's
+dense output (the step's cubic in numpy) as its evaluator and each exterior
+arc the closed form ``flow_from_array``, so ``Trajectory.eval`` serves v on
+arrays; ``v_r`` is evaluated the same way.
 
 Fixed points of the regularized return map P_eps are found by Newton's method
 on its variational derivative: a run with ``with_sensitivity`` yields both
@@ -29,7 +28,7 @@ The bracket guards the iteration, with bisection as fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -45,6 +44,7 @@ from .core import (
     TrajectoryEvent,
     TrajectorySegment,
     Mode,
+    capture_threshold,
     forcing,
     forcing_dlam,
     omega,
@@ -54,17 +54,8 @@ from .radau import solve_ivp
 from .sliding import _linear_branch, _nonlinear_branch
 
 _NUDGE = 1e-12
-#: Samples per unit of x when a regularized run is tabulated for CSV or plots.
-SAMPLES_PER_UNIT = 200
-
-
-def capture_threshold(epsilon: float) -> float:
-    """Layer spans beyond this indicate slow-manifold capture, not a transit.
-
-    Transversal transits cost O(eps) in x (an order of magnitude at most for
-    the fields here); captured segments ride a branch for O(1).
-    """
-    return max(25.0 * epsilon, 0.02)
+#: Layer solves and exterior arcs before a regularized run gives up.
+_EVENT_BUDGET = 6000
 
 
 class CaptureError(SolverError):
@@ -160,15 +151,6 @@ def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
 # the regularized hybrid engine
 
 
-@dataclass
-class RegSegment:
-    kind: str            # "layer" | "ext"
-    side: int            # exterior half-plane sign; 0 for layer
-    x0: float
-    x1: float
-    eval: callable       # v on an array of x in [x0, x1]
-
-
 def _exterior_v(side: int, x0: float, v0: float, params: OscillatorParams,
                 x: np.ndarray) -> np.ndarray:
     """v on an array of x of the exterior flow from (x0, v0)."""
@@ -176,63 +158,11 @@ def _exterior_v(side: int, x0: float, v0: float, params: OscillatorParams,
     return flow_from_array(side, x, x0, e * v0, params) / e
 
 
-@dataclass
-class RegTrajectory:
-    """Piecewise trajectory in (x, v): stiff layer arcs plus analytic exteriors."""
-
-    params: OscillatorParams
-    model: SwitchingModel
-    segments: list[RegSegment] = field(default_factory=list)
-    events: list[TrajectoryEvent] = field(default_factory=list)
-    section_x: float | None = None  # where a requested section stop fired
-    log_sensitivity: float | None = None
-
-    def eval(self, xq) -> np.ndarray:
-        """v(x) on query points in [x_start, x_end]; others raise DomainError.
-
-        A point where one segment ends and the next starts takes the later
-        segment.  Each segment evaluates its points in one array call.
-        """
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        inside = (xq >= self.x_start) & (xq <= self.x_end)  # False for NaN
-        if not inside.all():
-            raise DomainError(
-                f"query point {xq[~inside][0]!r} outside the simulated range "
-                f"[{self.x_start!r}, {self.x_end!r}]")
-        idx = np.searchsorted([s.x0 for s in self.segments], xq, "right") - 1
-        out = np.empty(xq.shape)
-        for j in np.unique(idx):
-            sel = idx == j
-            out[sel] = self.segments[j].eval(xq[sel])
-        return out
-
-    @property
-    def x_start(self) -> float:
-        return self.segments[0].x0 if self.segments else math.nan
-
-    @property
-    def x_end(self) -> float:
-        return self.segments[-1].x1 if self.segments else math.nan
-
-    def layer_spans(self) -> list[tuple[float, float]]:
-        return [(s.x0, s.x1) for s in self.segments if s.kind == "layer"]
-
-    def captured_spans(self, threshold: float | None = None) -> list[tuple[float, float]]:
-        if threshold is None:
-            threshold = capture_threshold(self.params.epsilon)
-        return [sp for sp in self.layer_spans() if sp[1] - sp[0] > threshold]
-
-    def to_trajectory(self) -> Trajectory:
-        """Sampled core Trajectory (v units) for CSV/plot emission."""
-        traj = Trajectory(events=list(self.events))
-        for s in self.segments:
-            n = max(8, int(round((s.x1 - s.x0) * SAMPLES_PER_UNIT)))
-            xs = s.x0 + (s.x1 - s.x0) * np.arange(n + 1) / n
-            mode = Mode.LAYER if s.kind == "layer" else (
-                Mode.FLOW_PLUS if s.side > 0 else Mode.FLOW_MINUS)
-            traj.segments.append(TrajectorySegment(
-                mode=mode, xs=xs.tolist(), ys=s.eval(xs).tolist()))
-        return traj
+# Both engines return ``core.Trajectory``, which also owns
+# ``capture_threshold``.  Both names stay reachable here because callers
+# outside the package look them up through this module (the benchmark's
+# tracer patches ``RegTrajectory.eval`` and reads ``capture_threshold``).
+RegTrajectory = Trajectory
 
 
 def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> float:
@@ -265,7 +195,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          x0: float, v0: float, x_end: float,
                          rtol: float = 1e-10, atol: float = 1e-12,
                          stop_at_downward_v0_after: float | None = None,
-                         with_sensitivity: bool = False) -> RegTrajectory:
+                         with_sensitivity: bool = False) -> Trajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
     Alternates stiff layer integration (``radau.solve_ivp``, analytic
@@ -286,7 +216,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
         raise DomainError(f"regularized simulation runs forward: x_end={x_end} < x0={x0}")
     e = params.epsilon
     a = params.a
-    traj = RegTrajectory(params=params, model=model)
+    traj = Trajectory(params=params, model=model)
     log_sens = 0.0
     rate, rate_dv = layer_system(model, params)
     # v leaves the layer through +-1; the section is the downward v = 0
@@ -297,7 +227,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     x, v = x0, v0
     mode = "layer" if abs(v) <= 1.0 else "ext"
     side = 0 if mode == "layer" else (1 if v > 0 else -1)
-    for _guard in range(6000):
+    for _guard in range(_EVENT_BUDGET):
         if x >= x_end:
             break
         if mode == "layer":
@@ -308,12 +238,12 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                 raise LayerIntegrationError(f"layer integration failed: {sol.message}",
                                             sol.t[-1], sol.v_end, sol.h_last)
             x1 = sol.t[-1]
-            traj.segments.append(RegSegment(kind="layer", side=0, x0=x, x1=x1,
-                                            eval=sol.sol.value))
+            level = sol.v_end if sol.stop is None else stops[sol.stop][0]
+            traj.segments.append(TrajectorySegment(Mode.LAYER, x, x1, v_in, level,
+                                                   sol.sol.value))
             if sol.stop is None:
                 x = x1
                 continue
-            level = stops[sol.stop][0]
             if with_sensitivity:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
@@ -331,8 +261,10 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
         else:
             xr = _ext_return(side, x, v, params)
             seg_end = min(xr, x_end)
-            traj.segments.append(RegSegment(kind="ext", side=side, x0=x, x1=seg_end,
-                                            eval=partial(_exterior_v, side, x, v, params)))
+            traj.segments.append(TrajectorySegment(
+                Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, x, seg_end, v,
+                float(side) if xr <= x_end else math.nan,
+                partial(_exterior_v, side, x, v, params)))
             if with_sensitivity and xr <= x_end:
                 r_out = abs(flow_from_deriv(side, x, x, e * v, params))
                 r_in = abs(flow_from_deriv(side, xr, x, e * v, params))
@@ -343,7 +275,10 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             traj.events.append(TrajectoryEvent(x=xr, kind="layer-entry", branch=side))
             x, v, mode = xr, float(side), "layer"
     else:
-        raise SolverError("regularized event budget exhausted")
+        raise SolverError(
+            f"regularized event budget of {_EVENT_BUDGET} arcs exhausted before "
+            f"x_end={x_end!r}: {mode} arc next at x={x!r}, v={v!r}, last events "
+            f"{traj.events[-3:]}")
     if with_sensitivity:
         traj.log_sensitivity = log_sens
     return traj
@@ -381,7 +316,7 @@ class ExitMeasurement:
     x_e: float
     fold_x: float
     delay: float
-    trajectory: RegTrajectory
+    trajectory: Trajectory
 
 
 def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
@@ -489,7 +424,7 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 
 
 def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float,
-                    with_sensitivity: bool = False) -> RegTrajectory:
+                    with_sensitivity: bool = False) -> Trajectory:
     """The linear-model run from (x, -1e-12) to its next downward v = 0 crossing.
 
     A start at (x, 0) would stop at once where the field points down, as for
@@ -504,7 +439,7 @@ def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float
     return traj
 
 
-def _require_no_capture(traj: RegTrajectory) -> None:
+def _require_no_capture(traj: Trajectory) -> None:
     if traj.captured_spans():
         raise CaptureError(
             f"layer capture at {traj.captured_spans()}; non-sliding regime violated")
@@ -534,7 +469,7 @@ _FIXED_POINT_RUNS = 40
 
 def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
                        rtol: float, allow_capture: bool,
-                       xtol: float) -> tuple[float, RegTrajectory]:
+                       xtol: float) -> tuple[float, Trajectory]:
     """Root of g(x) = P_eps(x) - (x + 4) in ``bracket`` and the orbit from it.
 
     Newton on g' = P_eps' - 1, where P_eps' = exp(log_sensitivity) > 0 comes
@@ -609,7 +544,7 @@ def regularized_fixed_point(params: OscillatorParams, bracket: tuple[float, floa
 @dataclass
 class RegSlidingOrbit:
     fixed_point: float
-    trajectory: RegTrajectory
+    trajectory: Trajectory
     contraction_fd: float
     log_contraction: float
     sliding_span: tuple[float, float]
@@ -685,7 +620,7 @@ def v_r_reference(n: int, params: OscillatorParams) -> VrReference:
     return VrReference(n=n, x_start=xs, x_reentry=xr, x_eps_a=x_eps_a, params=params)
 
 
-def convergence_to_vr(traj: RegTrajectory, n_lo: int, n_hi: int,
+def convergence_to_vr(traj: Trajectory, n_lo: int, n_hi: int,
                       grid: int = 1200) -> list[dict]:
     """Per-window sup distance to v_r plus distinctness of consecutive windows."""
     params = traj.params

@@ -11,15 +11,17 @@ ascending from lambda = -1 at the smallest.  A root reached this way is
 automatically fast-attracting (df/dlambda > 0); the regularization module is
 the validating oracle for this rule.
 
-The hybrid simulator stores SAMPLES_PER_UNIT samples per unit of x on every
-arc; each arc's samples are built and evaluated in one array call and kept
-as lists.
+The hybrid simulator stores each arc as a closed-form segment of a
+``core.Trajectory``: the threshold-leaving solution ``flow_solution``, the
+general ``flow_from_array`` from an interior start, or zero on a slide.
+Samples are tabulated only when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -45,8 +47,8 @@ from .poincare import _departure_ok, next_crossing
 
 Y_ZERO_TOL = 1e-12
 TANGENCY_FIELD_TOL = 1e-11
-#: Stored samples per unit of x on every hybrid trajectory segment.
-SAMPLES_PER_UNIT = 120
+#: Loop steps (arcs, contacts and slides) before a hybrid run gives up.
+_EVENT_BUDGET = 100000
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,14 @@ def _departure_side(x: float) -> int:
 
 def _first_hit_from_interior(sign: int, x0: float, y0: float,
                              params: OscillatorParams) -> float:
-    """First y = 0 contact of the general half-plane flow from (x0, y0 != 0)."""
+    """First y = 0 contact of the general half-plane flow from (x0, y0 != 0).
+
+    A probe scan brackets the first sign change.  A dip through y = 0 and
+    back between two probes is caught on the lattice k/w before that point:
+    d/dx (e^(a x) y) = -e^(a x) sin(w pi x), so a zero of sin(w pi x) lies
+    strictly between any two zeros of y, and each lattice cell holds at
+    most one zero.
+    """
     w = omega(sign)
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
     g = lambda x: flow_from(sign, x, x0, y0, params)
@@ -205,16 +214,24 @@ def _first_hit_from_interior(sign: int, x0: float, y0: float,
     horizon = x0 + 6.0 / w + (
         0.0 if abs(y0) <= amp else math.log(abs(y0) / amp) / params.a
     )
-    t, gp = x0, y0
-    while t < horizon:
+    t, gp, hit = x0, y0, None
+    while hit is None and t < horizon:
         t2 = t + step
         g2 = g(t2)
         if gp != 0.0 and (g2 > 0.0) != (gp > 0.0):
-            return brentq(g, t, t2, xtol=1e-13)
-        if g2 == 0.0:
-            return t2
+            hit = brentq(g, t, t2, xtol=1e-13)
+        elif g2 == 0.0:
+            hit = t2
         t, gp = t2, g2
-    raise SolverError(f"no threshold contact located from ({x0}, {y0})")
+    reach = horizon if hit is None else hit
+    lattice = np.arange(math.floor(w * x0) + 1, math.ceil(w * reach)) / w
+    dips = np.flatnonzero(sign * flow_from_array(sign, lattice, x0, y0, params) < 0.0)
+    if dips.size:
+        j = dips[0]
+        return brentq(g, lattice[j - 1] if j else x0, lattice[j], xtol=1e-13)
+    if hit is None:
+        raise SolverError(f"no threshold contact located from ({x0}, {y0})")
+    return hit
 
 
 def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
@@ -223,8 +240,8 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     """Event-driven hybrid trajectory of the discontinuous (epsilon = 0) system.
 
     Half-plane arcs use the closed-form flow with crossings located by the
-    Poincare machinery (no fixed-step integration anywhere), and each arc's
-    stored samples are evaluated in one array call; threshold
+    Poincare machinery (no fixed-step integration anywhere), and each arc
+    keeps that closed form as its evaluator; threshold
     contacts are classified by select_branch_on_entry; sliding segments run
     along their branch until lambda reaches +-1 at the right endpoint, then
     exit into the half-plane whose field points outward.
@@ -234,71 +251,48 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     """
     if params.epsilon != 0.0:
         raise DomainError("simulate_discontinuous requires epsilon = 0")
-    if isinstance(initial, tuple):
-        x0, y0 = initial
-        if y0 == 0.0:
-            start_state = ("depart", x0, _departure_side(x0))
-        else:
-            start_state = ("interior", x0, (y0, +1 if y0 > 0 else -1))
-    else:
+    if isinstance(initial, HybridState) and initial.mode is Mode.SLIDING:
         x0 = initial.x
-        if initial.mode is Mode.SLIDING:
-            if initial.branch is None:
-                cands = branches_at(model, x0)
-                if len(cands) != 1:
-                    raise DomainError(
-                        "sliding start needs an explicit branch index when branches overlap"
-                    )
-                branch = cands[0]
-            else:
-                branch = (_linear_branch(initial.branch) if model is SwitchingModel.LINEAR
-                          else _nonlinear_branch(initial.branch))
-                if not branch.domain[0] < x0 < branch.domain[1]:
-                    raise DomainError(f"sliding start x={x0} outside branch domain")
-            start_state = ("slide", x0, branch)
-        elif initial.y == 0.0:
-            start_state = ("depart", x0, _departure_side(x0))
+        if initial.branch is None:
+            cands = branches_at(model, x0)
+            if len(cands) != 1:
+                raise DomainError(
+                    "sliding start needs an explicit branch index when branches overlap"
+                )
+            branch = cands[0]
         else:
-            start_state = ("interior", x0, (initial.y, +1 if initial.y > 0 else -1))
+            branch = (_linear_branch(initial.branch) if model is SwitchingModel.LINEAR
+                      else _nonlinear_branch(initial.branch))
+            if not branch.domain[0] < x0 < branch.domain[1]:
+                raise DomainError(f"sliding start x={x0} outside branch domain")
+        state = ("slide", x0, branch)
+    else:
+        x0, y0 = (initial.x, initial.y) if isinstance(initial, HybridState) else initial
+        state = ("depart", x0, _departure_side(x0)) if y0 == 0.0 else ("interior", x0, y0)
     if not (math.isfinite(x0) and math.isfinite(x_end)):
         raise DomainError(f"simulate_discontinuous needs finite x0 and x_end; "
                           f"got {x0}, {x_end}")
     if x_end <= x0:
         raise DomainError("x_end must exceed the initial x")
-    traj = Trajectory()
-
-    def sample(xs0: float, xs1: float) -> np.ndarray:
-        n = max(8, int(round((xs1 - xs0) * SAMPLES_PER_UNIT)))
-        return xs0 + (xs1 - xs0) * np.arange(n + 1) / n
-
-    state = start_state
-    for _guard in range(100000):
+    traj = Trajectory(params=params, model=model)
+    for _guard in range(_EVENT_BUDGET):
         kind, x, payload = state
-        if kind == "depart":
-            side = payload
-            res = next_crossing(side, x, params, tol=tol)
-            xc = min(res.x_next, x_end)
-            xs = sample(x, xc)
-            ys = flow_solution(side, xs, x, params).tolist()
-            ys[0] = 0.0
+        if kind in ("depart", "interior"):
+            if kind == "depart":
+                side, y0 = payload, 0.0
+                x_hit = next_crossing(side, x, params, tol=tol).x_next
+                arc = partial(flow_solution, side, x_i=x, params=params)
+            else:
+                y0, side = payload, (1 if payload > 0.0 else -1)
+                x_hit = _first_hit_from_interior(side, x, y0, params)
+                arc = partial(flow_from_array, side, x0=x, y0=y0, params=params)
+            cut = x_hit > x_end
             traj.segments.append(TrajectorySegment(
-                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs.tolist(), ys=ys))
-            if res.x_next > x_end:
+                Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, x, min(x_hit, x_end),
+                y0, math.nan if cut else 0.0, arc))
+            if cut:
                 break
-            ys[-1] = 0.0
-            state = ("contact", res.x_next, side)
-        elif kind == "interior":
-            y0, side = payload
-            xc_hit = _first_hit_from_interior(side, x, y0, params)
-            xc = min(xc_hit, x_end)
-            xs = sample(x, xc)
-            ys = flow_from_array(side, xs, x, y0, params).tolist()
-            traj.segments.append(TrajectorySegment(
-                mode=Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, xs=xs.tolist(), ys=ys))
-            if xc_hit > x_end:
-                break
-            ys[-1] = 0.0
-            state = ("contact", xc_hit, side)
+            state = ("contact", x_hit, side)
         elif kind == "contact":
             side = payload
             decision = select_branch_on_entry(model, x, side)
@@ -316,11 +310,11 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
         elif kind == "slide":
             branch = payload
             x_exit = branch.domain[1]
-            xc = min(x_exit, x_end)
-            xs = sample(x, xc).tolist()
+            cut = x_exit > x_end
             traj.segments.append(TrajectorySegment(
-                mode=Mode.SLIDING, xs=xs, ys=[0.0] * len(xs), branch=branch.index))
-            if x_exit > x_end:
+                Mode.SLIDING, x, min(x_exit, x_end), 0.0, 0.0, np.zeros_like,
+                branch=branch.index))
+            if cut:
                 break
             traj.events.append(TrajectoryEvent(
                 x=x_exit, kind="slide-exit", branch=branch.index))
@@ -329,10 +323,13 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             state = ("depart", x_exit, _departure_side(x_exit))
         else:  # pragma: no cover
             raise SolverError(f"unknown state {kind}")
-        if traj.segments and traj.segments[-1].xs[-1] >= x_end:
+        if traj.segments and traj.segments[-1].x1 >= x_end:
             break
-    else:  # pragma: no cover
-        raise SolverError("event budget exhausted before reaching x_end")
+    else:
+        kind, x, _ = state
+        raise SolverError(
+            f"event budget of {_EVENT_BUDGET} steps exhausted before x_end={x_end!r}: "
+            f"next state {kind!r} at x={x!r}, last events {traj.events[-3:]}")
     traj.validate()
     return traj
 
@@ -365,12 +362,12 @@ def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
     crossings = [e.x for e in traj.events if e.kind == "cross"]
     target = 10.0 / 3.0 + 4.0
     for seg in traj.segments:
-        if seg.mode is Mode.SLIDING and seg.xs[0] < target <= seg.xs[-1] + 1e-9:
+        if seg.mode is Mode.SLIDING and seg.x0 < target <= seg.x1 + 1e-9:
             exit_x = next(e.x for e in traj.events
                           if e.kind == "slide-exit" and e.x >= target - 1e-9)
             return SlidingOrbitResult(
                 exists=True, trajectory=traj, crossings=crossings,
-                landing=seg.xs[0], closure_error=abs(exit_x - target),
+                landing=seg.x0, closure_error=abs(exit_x - target),
                 branch=seg.branch)
     return SlidingOrbitResult(
         exists=False, trajectory=traj, crossings=crossings,
@@ -447,7 +444,7 @@ def ageing_metrics(model: SwitchingModel,
         by_branch = {r["n"]: r for r in rows}
         for seg in trajectory.segments:
             if seg.mode is Mode.SLIDING:
-                length = seg.xs[-1] - seg.xs[0]
+                length = seg.x1 - seg.x0
                 row = by_branch.get(seg.branch)
                 if row is None:
                     b = (_nonlinear_branch(seg.branch) if model is SwitchingModel.NONLINEAR

@@ -11,6 +11,7 @@ from switchosc.analytic_flow import flow_from, flow_solution
 from switchosc import radau, regularization
 from switchosc.core import (
     DomainError,
+    Mode,
     OscillatorParams,
     SolverError,
     SwitchingModel,
@@ -529,11 +530,12 @@ def test_trajectory_eval_matches_per_point_semantics():
     traj = simulate_regularized(NONLIN, p, 14.1, 1.1, 56.0)
     spans = traj.layer_spans()
     assert traj.captured_spans() and len(traj.captured_spans()) < len(spans)
-    assert {s.side for s in traj.segments if s.kind == "ext"} == {1, -1}
+    assert {s.mode for s in traj.segments if s.mode is not Mode.LAYER} == {
+        Mode.FLOW_PLUS, Mode.FLOW_MINUS}
 
     pts = [x for s in traj.segments for x in (s.x0, s.x1)]
     for s in traj.segments:
-        if s.kind == "layer":
+        if s.mode is Mode.LAYER:
             ts = s.eval.__self__.ts
             pts += ts + [0.5 * (t0 + t1) for t0, t1 in zip(ts, ts[1:])]
         else:
@@ -547,14 +549,15 @@ def test_trajectory_eval_matches_per_point_semantics():
     for x, v in zip(xq, got):
         j = bisect_right(starts, x) - 1  # a segment start takes the later segment
         seg = traj.segments[j]
-        if seg.kind == "layer":
+        if seg.mode is Mode.LAYER:
             sol = seg.eval.__self__
             k = min(max(bisect_left(sol.ts, x) - 1, 0), len(sol.steps) - 1)  # a step end: earlier step
             assert v == radau._dense(float(x), *sol.steps[k]), (x, j, k)
             exact += 1
         else:
-            v0 = 1.1 if j == 0 else float(seg.side)
-            ext_want.append(flow_from(seg.side, float(x), seg.x0, e * v0, p) / e)
+            side = 1 if seg.mode is Mode.FLOW_PLUS else -1
+            v0 = 1.1 if j == 0 else float(side)
+            ext_want.append(flow_from(side, float(x), seg.x0, e * v0, p) / e)
             ext_got.append(v)
     assert exact > 1000 and len(ext_want) > 100
     assert _relative_gap(np.array(ext_got), np.array(ext_want)) <= 1e-12

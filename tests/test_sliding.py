@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 from switchosc.analytic_flow import flow_from, flow_solution
 from switchosc.core import (
+    SAMPLES_PER_UNIT,
     DomainError,
     HybridState,
     Mode,
@@ -20,7 +21,6 @@ from switchosc.sliding import (
     find_sliding_period4_nonlinear,
     linear_branches,
     nonlinear_branches,
-    SAMPLES_PER_UNIT,
     select_branch_on_entry,
     simulate_discontinuous,
 )
@@ -306,3 +306,16 @@ def test_sampled_arcs_match_scalar_samples(model, start, x_end, a):
             ref = (flow_from(side, x, start[0], start[1], p) if interior
                    else flow_solution(side, x, x0, p))
             assert abs(y - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def test_interior_start_finds_a_dip_between_probes():
+    # the flow+ arc from this start dips through y = 0 on (0.642, 0.684), inside
+    # one probe step; the contact must be that first zero, not the later one
+    p = OscillatorParams(a=1.0)
+    x0, y0 = 0.29296875, 0.2890625
+    traj = simulate_discontinuous(NONLIN, p, (x0, y0), 3.0)
+    x_hit = traj.segments[0].x1
+    assert abs(flow_from(+1, x_hit, x0, y0, p)) <= 1e-12
+    assert 0.64 < x_hit < 2.0 / 3.0 and traj.events[0].x == x_hit
+    ys = [flow_from(+1, x, x0, y0, p) for x in np.linspace(x0, x_hit, 400)[:-1]]
+    assert min(ys) > 0.0
