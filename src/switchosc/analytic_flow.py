@@ -7,8 +7,13 @@ driven linear ODE.  Its zero set is governed by
 
 whose own zeros cannot be written down, but are sandwiched between the zeros
 of the two explicit comparison functions h0 (drop the decay) and hinf (drop
-the transient).  Both zero lattices are listed up to a horizon; the Poincare
-module probes the h0 lattice.
+the transient); the Poincare module probes the h0 lattice.
+
+``next_contact`` locates the first contact of the general flow from any
+start with a level y = c (the threshold c = 0 from an interior start, the
+layer boundary c = +-eps for an exterior arc).  There no probing is needed:
+the zeros of a c + sin(w pi x) separate the contacts, so that lattice
+brackets the first one.
 
 ``h_array`` and ``flow_from_array`` evaluate h and the general flow on arrays
 in the scalar operation order; ``flow_solution`` takes a float or an array,
@@ -20,10 +25,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .core import (
     DomainError,
     OscillatorParams,
+    SolverError,
     cospi,
     cospi_array,
     omega,
@@ -100,6 +107,42 @@ def flow_solution(sign: int, x: "float | np.ndarray", x_i: float,
     return h(sign, x - x_i, x_i, params) / flow_scale(sign, params)
 
 
+def next_contact(sign: int, x0: float, y0: float, level: float,
+                 params: OscillatorParams) -> float:
+    """First x > x0 at which the flow from (x0, y0) in S_sign reaches y = level.
+
+    d/dx (e^(a x) (y - level)) = -e^(a x) (a level + sin(w pi x)), so the
+    zeros of a level + sin(w pi x) separate the contacts: each cell of that
+    lattice holds at most one.  One ``flow_from_array`` call on the lattice
+    brackets the first contact and ``brentq`` polishes it.  The lattice runs
+    to the horizon x0 + 8/w + max(0, ln(|y0|/amp)/a); a contact past it, which
+    a transient y0 - y_p(x0) larger than |y0| can cause, raises SolverError.
+    A start on the level (a layer exit, a fold) skips the cell that begins at
+    x0, which holds no other contact; a flow that crosses the level in that
+    cell enters the other side at once and is rejected.
+    """
+    w = omega(sign)
+    a = params.a
+    amp = 1.0 / math.hypot(w * math.pi, a)
+    horizon = x0 + 8.0 / w + math.log(max(abs(y0) / amp, 1.0)) / a
+    s = math.asin(-a * level) / math.pi  # |a level| <= a eps < 1
+    k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * horizon / 2.0) + 1)
+    lattice = np.sort(np.concatenate(((s + k) / w, (1.0 - s + k) / w)))
+    # a lattice point within rounding of x0 is x0 itself (a fold start)
+    lattice = lattice[(lattice > x0 + 1e-12 * max(1.0, abs(x0))) & (lattice < horizon)]
+    xs = np.append(lattice, horizon)
+    inside = np.flatnonzero(sign * (flow_from_array(sign, xs, x0, y0, params) - level) <= 0.0)
+    if not inside.size:
+        raise SolverError(f"no contact with y = {level!r} from ({x0!r}, {y0!r}) "
+                          f"before x = {horizon!r}")
+    j = inside[0]
+    g = lambda x: flow_from(sign, x, x0, y0, params) - level
+    if j == 0 and (y0 == level or not sign * g(x0) > 0.0):
+        raise DomainError(f"the flow from ({x0!r}, {y0!r}) on y = {level!r} leaves "
+                          f"S_{sign:+d} at once")
+    return brentq(g, xs[j - 1] if j else x0, xs[j], xtol=1e-14)
+
+
 def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     """Crossing function; its first positive zero is the next threshold contact."""
     if xbar < 0.0:
@@ -144,15 +187,6 @@ def h0_zeros(sign: int, x_i: float, params: OscillatorParams,
     phi = phase_lag(sign, params)
     start_b = 1.0 / w + 2.0 * phi / (w * math.pi) - 2.0 * math.fmod(x_i, 2.0 / w)
     return sorted(_lattice(0.0, 2.0 / w, horizon) + _lattice(start_b, 2.0 / w, horizon))
-
-
-def hinf_zeros(sign: int, x_i: float, params: OscillatorParams,
-               horizon: float) -> list[float]:
-    """Sorted zeros in [0, horizon] of hinf = -sin(w pi xbar + varphi): pitch 1/w."""
-    w = omega(sign)
-    phi = phase_lag(sign, params)
-    start = phi / (w * math.pi) - math.fmod(x_i, 1.0 / w)
-    return _lattice(start, 1.0 / w, horizon)
 
 
 def p0_map(sign: int, x_i: float) -> float:

@@ -306,7 +306,7 @@ class Trajectory:
 
     def validate(self) -> None:
         """Check from the stored ends that segments run forward and abut; raises
-        SolverError."""
+        SolverError.  Both engines call it on every trajectory they return."""
         for seg in self.segments:
             if not seg.x0 <= seg.x1:
                 raise SolverError(f"segment runs backwards: x0={seg.x0!r} > x1={seg.x1!r}")

@@ -9,8 +9,9 @@ the strip the dynamics is the stiff scalar ODE
 integrated by the in-house Radau IIA kernel of ``switchosc.radau`` (order 5,
 scalar Newton, embedded error estimate, stop levels on v located exactly);
 outside it psi is saturated, so the exterior flow is the closed form of the
-half-plane system and no numerical integration is used there.  scipy's Radau
-serves only as a test oracle for the kernel.
+half-plane system and no numerical integration is used there: an exterior arc
+ends where ``analytic_flow.next_contact`` finds it back on y = +-eps.  scipy's
+Radau serves only as a test oracle for the kernel.
 
 A run is a ``core.Trajectory`` in (x, v): each layer arc keeps the kernel's
 dense output (the step's cubic in numpy) as its evaluator and each exterior
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     DomainError,
@@ -49,7 +49,8 @@ from .core import (
     forcing_dlam,
     omega,
 )
-from .analytic_flow import flow_from, flow_from_array, flow_from_deriv
+# flow_from stays bound here: the benchmark's tracer patches it by name
+from .analytic_flow import flow_from, flow_from_array, flow_from_deriv, next_contact
 from .radau import solve_ivp
 from .sliding import _linear_branch, _nonlinear_branch
 
@@ -167,28 +168,8 @@ RegTrajectory = Trajectory
 
 def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> float:
     """Next x > x0 where the exterior flow from (x0, eps*v0) re-reaches y = side*eps."""
-    w = omega(side)
-    a = params.a
     e = params.epsilon
-    y0 = e * v0
-    target = side * e
-    g = lambda x: flow_from(side, x, x0, y0, params) - target
-    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * a))
-    amp = 1.0 / math.hypot(w * math.pi, a)
-    horizon = x0 + 8.0 / w + (math.log(max(abs(y0) / amp, 1.0)) / a if a > 0 else 0.0)
-    # off the boundary g(x0) != 0, so a return within the first step is seen
-    t = x0 if abs(v0) > 1.0 else x0 + step
-    gp = g(t)
-    if gp == 0.0:
-        return t
-    t2 = t
-    while t2 < horizon:
-        t2 = t + step
-        g2 = g(t2)
-        if (g2 > 0.0) != (gp > 0.0):
-            return brentq(g, t, t2, xtol=1e-14)
-        t, gp = t2, g2
-    raise SolverError(f"no exterior return to the layer from ({x0}, v={v0})")
+    return next_contact(side, x0, e * v0, side * e, params)
 
 
 def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
@@ -206,6 +187,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     map).  ``with_sensitivity`` also accumulates J = d/dv (dv/dx) along the
     path (a quadrature in the kernel, which leaves the steps unchanged),
     yielding the log-derivative of the flow map for contraction estimates.
+    The returned trajectory has passed ``Trajectory.validate``.
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized simulation needs epsilon > 0")
@@ -281,6 +263,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             f"{traj.events[-3:]}")
     if with_sensitivity:
         traj.log_sensitivity = log_sens
+    traj.validate()
     return traj
 
 

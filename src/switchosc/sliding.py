@@ -14,7 +14,9 @@ the validating oracle for this rule.
 The hybrid simulator stores each arc as a closed-form segment of a
 ``core.Trajectory``: the threshold-leaving solution ``flow_solution``, the
 general ``flow_from_array`` from an interior start, or zero on a slide.
-Samples are tabulated only when read.
+Samples are tabulated only when read.  Arcs from the threshold end at
+``poincare.next_crossing``; an arc from an interior start ends at
+``analytic_flow.next_contact`` with the level y = 0.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (
     DomainError,
@@ -39,10 +40,10 @@ from .core import (
     cospi,
     forcing,
     forcing_dlam,
-    omega,
     sinpi,
 )
-from .analytic_flow import flow_from, flow_from_array, flow_solution
+# flow_from stays bound here: the benchmark's tracer patches it by name
+from .analytic_flow import flow_from, flow_from_array, flow_solution, next_contact
 from .poincare import _departure_ok, next_crossing
 
 Y_ZERO_TOL = 1e-12
@@ -197,43 +198,6 @@ def _departure_side(x: float) -> int:
     return +1 if ok_p else -1
 
 
-def _first_hit_from_interior(sign: int, x0: float, y0: float,
-                             params: OscillatorParams) -> float:
-    """First y = 0 contact of the general half-plane flow from (x0, y0 != 0).
-
-    A probe scan brackets the first sign change.  A dip through y = 0 and
-    back between two probes is caught on the lattice k/w before that point:
-    d/dx (e^(a x) y) = -e^(a x) sin(w pi x), so a zero of sin(w pi x) lies
-    strictly between any two zeros of y, and each lattice cell holds at
-    most one zero.
-    """
-    w = omega(sign)
-    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
-    g = lambda x: flow_from(sign, x, x0, y0, params)
-    amp = 1.0 / math.hypot(w * math.pi, params.a)
-    horizon = x0 + 6.0 / w + (
-        0.0 if abs(y0) <= amp else math.log(abs(y0) / amp) / params.a
-    )
-    t, gp, hit = x0, y0, None
-    while hit is None and t < horizon:
-        t2 = t + step
-        g2 = g(t2)
-        if gp != 0.0 and (g2 > 0.0) != (gp > 0.0):
-            hit = brentq(g, t, t2, xtol=1e-13)
-        elif g2 == 0.0:
-            hit = t2
-        t, gp = t2, g2
-    reach = horizon if hit is None else hit
-    lattice = np.arange(math.floor(w * x0) + 1, math.ceil(w * reach)) / w
-    dips = np.flatnonzero(sign * flow_from_array(sign, lattice, x0, y0, params) < 0.0)
-    if dips.size:
-        j = dips[0]
-        return brentq(g, lattice[j - 1] if j else x0, lattice[j], xtol=1e-13)
-    if hit is None:
-        raise SolverError(f"no threshold contact located from ({x0}, {y0})")
-    return hit
-
-
 def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                            initial: "HybridState | tuple[float, float]",
                            x_end: float, tol: float = 1e-12) -> Trajectory:
@@ -284,7 +248,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                 arc = partial(flow_solution, side, x_i=x, params=params)
             else:
                 y0, side = payload, (1 if payload > 0.0 else -1)
-                x_hit = _first_hit_from_interior(side, x, y0, params)
+                x_hit = next_contact(side, x, y0, 0.0, params)
                 arc = partial(flow_from_array, side, x0=x, y0=y0, params=params)
             cut = x_hit > x_end
             traj.segments.append(TrajectorySegment(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from switchosc.analytic_flow import (
     flow_from,
@@ -10,12 +11,13 @@ from switchosc.analytic_flow import (
     flow_solution,
     h,
     h0_zeros,
-    hinf_zeros,
+    next_contact,
     p0_map,
     phase_lag,
     varphi_over_pi,
 )
-from switchosc.core import OscillatorParams, omega, sinpi
+from switchosc.core import OscillatorError, OscillatorParams, SolverError, omega, sinpi
+from switchosc.regularization import fold_points
 
 
 def eq14_reference(sign: int, x: float, x_i: float, params: OscillatorParams) -> float:
@@ -124,17 +126,6 @@ def test_h0_zeros_contain_period_lattice_and_are_roots():
         assert sinpi(vq) - sinpi(1.5 * z + vq) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_hinf_zeros_large_a_limit():
-    # as a -> infinity the first nondegenerate zero from x_i = 10/3 tends to 2/3
-    p = OscillatorParams(a=1e6)
-    zs = hinf_zeros(+1, 10.0 / 3.0, p, 2.0)[:3]
-    assert zs[0] == pytest.approx(0.0, abs=1e-5)
-    assert zs[1] == pytest.approx(2.0 / 3.0, abs=1e-5)
-    vq = varphi_over_pi(+1, 10.0 / 3.0, p)
-    for z in zs:
-        assert sinpi(1.5 * z + vq) == pytest.approx(0.0, abs=1e-9)
-
-
 def test_zero_lattices_are_sorted():
     p = OscillatorParams(a=0.5)
     zs = h0_zeros(-1, 7.7, p, 400.0)[:200]
@@ -174,3 +165,109 @@ def test_p0_map_values():
         x1 = p0_map(-1, float(x))
         assert x1 == pytest.approx(4.0 - float(x), abs=1e-12)
         assert p0_map(+1, x1) == pytest.approx(4.0 + float(x), abs=1e-12)
+
+
+def ivp_contact(sign, x0, y0, level, a):
+    """First crossing of y = level by y' = -a y - sin(w pi x) out of S_sign, by solve_ivp.
+
+    A terminal event stops the run at the first crossing seen at a step end.
+    A dip through the level and back inside one step shows only at its turning
+    point (a second event, on y' = 0): the crossing then lies between that
+    turn and the one before, where y is monotone, and the dense output gives it.
+    """
+    w = omega(sign)
+    rhs = lambda x, y: [-a * y[0] - math.sin(w * math.pi * x)]
+    # a start on the level is no contact: the event counts crossings after it
+    hit = lambda x, y: y[0] - level if x > x0 else float(sign)
+    hit.terminal, hit.direction = True, -sign
+    # past this the transient is below half the forced amplitude
+    span = 16.0 / w + math.log(1.0 + 2.0 * abs(y0) * math.hypot(w * math.pi, a)) / a
+    sol = solve_ivp(rhs, (x0, x0 + span), [y0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    events=[hit, lambda x, y: rhs(x, y)[0]], dense_output=True,
+                    max_step=0.25 / w)
+    assert sol.status == 1, (sign, x0, y0, level, a)
+    lo = x0
+    for xt, (yt,) in zip(sol.t_events[1], sol.y_events[1]):
+        if sign * (yt - level) < 0.0:
+            return brentq(lambda x: sol.sol(x)[0] - level, lo, xt, xtol=1e-14)
+        lo = xt
+    return float(sol.t_events[0][0])
+
+
+def horizon(sign, x0, y0, a):
+    """The finder's horizon x0 + 8/w + max(0, ln(|y0|/amp)/a)."""
+    w = omega(sign)
+    amp = 1.0 / math.hypot(w * math.pi, a)
+    return x0 + 8.0 / w + max(0.0, math.log(abs(y0) / amp) / a)
+
+
+def check_contact(sign, x0, y0, level, p):
+    want = ivp_contact(sign, x0, y0, level, p.a)
+    if want > horizon(sign, x0, y0, p.a):
+        # the horizon is sized from |y0|, not from |y0 - y_p(x0)|: a contact
+        # past it is reported as missing, never as a later one
+        with pytest.raises(SolverError, match="no contact"):
+            next_contact(sign, x0, y0, level, p)
+        return 0
+    got = next_contact(sign, x0, y0, level, p)
+    assert got > x0 and got == pytest.approx(want, rel=0.0, abs=1e-9), (x0, y0, level, p)
+    return 1
+
+
+def _draw(rng):
+    p = OscillatorParams(a=float(10.0 ** rng.uniform(-3.0, 1.0)),
+                         epsilon=float(10.0 ** rng.uniform(-3.0, -2.0)))
+    return p, float(rng.uniform(0.0, 200.0))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_next_contact_from_interior_and_off_boundary_starts(sign):
+    # an interior start at small a may run for hundreds of periods before its
+    # contact, and the oracle follows each of them, so it is drawn less often
+    rng = np.random.default_rng(11 + sign)
+    located = 0
+    for k in range(30):
+        p, x0 = _draw(rng)
+        if k % 3 == 0:
+            located += check_contact(sign, x0, sign * float(rng.uniform(1e-3, 1.0)), 0.0, p)
+        e = p.epsilon
+        located += check_contact(sign, x0, sign * e * float(rng.uniform(1.0 + 1e-6, 1.5)),
+                                 sign * e, p)
+    assert located >= 30
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_next_contact_from_boundary_starts(sign):
+    # on y = sign*eps the flow either leaves the strip (a contact follows) or
+    # enters it at once, which is rejected
+    rng = np.random.default_rng(21 + sign)
+    entering = 0
+    for _ in range(40):
+        p, x0 = _draw(rng)
+        level = sign * p.epsilon
+        if sign * (p.a * level + math.sin(omega(sign) * math.pi * x0)) < 0.0:
+            check_contact(sign, x0, level, level, p)
+        else:
+            entering += 1
+            with pytest.raises(OscillatorError, match="at once"):
+                next_contact(sign, x0, level, level, p)
+    assert 10 <= entering <= 30
+
+
+@pytest.mark.parametrize("sign,parity", [(-1, 0), (1, 1)])
+def test_next_contact_from_outward_and_inward_folds(sign, parity):
+    # at fold_points(sign, n) the field is tangent to y = sign*eps; the fold
+    # is outward for even n on side -1 (as v_r_reference starts) and for odd
+    # n on side +1, inward for the other parity.  A start just before an
+    # inward fold leaves the strip and is back just after the fold.
+    rng = np.random.default_rng(31 + sign)
+    for _ in range(40):
+        p, _x = _draw(rng)
+        n = 2 * int(rng.integers(0, 100 if sign < 0 else 300) // 2) + parity
+        level = sign * p.epsilon
+        check_contact(sign, fold_points(sign, n, p), level, level, p)
+        inward = fold_points(sign, n + 1, p)
+        with pytest.raises(OscillatorError, match="at once"):
+            next_contact(sign, inward, level, level, p)
+        eta = float(10.0 ** rng.uniform(-6.0, -1.0)) / omega(sign)
+        check_contact(sign, inward - eta, level, level, p)

@@ -377,7 +377,7 @@ def test_funnel_windows_capture_onto_branch_2n():
 
 def test_exterior_return_inside_the_first_probe_step():
     # a start just above the layer on a falling phase returns to it within
-    # one probe step of _ext_return; the run must follow the full ODE there
+    # 0.06; the run must follow the full ODE there
     p = OscillatorParams(a=0.01, epsilon=2.5e-3)
     x0, v0 = 13.900927392651871, 1.0861487030897792
     traj = simulate_regularized(NONLIN, p, x0, v0, 20.0)
