@@ -16,8 +16,9 @@ the zeros of a c + sin(w pi x) separate the contacts, so that lattice
 brackets the first one.
 
 ``h_array`` and ``flow_from_array`` evaluate h and the general flow on arrays
-in the scalar operation order; ``flow_solution`` takes a float or an array,
-so a sampled arc is one call.
+in the scalar operation order; ``h_array`` also takes an array of departures,
+one row each.  ``flow_solution`` takes a float or an array, so a sampled arc is
+one call, and ``h0_zeros`` takes a float or an array of departures.
 """
 
 from __future__ import annotations
@@ -152,14 +153,22 @@ def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     return math.exp(-params.a * xbar) * sinpi(vq) - sinpi(w * xbar + vq)
 
 
-def h_array(sign: int, xbar: np.ndarray, x_i: float,
+def h_array(sign: int, xbar: np.ndarray, x_i: "float | np.ndarray",
             params: OscillatorParams) -> np.ndarray:
-    """``h`` on an array of xbar, in the same operation order."""
-    if np.any(xbar < 0.0):
+    """``h`` on an array of xbar, in the same operation order.
+
+    An array of departures x_i takes one row of xbar each.
+    """
+    if (xbar < 0.0).any():
         raise DomainError(f"xbar must be >= 0, got min {np.min(xbar)}")
     w = omega(sign)
-    vq = varphi_over_pi(sign, x_i, params)
-    return np.exp(-params.a * xbar) * sinpi(vq) - sinpi_array(w * xbar + vq)
+    if isinstance(x_i, np.ndarray):
+        vq = np.array([[varphi_over_pi(sign, x, params)] for x in x_i.tolist()])
+        s = np.array([[sinpi(v)] for v in vq[:, 0].tolist()])
+    else:
+        vq = varphi_over_pi(sign, x_i, params)
+        s = sinpi(vq)
+    return np.exp(-params.a * xbar) * s - sinpi_array(w * xbar + vq)
 
 
 def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
@@ -171,22 +180,26 @@ def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> flo
     )
 
 
-def _lattice(start: float, step: float, horizon: float) -> list[float]:
-    """The points start + k*step, k = 0, 1, ..., that lie in [0, horizon]."""
-    n = max(0, math.floor((horizon - start) / step) + 2)
-    return [v for v in (start + k * step for k in range(n)) if 0.0 <= v <= horizon]
+def h0_zeros(sign: int, x_i: "float | np.ndarray", params: OscillatorParams,
+             horizon: float) -> "list[float] | np.ndarray":
+    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi) up to the horizon.
 
-
-def h0_zeros(sign: int, x_i: float, params: OscillatorParams,
-             horizon: float) -> list[float]:
-    """Sorted zeros in [0, horizon] of h0 = sin(varphi) - sin(w pi xbar + varphi).
-
-    Two interleaved lattices: xbar = 2n/w, and xbar = (2n+1)/w + 2 phi/(w pi) - 2 x_i.
+    Two interleaved lattices: xbar = 2k/w, and xbar = start + 2k/w with
+    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  A float x_i gives the
+    zeros in [0, horizon] as a sorted list.  An array of departures gives one
+    row each, the two lattices for k = 0, 1, ... until both pass the horizon;
+    the caller cuts them to its range.
     """
     w = omega(sign)
-    phi = phase_lag(sign, params)
-    start_b = 1.0 / w + 2.0 * phi / (w * math.pi) - 2.0 * math.fmod(x_i, 2.0 / w)
-    return sorted(_lattice(0.0, 2.0 / w, horizon) + _lattice(start_b, 2.0 / w, horizon))
+    period = 2.0 / w
+    start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * np.fmod(x_i, period)
+    k = np.arange(math.floor((horizon - min(0.0, start.min())) / period) + 2) * period
+    zs = np.empty(start.shape + (2 * k.size,))
+    zs[..., :k.size] = k
+    zs[..., k.size:] = start[..., None] + k
+    if isinstance(x_i, np.ndarray):
+        return zs
+    return sorted(zs[(zs >= 0.0) & (zs <= horizon)].tolist())
 
 
 def p0_map(sign: int, x_i: float) -> float:

@@ -205,21 +205,19 @@ def cmd_map(args) -> int:
     discontinuous = OscillatorParams(a=params.a)
     out = _out_dir(args)
     path = out / "maps.csv"
+    # a departure either map rejects leaves both columns nan
+    pc = poincare.composite_map_array(xs, params.a)
+    pm = np.where(np.isnan(pc), np.nan, poincare.next_crossing_array(-1, xs, discontinuous))
     with open(path, "w", newline="\n") as fh:
         fh.write("x,p_minus,p_composite,p_eps\n")
-        for x in xs:
-            try:
-                pm = poincare.next_crossing(-1, float(x), discontinuous).x_next
-                pc = poincare.composite_map(float(x), params.a)
-            except OscillatorError:
-                pm = pc = float("nan")
+        for x, x_minus, x_comp in zip(xs, pm.tolist(), pc.tolist()):
             pe = float("nan")
             if params.epsilon > 0.0:
                 try:
                     pe = regularized_poincare_linear(float(x), params)
                 except OscillatorError:
                     pass
-            fh.write(f"{_g(float(x))},{_g(pm)},{_g(pc)},{_g(pe)}\n")
+            fh.write(f"{_g(float(x))},{_g(x_minus)},{_g(x_comp)},{_g(pe)}\n")
     print(f"wrote {path}")
     return 0
 

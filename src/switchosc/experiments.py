@@ -241,8 +241,10 @@ def _run_a0_limit(sc: Scenario) -> dict:
     a = sc.params["a"]
     n = sc.spec.get("samples", 50)
     xs = np.linspace(0.02, 2.0 / 3.0 - 0.02, n)
-    devs = [abs(poincare.composite_map(float(x), a) - (x + 4.0)) for x in xs]
-    return {"max_deviation": float(max(devs)), "samples": n}
+    lands = poincare.composite_map_array(xs, a)
+    for x in xs[np.isnan(lands)].tolist():
+        poincare.composite_map(x, a)  # raises the error the array form turned into nan
+    return {"max_deviation": float(np.max(np.abs(lands - (xs + 4.0)))), "samples": n}
 
 
 def _run_interval_confinement(sc: Scenario) -> dict:

@@ -4,9 +4,20 @@ The next threshold contact after a departure at (x_i, 0) is the first positive
 zero of the crossing function h.  h has a trivial zero at 0 (double when the
 departure is tangent), so the solver never probes near 0.  Its probes are a
 grid whose step resolves both the oscillation (1/(8w)) and the decay (1/(4a)),
-merged with the zeros of the comparison function h0; the hinf lattice is not
-probed.  h is evaluated on all probes in one array call, and the first sign
-change is polished with a bracketed root finder on the scalar h.
+and the zeros of the comparison function h0: the lattice 2k/w and its shift by
+a start that depends on x_i.  The hinf lattice is not probed.  h is evaluated
+on all probes in one array call.  The probes stay unsorted: the bracket's
+upper end is the smallest probe at which h has left the sign of y, its lower
+end the largest probe below that (or 0).  brentq polishes it on h, with the
+phase of x_i computed once.
+
+``next_crossing`` takes one departure and reports the bracket and the
+iterations; the sequential hybrid engine uses it.  ``next_crossing_array``
+takes a 1-D array of independent departures, brackets them all in one h
+evaluation and returns each x_next, nan where the scalar form raises.  The two
+share the probes, the departure test and the polish, so their crossings are
+bit-identical.  The period-4 scan, the margin table, the a -> 0 scenario and
+the map table use the array form.
 """
 
 from __future__ import annotations
@@ -28,10 +39,16 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import h, h0_zeros, h_array, h_dxbar
+from .analytic_flow import h0_zeros, h_array, h_dxbar, varphi_over_pi
+# h stays bound here, unused: the benchmark's tracer patches it by name
+from .analytic_flow import h  # noqa: F401
 
 GRAZING_DERIV_TOL = 1e-8
 BRACKET_WIDTH = 1e-13
+#: Scan horizon of a departure, in units of 1/w.
+HORIZON = 6.0
+#: Departures bracketed in one pass of ``next_crossing_array``; bounds its memory.
+ROWS_PER_PASS = 1024
 
 #: Window of crossing departures into S_- for the composite map (mod 4).
 I_MINUS = (0.0, 2.0 / 3.0)
@@ -66,50 +83,56 @@ def _departure_ok(sign: int, x_i: float) -> bool:
     return sign * dy > 0.0
 
 
-def _probe_points(sign: int, x_i: float, params: OscillatorParams,
-                  horizon: float) -> np.ndarray:
-    """Sorted scan abscissae in (floor, horizon]: the uniform grid and the h0 zeros."""
-    w = omega(sign)
-    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
-    floor = min(step * 1e-3, 1e-4)
-    uniform = np.arange(1, math.floor(horizon / step) + 2) * step
-    # a zero that is also a grid point k*step is probed once
-    extra = [t for t in set(h0_zeros(sign, x_i, params, horizon))
-             if t > floor and round(t / step) * step != t]
-    pts = np.concatenate((uniform[uniform <= horizon], extra))
-    pts.sort()
-    return pts
+def _probes(sign: int, x_i: "float | np.ndarray",
+            params: OscillatorParams) -> np.ndarray:
+    """Scan abscissae xbar, unsorted, nan outside (floor, horizon].
 
-
-def next_crossing(sign: int, x_i: float, params: OscillatorParams,
-                  tol: float = 1e-12) -> PoincareResult:
-    """First return to y = 0 of the flow leaving (x_i, 0) into S_sign.
-
-    Raises DomainError when the field at x_i does not allow that departure and
-    SolverError when no sign change appears within the horizon 6/w (which
-    cannot happen for a > 0).
+    The uniform grid, whose step resolves both the oscillation (1/(8w)) and the
+    decay (1/(4a)), then the zeros of the comparison function h0.  An array of
+    departures gives one row each.
     """
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-    if not _departure_ok(sign, x_i):
-        raise DomainError(
-            f"departure into S_{'+' if sign > 0 else '-'} at x={x_i} is inconsistent "
-            "with the field direction"
-        )
-    horizon = 6.0 / omega(sign)
-    f = lambda u: h(sign, u, x_i, params)
-    pts = _probe_points(sign, x_i, params, horizon)
-    vals = h_array(sign, pts, x_i, params)
+    w = omega(sign)
+    horizon = HORIZON / w
+    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
+    uniform = np.arange(1, math.floor(horizon / step) + 2) * step
+    zeros = h0_zeros(sign, np.asarray(x_i), params, horizon)
+    t = np.empty(zeros.shape[:-1] + (uniform.size + zeros.shape[-1],))
+    t[..., :uniform.size] = uniform
+    t[..., uniform.size:] = zeros
+    t[(t <= min(step * 1e-3, 1e-4)) | (t > horizon)] = np.nan
+    return t
+
+
+def _brackets(sign: int, x_i: "float | np.ndarray", params: OscillatorParams):
+    """The probe bracket (lo, hi] of the first zero of h from each departure.
+
+    hi is the smallest probe at which h has left the sign of y (inf when there
+    is none) and lo the largest probe below it, or 0.0; the third value says
+    whether h(hi) == 0 where hi is finite.  All departures take one
+    ``h_array`` evaluation, in which the nan probes never hit.
+    """
+    t = _probes(sign, x_i, params)
+    vals = h_array(sign, t, x_i, params)
     # h carries the sign of y, which is `sign` until the first zero
     hit = vals <= 0.0 if sign > 0 else vals >= 0.0
-    i = int(hit.argmax())
-    if not hit[i]:
-        raise SolverError(
-            f"no crossing located within horizon {horizon} from x_i={x_i} "
-            f"(sign={sign}, a={params.a})"
-        )
-    lo, hi = (float(pts[i - 1]) if i else 0.0), float(pts[i])
-    if vals[i] == 0.0:
+    hi = np.minimum.reduce(t, axis=-1, where=hit, initial=np.inf)
+    lo = np.maximum.reduce(t, axis=-1, where=t < hi[..., None], initial=0.0)
+    exact = np.minimum.reduce(t, axis=-1, where=vals == 0.0, initial=np.inf) == hi
+    return lo, hi, exact
+
+
+def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: float,
+            exact: bool, tol: float) -> tuple[float, float, int]:
+    """The root of h(., x_i) in [lo, hi], its residual and brentq's iterations.
+
+    The callback is h with the phase of x_i computed once.  Raises SolverError
+    when the residual exceeds tol.
+    """
+    w, a = omega(sign), params.a
+    vq = varphi_over_pi(sign, x_i, params)
+    s = sinpi(vq)
+    f = lambda u: math.exp(-a * u) * s - sinpi(w * u + vq)
+    if exact:
         root, iters = hi, 0
     else:
         root, info = brentq(f, lo, hi, xtol=BRACKET_WIDTH / 2, full_output=True)
@@ -121,6 +144,50 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
         # bracket has collapsed below 1e-13; a residual above tol means the
         # slope is enormous, not that the root is wrong, but report it anyway
         raise SolverError(f"crossing residual {residual} exceeds tol {tol}")
+    return root, residual, iters
+
+
+def _check_sign(sign: int) -> None:
+    if sign not in (-1, 1):
+        raise DomainError(f"sign must be +-1, got {sign}")
+
+
+def _departures(x_i) -> np.ndarray:
+    """x_i as a 1-D float array; DomainError unless every entry is finite."""
+    x_i = np.asarray(x_i, dtype=float)
+    if x_i.ndim != 1:
+        raise DomainError(f"departures must form a 1-D array, got shape {x_i.shape}")
+    bad = np.flatnonzero(~np.isfinite(x_i))
+    if bad.size:
+        raise DomainError(f"departures must be finite, got x_i[{bad[0]}] = {x_i[bad[0]]}")
+    return x_i
+
+
+def next_crossing(sign: int, x_i: float, params: OscillatorParams,
+                  tol: float = 1e-12) -> PoincareResult:
+    """First return to y = 0 of the flow leaving (x_i, 0) into S_sign.
+
+    Raises DomainError for a non-finite x_i or when the field at x_i does not
+    allow that departure, and SolverError when no sign change appears within
+    the horizon 6/w (which cannot happen for a > 0).  ``next_crossing_array``
+    takes many departures.
+    """
+    _check_sign(sign)
+    if not math.isfinite(x_i):
+        raise DomainError(f"departure must be finite, got x_i={x_i}")
+    if not _departure_ok(sign, x_i):
+        raise DomainError(
+            f"departure into S_{'+' if sign > 0 else '-'} at x={x_i} is inconsistent "
+            "with the field direction"
+        )
+    lo, hi, exact = _brackets(sign, x_i, params)
+    if hi == math.inf:
+        raise SolverError(
+            f"no crossing located within horizon {HORIZON / omega(sign)} from x_i={x_i} "
+            f"(sign={sign}, a={params.a})"
+        )
+    lo, hi = float(lo), float(hi)
+    root, residual, iters = _polish(sign, x_i, params, lo, hi, exact, tol)
     grazing = abs(h_dxbar(sign, root, x_i, params)) < GRAZING_DERIV_TOL
     return PoincareResult(
         x_next=x_i + root,
@@ -133,14 +200,57 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
     )
 
 
+def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams,
+                        tol: float = 1e-12) -> np.ndarray:
+    """``next_crossing``'s x_next for a 1-D array of independent departures.
+
+    A row is nan where ``next_crossing`` raises.  The rows are bracketed
+    together, ROWS_PER_PASS at a time in one h evaluation, and each is
+    polished by the scalar form's brentq, so every crossing is bit-identical
+    to it.  Raises DomainError for a sign other than +-1 or a non-finite x_i.
+    """
+    _check_sign(sign)
+    x_i = _departures(x_i)
+    xs = x_i.tolist()
+    x_next = np.full(x_i.size, np.nan)
+    rows = np.array([i for i, x in enumerate(xs) if _departure_ok(sign, x)], dtype=int)
+    for start in range(0, rows.size, ROWS_PER_PASS):
+        chunk = rows[start:start + ROWS_PER_PASS]
+        brackets = _brackets(sign, x_i[chunk], params)
+        for r, lo, hi, exact in zip(chunk.tolist(), *(v.tolist() for v in brackets)):
+            if hi == math.inf:
+                continue
+            try:
+                x_next[r] = xs[r] + _polish(sign, xs[r], params, lo, hi, exact, tol)[0]
+            except SolverError:
+                pass
+    return x_next
+
+
 def composite_map(x: float, a: float, tol: float = 1e-12) -> float:
     """P(x, a) = P_+^a(P_-^a(x)) for departures x in I_- = (0, 2/3) mod 4."""
     p = OscillatorParams(a=a)
-    frac = math.fmod(x, 4.0)
-    if not I_MINUS[0] < frac < I_MINUS[1]:
+    if not (math.isfinite(x) and I_MINUS[0] < math.fmod(x, 4.0) < I_MINUS[1]):
         raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
     x1 = next_crossing(-1, x, p, tol=tol).x_next
     return next_crossing(+1, x1, p, tol=tol).x_next
+
+
+def composite_map_array(x: np.ndarray, a: float, tol: float = 1e-12) -> np.ndarray:
+    """``composite_map`` for a 1-D array of departures: nan where it raises.
+
+    Each leg is one ``next_crossing_array`` call.  Raises DomainError for a
+    non-finite x.
+    """
+    p = OscillatorParams(a=a)
+    x = _departures(x)
+    frac = np.fmod(x, 4.0)
+    inside = np.flatnonzero((I_MINUS[0] < frac) & (frac < I_MINUS[1]))
+    x1 = next_crossing_array(-1, x[inside], p, tol=tol)
+    landed = ~np.isnan(x1)
+    x2 = np.full(x.shape, np.nan)
+    x2[inside[landed]] = next_crossing_array(+1, x1[landed], p, tol=tol)
+    return x2
 
 
 def dP_da_at_zero(x0: float) -> float:
@@ -179,22 +289,19 @@ def dP_dx(x: float, a: float) -> float:
 def find_nonsliding_period4(a: float, tol: float = 1e-12) -> tuple[float, float]:
     """Fixed point x* of P(x, a) - (x + 4) on (0, 2/3) and its multiplier.
 
-    Brackets on 64 subintervals, then refines by bisection-backed
-    root finding.  Raises NoOrbitError when no transversal fixed point exists
-    (no sign change, or an intermediate contact falls outside a crossing
-    region, which is how the orbit dies as `a` grows), SolverError on a
-    numerical failure.
+    Brackets on 64 subintervals, whose 65 ends take two
+    ``next_crossing_array`` calls (``composite_map_array``), then refines by
+    bisection-backed root finding on the scalar ``composite_map``.  Raises
+    NoOrbitError when no transversal fixed point exists (no sign change, or an
+    intermediate contact falls outside a crossing region, which is how the
+    orbit dies as `a` grows), SolverError on a numerical failure.
     """
     p = OscillatorParams(a=a)
     lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
     delta = lambda x: composite_map(x, a, tol=tol) - (x + 4.0)
-    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    vals = []
-    for x in xs:
-        try:
-            vals.append(delta(x))
-        except (DomainError, SolverError):
-            vals.append(math.nan)
+    xs = lo + (hi - lo) * np.arange(n + 1) / n
+    vals = (composite_map_array(xs, a, tol=tol) - (xs + 4.0)).tolist()
+    xs = xs.tolist()
     root = None
     for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         if math.isnan(v1) or math.isnan(v2):

@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     DomainError,
     Mode,
+    OscillatorError,
     OscillatorParams,
     SolverError,
     SwitchingModel,
@@ -44,7 +45,7 @@ from .core import (
 )
 # flow_from stays bound here: the benchmark's tracer patches it by name
 from .analytic_flow import flow_from, flow_from_array, flow_solution, next_contact
-from .poincare import _departure_ok, next_crossing
+from .poincare import _departure_ok, next_crossing, next_crossing_array
 
 Y_ZERO_TOL = 1e-12
 TANGENCY_FIELD_TOL = 1e-11
@@ -371,21 +372,35 @@ def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
 
     P_+^a(4n-2) must land strictly inside (4n-4/3, 4n-2/3) and P_-^a(4n)
     strictly inside (4n+2, 4n+4); positive margins rule out non-sliding
-    periodic orbits through the x = 2n contact lattice.
+    periodic orbits through the x = 2n contact lattice.  Each side's n_max
+    departures take one ``next_crossing_array`` call.
     """
     p = OscillatorParams(a=a)
-    rows = []
-    for n in range(1, n_max + 1):
-        xp = next_crossing(+1, 4.0 * n - 2.0, p).x_next
-        xm = next_crossing(-1, 4.0 * n, p).x_next
-        rows.append({
-            "n": n,
-            "p_plus": xp,
-            "margin_plus": min(xp - (4.0 * n - 4.0 / 3.0), (4.0 * n - 2.0 / 3.0) - xp),
-            "p_minus": xm,
-            "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
-        })
-    return rows
+    ns = np.arange(1, n_max + 1)
+    landings = zip(ns.tolist(), _margin_landings(+1, 4.0 * ns - 2.0, p),
+                   _margin_landings(-1, 4.0 * ns, p))
+    return [{
+        "n": n,
+        "p_plus": xp,
+        "margin_plus": min(xp - (4.0 * n - 4.0 / 3.0), (4.0 * n - 2.0 / 3.0) - xp),
+        "p_minus": xm,
+        "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
+    } for n, xp, xm in landings]
+
+
+def _margin_landings(sign: int, starts: np.ndarray, p: OscillatorParams) -> list[float]:
+    """Landings from the margin starts 4n - 2 or 4n, n = 1, 2, ...
+
+    A departure that ``next_crossing_array`` rejects is retried by the scalar
+    ``next_crossing``, whose error is raised with its n.
+    """
+    lands = next_crossing_array(sign, starts, p)
+    for i in np.flatnonzero(np.isnan(lands)).tolist():
+        try:
+            lands[i] = next_crossing(sign, starts[i].item(), p).x_next
+        except OscillatorError as exc:
+            raise type(exc)(f"margin row n={i + 1}: {exc}") from exc
+    return lands.tolist()
 
 
 def ageing_metrics(model: SwitchingModel,

@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from switchosc.cli import main
+from switchosc.core import OscillatorError, OscillatorParams
+from switchosc.poincare import composite_map, next_crossing
 
 
 def run(args, capsys):
@@ -75,6 +79,25 @@ def test_map_table(tmp_path, capsys):
     rows = (tmp_path / "maps.csv").read_text().splitlines()
     assert rows[0] == "x,p_minus,p_composite,p_eps"
     assert len(rows) == 4
+
+
+def test_map_rows_equal_the_scalar_maps(tmp_path, capsys):
+    # departures outside (0, 2/3) mod 4, or that either map rejects, leave
+    # both map columns nan
+    code, _, _ = run(["map", "--model", "linear", "--a", "0.01", "--grid", "0:4.6:24",
+                      "--out-dir", str(tmp_path)], capsys)
+    assert code == 0
+    rows = (tmp_path / "maps.csv").read_text().splitlines()[1:]
+    p = OscillatorParams(a=0.01)
+    nan_rows = 0
+    for row, x in zip(rows, np.linspace(0.0, 4.6, 24).tolist()):
+        try:
+            expected = (next_crossing(-1, x, p).x_next, composite_map(x, 0.01))
+        except OscillatorError:
+            expected = (math.nan, math.nan)
+            nan_rows += 1
+        assert row == f"{x:.12g},{expected[0]:.12g},{expected[1]:.12g},nan"
+    assert 0 < nan_rows < len(rows) == 24
 
 
 def test_ageing_table(tmp_path, capsys):

@@ -2,8 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from switchosc import experiments
-from switchosc.core import DomainError
+from switchosc import experiments, poincare
+from switchosc.core import DomainError, SolverError
 from switchosc.experiments import (
     TRACEABILITY,
     ivp_crossing,
@@ -30,6 +30,14 @@ def test_all_scenarios_parse_with_provenance():
 def test_unknown_scenario_rejected():
     with pytest.raises(DomainError):
         load_scenario("E99")
+
+
+def test_a0_limit_raises_a_rejected_departure_s_error(monkeypatch):
+    # a bracket width of 1e-2 leaves every polished crossing with a residual
+    # far above tol: the array form turns that into nan, the runner re-raises it
+    monkeypatch.setattr(poincare, "BRACKET_WIDTH", 1e-2)
+    with pytest.raises(SolverError, match="crossing residual"):
+        experiments._run_a0_limit(load_scenario("E3"))
 
 
 def test_ivp_oracle_agrees_with_h_machinery():

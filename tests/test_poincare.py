@@ -6,16 +6,27 @@ import pytest
 from scipy.optimize import brentq
 
 from switchosc.analytic_flow import flow_solution, h, h_dxbar, p0_map, phase_lag
-from switchosc.core import DomainError, NoOrbitError, OscillatorParams, SolverError, omega
+from switchosc import poincare
+from switchosc.core import (
+    DomainError,
+    NoOrbitError,
+    OscillatorParams,
+    Region,
+    SolverError,
+    classify_threshold_point,
+    omega,
+)
 from switchosc.poincare import (
     BRACKET_WIDTH,
     GRAZING_DERIV_TOL,
     _departure_ok,
     composite_map,
+    composite_map_array,
     dP_da_at_zero,
     dP_dx,
     find_nonsliding_period4,
     next_crossing,
+    next_crossing_array,
     solve_x0,
 )
 
@@ -214,3 +225,125 @@ def test_array_probe_matches_scalar_scan_bit_for_bit():
         assert (res.x_next, res.bracket, res.residual, res.grazing_suspect) == expected
         accepted += 1
     assert accepted > 200
+
+
+def scalar_or_nan(sign, x_i, params):
+    try:
+        return next_crossing(sign, x_i, params).x_next
+    except (DomainError, SolverError):
+        return math.nan
+
+
+def assert_same_floats(got, expected):
+    """Bit for bit, nan exactly where expected is nan."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.array_equal(got.view(np.int64)[~np.isnan(got)],
+                          expected.view(np.int64)[~np.isnan(expected)])
+
+
+def test_next_crossing_array_matches_scalar_bit_for_bit():
+    # seeded draws of the departures the callers make: contact-lattice points
+    # 2n/3 (many rejected), arbitrary points out to x = 2000, short-run
+    # points and the margin starts 4n - 2 / 4n, plus the a = 1.068 start
+    rng = np.random.default_rng(13)
+    draws = [(+1, 1.068, np.array([6.642139527593896, 10.0 / 3.0]))]
+    for _ in range(60):
+        sign = 1 if rng.uniform() < 0.5 else -1
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        n = rng.integers(1, 500, size=8)
+        x_i = np.concatenate((2.0 * rng.integers(0, 3000, size=10) / 3.0,
+                              rng.uniform(0.0, 2000.0, size=10),
+                              rng.uniform(0.0, 20.0, size=10),
+                              4.0 * n - 2.0 if sign > 0 else 4.0 * n))
+        draws.append((sign, a, x_i))
+    accepted = rejected = 0
+    for sign, a, x_i in draws:
+        p = OscillatorParams(a=a)
+        expected = [scalar_or_nan(sign, x, p) for x in x_i.tolist()]
+        assert_same_floats(next_crossing_array(sign, x_i, p), expected)
+        accepted += int(np.sum(~np.isnan(expected)))
+        rejected += int(np.sum(np.isnan(expected)))
+    assert accepted > 1000 and rejected > 100
+
+
+def test_next_crossing_array_passes_in_several_rounds(monkeypatch):
+    p = OscillatorParams(a=0.3)
+    x_i = np.linspace(0.0, 40.0, 23)
+    whole = next_crossing_array(-1, x_i, p)
+    monkeypatch.setattr(poincare, "ROWS_PER_PASS", 4)
+    assert_same_floats(next_crossing_array(-1, x_i, p), whole)
+    assert next_crossing_array(+1, np.array([]), p).shape == (0,)
+
+
+@pytest.mark.parametrize("sign, x_i", [
+    (0, [0.5]), (2, [0.5]), (-1, [0.5, math.nan]), (+1, [math.inf]),
+    (-1, [[0.5]]),
+])
+def test_next_crossing_array_rejects_bad_input_at_entry(sign, x_i):
+    with pytest.raises(DomainError):
+        next_crossing_array(sign, np.array(x_i), OscillatorParams(a=0.5))
+    if sign in (-1, 1):
+        with pytest.raises(DomainError):
+            composite_map_array(np.array(x_i), 0.5)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_scalar_maps_reject_a_non_finite_departure(x):
+    # an infinite departure used to end in math.fmod's bare ValueError
+    for sign in (-1, 1):
+        with pytest.raises(DomainError, match="finite"):
+            next_crossing(sign, x, OscillatorParams(a=0.5))
+    with pytest.raises(DomainError):
+        composite_map(x, 0.5)
+
+
+def scalar_period4_scan(a, tol=1e-12):
+    """Oracle: find_nonsliding_period4 with its scan made of scalar composite_map calls."""
+    lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
+    delta = lambda x: composite_map(x, a, tol=tol) - (x + 4.0)
+    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    vals = []
+    for x in xs:
+        try:
+            vals.append(delta(x))
+        except (DomainError, SolverError):
+            vals.append(math.nan)
+    for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
+        if math.isnan(v1) or math.isnan(v2):
+            continue
+        if v1 == 0.0:
+            root = x1
+            break
+        if (v1 > 0.0) != (v2 > 0.0):
+            root = brentq(delta, x1, x2, xtol=1e-12)
+            break
+    else:
+        return "no orbit"
+    mid = next_crossing(-1, root, OscillatorParams(a=a)).x_next
+    if any(classify_threshold_point(c) is not Region.CROSSING
+           for c in (mid, composite_map(root, a))):
+        return "no orbit"
+    return root, dP_dx(root, a)
+
+
+@pytest.mark.parametrize("a", np.geomspace(1e-3, 0.02, 6).tolist() + [0.5, 10.0])
+def test_period4_scan_matches_scalar_scan_bit_for_bit(a):
+    expected = scalar_period4_scan(a)
+    if expected == "no orbit":
+        with pytest.raises(NoOrbitError):
+            find_nonsliding_period4(a)
+    else:
+        assert find_nonsliding_period4(a) == expected
+
+
+def test_composite_map_array_matches_scalar():
+    x = np.concatenate((np.linspace(-1.0, 9.0, 41), [0.01, 4.3, 0.6655]))
+    for a in (0.01, 1.068, 3.0):
+        expected = []
+        for v in x.tolist():
+            try:
+                expected.append(composite_map(v, a))
+            except (DomainError, SolverError):
+                expected.append(math.nan)
+        assert_same_floats(composite_map_array(x, a), expected)

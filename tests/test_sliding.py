@@ -9,10 +9,12 @@ from switchosc.core import (
     HybridState,
     Mode,
     OscillatorParams,
+    SolverError,
     SwitchingModel,
     forcing,
 )
-from switchosc.poincare import find_nonsliding_period4
+from switchosc import poincare
+from switchosc.poincare import find_nonsliding_period4, next_crossing
 from switchosc.sliding import (
     ageing_metrics,
     branches_at,
@@ -232,6 +234,36 @@ def test_no_nonsliding_periodic_nonlinear_margins(a):
         n = r["n"]
         assert 4.0 * n - 4.0 / 3.0 < r["p_plus"] < 4.0 * n - 2.0 / 3.0
         assert 4.0 * n + 2.0 < r["p_minus"] < 4.0 * n + 4.0
+
+
+@pytest.mark.parametrize("a", np.geomspace(1e-3, 10.0, 7).tolist())
+def test_margin_rows_equal_scalar_rows(a):
+    # oracle: the rows built one scalar next_crossing per departure
+    p = OscillatorParams(a=a)
+    expected = []
+    for n in range(1, 13):
+        xp = next_crossing(+1, 4.0 * n - 2.0, p).x_next
+        xm = next_crossing(-1, 4.0 * n, p).x_next
+        expected.append({
+            "n": n,
+            "p_plus": xp,
+            "margin_plus": min(xp - (4.0 * n - 4.0 / 3.0), (4.0 * n - 2.0 / 3.0) - xp),
+            "p_minus": xm,
+            "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
+        })
+    assert check_no_nonsliding_periodic_nonlinear(a, 12) == expected
+
+
+def test_margin_row_failure_raises_the_scalar_error_with_its_n(monkeypatch):
+    # a bracket width of 1e-2 leaves every polished crossing with a residual
+    # far above tol, so both forms reject every departure
+    p = OscillatorParams(a=0.5)
+    monkeypatch.setattr(poincare, "BRACKET_WIDTH", 1e-2)
+    with pytest.raises(SolverError) as scalar:
+        next_crossing(+1, 2.0, p)
+    with pytest.raises(SolverError) as rows:
+        check_no_nonsliding_periodic_nonlinear(0.5, 3)
+    assert str(rows.value) == f"margin row n=1: {scalar.value}"
 
 
 def _max_y_after(traj, x_t):
