@@ -11,17 +11,29 @@ length from BENCHMARK.json.  Then each side runs seed 1 once with --trace 1.
 Per workload and end-to-end metric the record holds each side's values,
 median and quartiles (statistics.quantiles, n=4), the pairs the change won
 (ties count for neither side), and whether the median gap exceeds the
-parent's quartile spread; the failed/attempted shares; and both sides'
-seed-1 per-layer metrics.
+parent's quartile spread; the parent's spread (q3 - q1) / median and a
+verdict against the metric's bound; the failed/attempted shares; and both
+sides' seed-1 per-layer metrics.  The verdict is "regression" when the
+change's median is worse than the parent's by more than the bound,
+"unresolved" when the parent's spread exceeds the bound (unless every change
+run beats every parent run), and "within bound" otherwise.
+
+Under "scenarios" the record holds the end-to-end view: the wall time of
+``python -m switchosc.cli reproduce <id> --no-plot``, each in a fresh
+process (so the import counts), for every id of the change's
+``experiments.list_scenarios()``, 10 pairs in the same alternating order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 PAIRS = 10  # the fewest pairs that can support a gain claim (9 of 10 won)
@@ -43,43 +55,88 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def compare(par: list[float], chg: list[float], better: str) -> dict:
+    """Both sides' summaries, pair wins and the median gap against the parent's IQR."""
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = summary(par), summary(chg)
+    return {
+        "better": better, "parent": p, "change": c,
+        "change_wins": sum(sign * (y - x) > 0 for x, y in zip(par, chg)),
+        "parent_wins": sum(sign * (x - y) > 0 for x, y in zip(par, chg)),
+        "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+    }
+
+
+def verdict(row: dict, bound: float) -> str:
+    p, c = row["parent"], row["change"]
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    if sign * (p["median"] - c["median"]) / p["median"] > bound:
+        return "regression"
+    every_run_better = all(sign * (y - x) > 0 for x in p["values"] for y in c["values"])
+    if (p["q3"] - p["q1"]) / p["median"] > bound and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
+def scenario_ids(checkout: Path) -> list[str]:
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "from switchosc.experiments import list_scenarios; print(*list_scenarios())"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+        capture_output=True, text=True, timeout=120, check=True)
+    return res.stdout.split()
+
+
+def time_scenario(checkout: Path, sid: str) -> float:
+    """Wall seconds of one ``switchosc reproduce <sid> --no-plot`` in a fresh process."""
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        res = subprocess.run(
+            [sys.executable, "-m", "switchosc.cli", "reproduce", sid, "--no-plot",
+             "--out-dir", out],
+            cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+            capture_output=True, text=True, timeout=1800, check=False)
+        wall = time.perf_counter() - t0
+    if res.returncode != 0:
+        raise RuntimeError(f"{checkout} reproduce {sid} exited {res.returncode}: "
+                           f"{res.stdout[-2000:]}{res.stderr[-2000:]}")
+    return wall
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     seeds = list(range(1, PAIRS + 1))
+    order = {seed: ("parent", "change") if seed % 2 else ("change", "parent")
+             for seed in seeds}
     record = {"pairs": PAIRS, "seeds": seeds, "run_seconds": seconds,
               "order": "parent first on odd seeds, change first on even seeds",
-              "workloads": {}}
+              "workloads": {}, "scenarios": {}}
     for name in (w["name"] for w in spec["workloads"]):
         rows = {"parent": [], "change": []}
         for seed in seeds:
-            sides = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in sides:
-                checkout = args.parent if side == "parent" else args.change
-                rows[side].append(run(checkout, name, seed, seconds, 0))
+            for side in order[seed]:
+                rows[side].append(run(checkouts[side], name, seed, seconds, 0))
                 print(f"{name} seed {seed} {side} done", file=sys.stderr, flush=True)
         metrics = {}
         for m in spec["end_to_end"]:
-            sign = 1.0 if m["better"] == "higher" else -1.0
-            par = [r["metrics"][m["name"]]["value"] for r in rows["parent"]]
-            chg = [r["metrics"][m["name"]]["value"] for r in rows["change"]]
-            p, c = summary(par), summary(chg)
+            row = compare([r["metrics"][m["name"]]["value"] for r in rows["parent"]],
+                          [r["metrics"][m["name"]]["value"] for r in rows["change"]],
+                          m["better"])
+            p = row["parent"]
             metrics[m["name"]] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                "parent": p, "change": c,
-                "change_wins": sum(sign * (y - x) > 0 for x, y in zip(par, chg)),
-                "parent_wins": sum(sign * (x - y) > 0 for x, y in zip(par, chg)),
-                "median_gap_exceeds_parent_iqr":
-                    abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
+                "unit": m["unit"], "bound": m["bound"], **row,
+                "parent_spread": (p["q3"] - p["q1"]) / p["median"],
+                "verdict": verdict(row, m["bound"]),
             }
-        traces = {side: run(args.parent if side == "parent" else args.change,
-                            name, 1, seconds, 1)
+        traces = {side: run(checkouts[side], name, 1, seconds, 1)
                   for side in ("parent", "change")}
         record["workloads"][name] = {
             "metrics": metrics,
@@ -90,6 +147,17 @@ def main(argv=None) -> int:
                             for side, t in traces.items()},
         }
         args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+    ids = scenario_ids(checkouts["change"])
+    walls = {sid: {"parent": [], "change": []} for sid in ids}
+    for seed in seeds:
+        for sid in ids:
+            for side in order[seed]:
+                walls[sid][side].append(time_scenario(checkouts[side], sid))
+        print(f"scenarios pair {seed} done", file=sys.stderr, flush=True)
+    record["scenarios"] = {sid: {"unit": "s", **compare(w["parent"], w["change"], "lower")}
+                           for sid, w in walls.items()}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 

@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
         traj = simulate_regularized(model, params, x0, y0, x_end)
         ylab = "v"
     else:
-        traj = simulate_discontinuous(model, params, (x0, y0), x_end,
-                                      tol=args.tol)
+        traj = simulate_discontinuous(model, params, (x0, y0), x_end)
         ylab = "y"
     csv_path = out / "trajectory.csv"
     _write_csv(csv_path, traj.rows())
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float)
     p.add_argument("--y0", "--v0", dest="y0", type=float)
     p.add_argument("--x-end", dest="x_end", type=float)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

@@ -28,6 +28,8 @@ OMEGA_MINUS = 0.5
 
 #: Largest jump allowed where consecutive trajectory segments meet.
 GAP_TOL = 1e-9
+#: |sin(w+- pi x)| below this marks a tangency point of the threshold.
+TANGENCY_TOL = 1e-12
 #: Samples per unit of x when a trajectory segment is tabulated (at least 8 each).
 SAMPLES_PER_UNIT = 120
 
@@ -190,19 +192,19 @@ def vector_field(model: SwitchingModel, params: OscillatorParams,
     return 1.0, -params.a * state.y - forcing(model, state.x, lam)
 
 
-def classify_threshold_point(x: float, tol: float = 1e-12) -> Region:
+def classify_threshold_point(x: float) -> Region:
     """Region of the threshold point (x, 0), from the signs of -sin(w+- pi x).
 
     The pattern is 4-periodic: attracting on (8/3, 10/3), repelling on
     (2/3, 4/3), tangent where either field has sin(w pi x) = 0, crossing
-    elsewhere.  Tangency detection uses ``tol`` on the reduced argument;
+    elsewhere.  Tangency detection uses ``TANGENCY_TOL`` on the sines;
     points x = 2n are tangent for both fields and report TANGENCY_MINUS.
     """
     sm = sinpi(x / 2.0)
     sp = sinpi(3.0 * x / 2.0)
-    if abs(sm) < tol:
+    if abs(sm) < TANGENCY_TOL:
         return Region.TANGENCY_MINUS
-    if abs(sp) < tol:
+    if abs(sp) < TANGENCY_TOL:
         return Region.TANGENCY_PLUS
     if sp > 0.0 and sm < 0.0:
         return Region.ATTRACTING

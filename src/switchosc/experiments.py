@@ -334,17 +334,12 @@ def _run_regularized_linear(sc: Scenario) -> dict:
         "loglog_slope": slope,
     }
     a2 = sc.spec.get("a_sliding", 2.0)
-    fd = {}
     logc = {}
     for eps in sc.spec.get("eps_sliding", [1e-2, 1e-3]):
         orb = find_regularized_sliding_orbit_linear(a2, OscillatorParams(a=a2, epsilon=eps))
-        fd[eps] = orb.contraction_fd
         logc[eps] = orb.log_contraction
-    e_coarse, e_fine = max(fd), min(fd)
+    e_coarse, e_fine = max(logc), min(logc)
     out.update({
-        "contraction_fd_coarse": fd[e_coarse],
-        "contraction_fd_fine": fd[e_fine],
-        "fd_decrease_10x": fd[e_fine] <= fd[e_coarse] / 10.0,
         "log_contraction_coarse": logc[e_coarse],
         "log_contraction_fine": logc[e_fine],
         "log_decrease_10x": logc[e_fine] <= logc[e_coarse] - math.log(10.0),

@@ -45,6 +45,8 @@ from .analytic_flow import h  # noqa: F401
 
 GRAZING_DERIV_TOL = 1e-8
 BRACKET_WIDTH = 1e-13
+#: Largest |h| accepted at a polished crossing.
+RESIDUAL_TOL = 1e-12
 #: Scan horizon of a departure, in units of 1/w.
 HORIZON = 6.0
 #: Departures bracketed in one pass of ``next_crossing_array``; bounds its memory.
@@ -122,11 +124,11 @@ def _brackets(sign: int, x_i: "float | np.ndarray", params: OscillatorParams):
 
 
 def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: float,
-            exact: bool, tol: float) -> tuple[float, float, int]:
+            exact: bool) -> tuple[float, float, int]:
     """The root of h(., x_i) in [lo, hi], its residual and brentq's iterations.
 
     The callback is h with the phase of x_i computed once.  Raises SolverError
-    when the residual exceeds tol.
+    when the residual exceeds RESIDUAL_TOL.
     """
     w, a = omega(sign), params.a
     vq = varphi_over_pi(sign, x_i, params)
@@ -140,10 +142,10 @@ def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: floa
         # without setting its iteration count
         iters = info.iterations if lo != 0.0 else 0
     residual = abs(f(root))
-    if residual > tol:
-        # bracket has collapsed below 1e-13; a residual above tol means the
-        # slope is enormous, not that the root is wrong, but report it anyway
-        raise SolverError(f"crossing residual {residual} exceeds tol {tol}")
+    if residual > RESIDUAL_TOL:
+        # bracket has collapsed below 1e-13; a residual above the bound means
+        # the slope is enormous, not that the root is wrong, but report it anyway
+        raise SolverError(f"crossing residual {residual} exceeds {RESIDUAL_TOL}")
     return root, residual, iters
 
 
@@ -163,8 +165,7 @@ def _departures(x_i) -> np.ndarray:
     return x_i
 
 
-def next_crossing(sign: int, x_i: float, params: OscillatorParams,
-                  tol: float = 1e-12) -> PoincareResult:
+def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareResult:
     """First return to y = 0 of the flow leaving (x_i, 0) into S_sign.
 
     Raises DomainError for a non-finite x_i or when the field at x_i does not
@@ -187,7 +188,7 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
             f"(sign={sign}, a={params.a})"
         )
     lo, hi = float(lo), float(hi)
-    root, residual, iters = _polish(sign, x_i, params, lo, hi, exact, tol)
+    root, residual, iters = _polish(sign, x_i, params, lo, hi, exact)
     grazing = abs(h_dxbar(sign, root, x_i, params)) < GRAZING_DERIV_TOL
     return PoincareResult(
         x_next=x_i + root,
@@ -200,8 +201,7 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams,
     )
 
 
-def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams,
-                        tol: float = 1e-12) -> np.ndarray:
+def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams) -> np.ndarray:
     """``next_crossing``'s x_next for a 1-D array of independent departures.
 
     A row is nan where ``next_crossing`` raises.  The rows are bracketed
@@ -221,22 +221,22 @@ def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams,
             if hi == math.inf:
                 continue
             try:
-                x_next[r] = xs[r] + _polish(sign, xs[r], params, lo, hi, exact, tol)[0]
+                x_next[r] = xs[r] + _polish(sign, xs[r], params, lo, hi, exact)[0]
             except SolverError:
                 pass
     return x_next
 
 
-def composite_map(x: float, a: float, tol: float = 1e-12) -> float:
+def composite_map(x: float, a: float) -> float:
     """P(x, a) = P_+^a(P_-^a(x)) for departures x in I_- = (0, 2/3) mod 4."""
     p = OscillatorParams(a=a)
     if not (math.isfinite(x) and I_MINUS[0] < math.fmod(x, 4.0) < I_MINUS[1]):
         raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
-    x1 = next_crossing(-1, x, p, tol=tol).x_next
-    return next_crossing(+1, x1, p, tol=tol).x_next
+    x1 = next_crossing(-1, x, p).x_next
+    return next_crossing(+1, x1, p).x_next
 
 
-def composite_map_array(x: np.ndarray, a: float, tol: float = 1e-12) -> np.ndarray:
+def composite_map_array(x: np.ndarray, a: float) -> np.ndarray:
     """``composite_map`` for a 1-D array of departures: nan where it raises.
 
     Each leg is one ``next_crossing_array`` call.  Raises DomainError for a
@@ -246,10 +246,10 @@ def composite_map_array(x: np.ndarray, a: float, tol: float = 1e-12) -> np.ndarr
     x = _departures(x)
     frac = np.fmod(x, 4.0)
     inside = np.flatnonzero((I_MINUS[0] < frac) & (frac < I_MINUS[1]))
-    x1 = next_crossing_array(-1, x[inside], p, tol=tol)
+    x1 = next_crossing_array(-1, x[inside], p)
     landed = ~np.isnan(x1)
     x2 = np.full(x.shape, np.nan)
-    x2[inside[landed]] = next_crossing_array(+1, x1[landed], p, tol=tol)
+    x2[inside[landed]] = next_crossing_array(+1, x1[landed], p)
     return x2
 
 
@@ -286,7 +286,7 @@ def dP_dx(x: float, a: float) -> float:
     return (num / den) * math.exp(-4.0 * a)
 
 
-def find_nonsliding_period4(a: float, tol: float = 1e-12) -> tuple[float, float]:
+def find_nonsliding_period4(a: float) -> tuple[float, float]:
     """Fixed point x* of P(x, a) - (x + 4) on (0, 2/3) and its multiplier.
 
     Brackets on 64 subintervals, whose 65 ends take two
@@ -298,9 +298,9 @@ def find_nonsliding_period4(a: float, tol: float = 1e-12) -> tuple[float, float]
     """
     p = OscillatorParams(a=a)
     lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
-    delta = lambda x: composite_map(x, a, tol=tol) - (x + 4.0)
+    delta = lambda x: composite_map(x, a) - (x + 4.0)
     xs = lo + (hi - lo) * np.arange(n + 1) / n
-    vals = (composite_map_array(xs, a, tol=tol) - (xs + 4.0)).tolist()
+    vals = (composite_map_array(xs, a) - (xs + 4.0)).tolist()
     xs = xs.tolist()
     root = None
     for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):

@@ -316,8 +316,7 @@ def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
 
 
 def measure_exit_point(n: int, params: OscillatorParams,
-                       rtol: float = 1e-10, atol: float = 1e-12,
-                       start: tuple[float, float] | None = None) -> ExitMeasurement:
+                       rtol: float = 1e-10) -> ExitMeasurement:
     """Layer exit point x_e of a trajectory captured on the attracting branch 2n.
 
     Integrates from the first-order slow manifold at x = 3n (well inside the
@@ -325,14 +324,10 @@ def measure_exit_point(n: int, params: OscillatorParams,
     x^-_(eps,2n) is the Riccati-scaling observable (expected (eps^2/n)^(1/3)).
     """
     nu = 2 * n
-    if start is None:
-        xs = 1.5 * nu
-        sm = slow_manifold_expansion(n, xs, params)
-        vs = sm["v_first_order"]
-    else:
-        xs, vs = start
+    xs = 1.5 * nu
+    vs = slow_manifold_expansion(n, xs, params)["v_first_order"]
     traj = simulate_regularized(SwitchingModel.NONLINEAR, params, xs, vs,
-                                x_end=2.0 * nu + 1.0, rtol=rtol, atol=atol)
+                                x_end=2.0 * nu + 1.0, rtol=rtol)
     exits = [ev.x for ev in traj.events if ev.kind == "layer-exit" and ev.branch == -1]
     if not exits:
         raise SolverError(f"trajectory was not captured/did not exit for n={n}")
@@ -378,8 +373,7 @@ def fit_power_law(samples: list[tuple[float, float]],
 
 
 def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
-                     n_grid: list[int], eps_fixed: float,
-                     rtol: float = 1e-10) -> tuple[ScalingFit, ScalingFit]:
+                     n_grid: list[int], eps_fixed: float) -> tuple[ScalingFit, ScalingFit]:
     """Exit-delay scaling in eps (fixed n) and in n (fixed eps).
 
     Expected exponents 2/3 and -1/3.  The smallest branches (n < 3) and large
@@ -389,13 +383,13 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
     for eps in sorted(eps_grid):
         if a * eps > 0.01:
             continue
-        m = measure_exit_point(n_fixed, OscillatorParams(a=a, epsilon=eps), rtol=rtol)
+        m = measure_exit_point(n_fixed, OscillatorParams(a=a, epsilon=eps))
         eps_samples.append((eps, m.delay))
     n_samples = []
     for n in sorted(n_grid):
         if n < 3:
             continue
-        m = measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed), rtol=rtol)
+        m = measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed))
         n_samples.append((float(n), m.delay))
     fit_eps = fit_power_law(eps_samples, min_samples=4, min_decades=2.0)
     fit_n = fit_power_law(n_samples, min_samples=4)
@@ -405,8 +399,11 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 # ---------------------------------------------------------------------------
 # the regularized linear maps
 
+#: Integrator tolerances of every P_eps run.
+_PMAP_RTOL, _PMAP_ATOL = 1e-11, 1e-13
 
-def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float,
+
+def _section_return(x: float, params: OscillatorParams,
                     with_sensitivity: bool = False) -> Trajectory:
     """The linear-model run from (x, -1e-12) to its next downward v = 0 crossing.
 
@@ -414,7 +411,7 @@ def _section_return(x: float, params: OscillatorParams, rtol: float, atol: float
     x in (0, 1); where it points up, the run begins 1e-12 below the section.
     """
     traj = simulate_regularized(SwitchingModel.LINEAR, params, x, -_NUDGE,
-                                x_end=x + 12.0, rtol=rtol, atol=atol,
+                                x_end=x + 12.0, rtol=_PMAP_RTOL, atol=_PMAP_ATOL,
                                 stop_at_downward_v0_after=x + 0.5,
                                 with_sensitivity=with_sensitivity)
     if traj.section_x is None:
@@ -429,18 +426,18 @@ def _require_no_capture(traj: Trajectory) -> None:
 
 
 def regularized_poincare_linear(x: float, params: OscillatorParams,
-                                rtol: float = 1e-11, atol: float = 1e-13,
                                 allow_capture: bool = False) -> float:
     """P_eps(x): return map of the regularized linear system on {v = 0, downward}.
 
     Follows the full hybrid trajectory (layer transits plus exterior arcs)
-    until the next downward v = 0 crossing.  Without ``allow_capture`` a layer
-    transit longer than CAPTURE_SPAN raises CaptureError: the orbit left the
+    until the next downward v = 0 crossing, at rtol 1e-11 and atol 1e-13.
+    Without ``allow_capture`` a layer arc longer than
+    ``capture_threshold(eps)`` raises CaptureError: the orbit left the
     non-sliding regime.
     """
     if params.epsilon <= 0.0:
         raise DomainError("regularized map needs epsilon > 0")
-    traj = _section_return(x, params, rtol, atol)
+    traj = _section_return(x, params)
     if not allow_capture:
         _require_no_capture(traj)
     return traj.section_x
@@ -448,11 +445,12 @@ def regularized_poincare_linear(x: float, params: OscillatorParams,
 
 #: Newton iterates (bisection steps included) before the fixed-point solve gives up.
 _FIXED_POINT_RUNS = 40
+#: A Newton step shorter than this ends the fixed-point solve.
+_FIXED_POINT_XTOL = 1e-12
 
 
 def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
-                       rtol: float, allow_capture: bool,
-                       xtol: float) -> tuple[float, Trajectory]:
+                       allow_capture: bool) -> tuple[float, Trajectory]:
     """Root of g(x) = P_eps(x) - (x + 4) in ``bracket`` and the orbit from it.
 
     Newton on g' = P_eps' - 1, where P_eps' = exp(log_sensitivity) > 0 comes
@@ -462,16 +460,15 @@ def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
     led to the current iterate did not halve |g|, the next iterate is the
     bisection point; the bracket ends are evaluated only then, to learn which
     side holds the root.  Only scalars of rejected iterates are kept, so one
-    trajectory is alive at a time.
+    trajectory is alive at a time.  Without ``allow_capture`` the returned
+    orbit must be capture-free.
     """
     lo, hi = sorted(bracket)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"fixed-point bracket must be finite, got {bracket}")
-    if not xtol > 0.0:
-        raise DomainError(f"xtol must be positive, got {xtol}")
 
     def run(x):
-        traj = _section_return(x, params, rtol, 1e-13, with_sensitivity=True)
+        traj = _section_return(x, params, with_sensitivity=True)
         return traj.section_x - (x + 4.0), math.expm1(traj.log_sensitivity), traj
 
     g_lo = None  # g at lo, unknown until a bisection needs the ends
@@ -481,7 +478,7 @@ def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
         gx, dg, traj = run(x)
         last = x, gx
         step = -gx / dg if dg != 0.0 else math.inf
-        if abs(step) < xtol:
+        if abs(step) < _FIXED_POINT_XTOL:
             if not allow_capture:
                 _require_no_capture(traj)
             return x, traj
@@ -506,62 +503,53 @@ def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
         f"iterate x={last[0]!r}, g={last[1]!r}, bracket=({lo!r}, {hi!r})")
 
 
-def regularized_fixed_point(params: OscillatorParams, bracket: tuple[float, float],
-                            rtol: float = 1e-11, allow_capture: bool = False,
-                            xtol: float = 1e-12) -> float:
+def regularized_fixed_point(params: OscillatorParams,
+                            bracket: tuple[float, float]) -> float:
     """Fixed point of P_eps(x) - (x + 4) inside ``bracket`` (ends in either order).
 
     Solved by Newton's method on the variational derivative P_eps' of each
     run, guarded by the bracket with bisection as fallback; the located
-    iterate is returned once its Newton step falls below ``xtol``.  The
-    return map stays total when an iterate brushes a sliding branch, so the
-    iteration tolerates capture; without ``allow_capture`` the orbit at the
-    located fixed point is then required to be capture-free (the non-sliding
-    regime check applies to the orbit, not to probe points).  A bracket
-    without a fixed point raises DomainError; an iteration that does not
-    converge raises SolverError with its last iterate, g and bracket.
+    iterate is returned once its Newton step falls below 1e-12.  The return
+    map stays total when an iterate brushes a sliding branch, so the
+    iteration tolerates capture; the orbit at the located fixed point must
+    then be capture-free (the non-sliding regime check applies to the orbit,
+    not to probe points), or CaptureError is raised.  A bracket without a
+    fixed point raises DomainError; an iteration that does not converge
+    raises SolverError with its last iterate, g and bracket.
     """
-    return _fixed_point_orbit(params, bracket, rtol, allow_capture, xtol)[0]
+    return _fixed_point_orbit(params, bracket, allow_capture=False)[0]
 
 
 @dataclass
 class RegSlidingOrbit:
     fixed_point: float
     trajectory: Trajectory
-    contraction_fd: float
     log_contraction: float
     sliding_span: tuple[float, float]
 
 
-def find_regularized_sliding_orbit_linear(a: float, params: OscillatorParams,
-                                          rtol: float = 1e-11) -> RegSlidingOrbit:
+def find_regularized_sliding_orbit_linear(a: float,
+                                          params: OscillatorParams) -> RegSlidingOrbit:
     """Regularized sliding period-4 orbit of the linear model (large-a regime).
 
-    Locates the fixed point of P_eps by the Newton iteration of
-    ``regularized_fixed_point``, verifies the orbit from it carries a
-    captured layer segment (the slide along the attracting critical branch),
-    and measures its contraction two ways: the variational log-derivative
-    of that same final run, which resolves the exponential smallness, and the
-    spec's central finite difference of P_eps with step 1e-4 (which
-    underflows once the contraction drops below double precision; values then
-    read 0).
+    Locates the fixed point of P_eps in (0.02, 0.64) by the Newton iteration
+    of ``regularized_fixed_point``, with capture allowed, and verifies that
+    the orbit from it carries a captured layer segment (the slide along the
+    attracting critical branch).  Its contraction is the variational
+    log-derivative log P_eps' of that same final run, which resolves the
+    exponential smallness; so the solve makes only its Newton runs.
     """
     if params.a != a:
         raise DomainError("params.a must equal a")
-    fd_step = 1e-4
-    fp, orbit = _fixed_point_orbit(params, (0.02, 0.64), rtol, allow_capture=True,
-                                   xtol=1e-12)
+    fp, orbit = _fixed_point_orbit(params, (0.02, 0.64), allow_capture=True)
     captured = orbit.captured_spans()
     if not captured:
         raise NoOrbitError(
             f"no sliding (captured) segment on the orbit at a={a}, "
             f"eps={params.epsilon}: not in the sliding regime")
-    pp = regularized_poincare_linear(fp + fd_step, params, rtol=rtol, allow_capture=True)
-    pm = regularized_poincare_linear(fp - fd_step, params, rtol=rtol, allow_capture=True)
     return RegSlidingOrbit(
         fixed_point=fp,
         trajectory=orbit,
-        contraction_fd=abs(pp - pm) / (2.0 * fd_step),
         log_contraction=orbit.log_sensitivity,
         sliding_span=captured[0],
     )
@@ -603,14 +591,14 @@ def v_r_reference(n: int, params: OscillatorParams) -> VrReference:
     return VrReference(n=n, x_start=xs, x_reentry=xr, x_eps_a=x_eps_a, params=params)
 
 
-def convergence_to_vr(traj: Trajectory, n_lo: int, n_hi: int,
-                      grid: int = 1200) -> list[dict]:
-    """Per-window sup distance to v_r plus distinctness of consecutive windows."""
+def convergence_to_vr(traj: Trajectory, n_lo: int, n_hi: int) -> list[dict]:
+    """Per-window sup distance to v_r plus distinctness of consecutive windows,
+    each over 1200 points of the window."""
     params = traj.params
     rows = []
     for n in range(n_lo, n_hi + 1):
         vr = v_r_reference(n, params)
-        xs = np.linspace(vr.x_start, vr.x_start + 4.0, grid)
+        xs = np.linspace(vr.x_start, vr.x_start + 4.0, 1200)
         if xs[0] < traj.x_start or xs[-1] + 4.0 > traj.x_end:
             raise DomainError(
                 f"trajectory [{traj.x_start}, {traj.x_end}] does not cover window n={n}")

@@ -201,7 +201,7 @@ def _departure_side(x: float) -> int:
 
 def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                            initial: "HybridState | tuple[float, float]",
-                           x_end: float, tol: float = 1e-12) -> Trajectory:
+                           x_end: float) -> Trajectory:
     """Event-driven hybrid trajectory of the discontinuous (epsilon = 0) system.
 
     Half-plane arcs use the closed-form flow with crossings located by the
@@ -245,7 +245,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
         if kind in ("depart", "interior"):
             if kind == "depart":
                 side, y0 = payload, 0.0
-                x_hit = next_crossing(side, x, params, tol=tol).x_next
+                x_hit = next_crossing(side, x, params).x_next
                 arc = partial(flow_solution, side, x_i=x, params=params)
             else:
                 y0, side = payload, (1 if payload > 0.0 else -1)

@@ -60,9 +60,8 @@ def test_criterion_07_fold_points(tmp_path):
 
 def test_criterion_08_regularized_linear_persistence(tmp_path):
     rep = _run("E8", tmp_path)
-    # the finite-difference contraction sits at/below the double-precision
-    # floor in this regime; the variational log-derivative resolves the
-    # exponential smallness and must also show the >= 10x drop
+    # the variational log-derivative resolves the exponential smallness of
+    # the contraction and must show the >= 10x drop
     assert rep.measured["log_contraction_fine"] <= (
         rep.measured["log_contraction_coarse"] - math.log(10.0))
 

@@ -34,7 +34,7 @@ def test_unknown_scenario_rejected():
 
 def test_a0_limit_raises_a_rejected_departure_s_error(monkeypatch):
     # a bracket width of 1e-2 leaves every polished crossing with a residual
-    # far above tol: the array form turns that into nan, the runner re-raises it
+    # far above RESIDUAL_TOL: the array form turns that into nan, the runner re-raises it
     monkeypatch.setattr(poincare, "BRACKET_WIDTH", 1e-2)
     with pytest.raises(SolverError, match="crossing residual"):
         experiments._run_a0_limit(load_scenario("E3"))
@@ -69,6 +69,17 @@ def test_failed_check_yields_failed_verdict(tmp_path):
                     "target": 0.5, "tol": 1e-12, "provenance": "TRIVIAL"}]
     rep = run_scenario(sc, out_dir=tmp_path)
     assert not rep.passed
+
+
+def test_e8_paper_contraction_check_can_fail():
+    # the paper's claim: the sliding orbit's contraction strengthens >= 10x
+    # as eps falls 10x; its check must reject a run that does not show it
+    paper = [c for c in load_scenario("E8").expected if c["provenance"] == "PAPER"]
+    assert paper
+    for shown in (True, False):
+        verdicts = [experiments._evaluate_check(c, {"log_decrease_10x": shown})
+                    for c in paper]
+        assert all(v.passed for v in verdicts) is shown
 
 
 def test_scenario_csv_is_deterministic(tmp_path):

@@ -298,10 +298,10 @@ def test_scalar_maps_reject_a_non_finite_departure(x):
         composite_map(x, 0.5)
 
 
-def scalar_period4_scan(a, tol=1e-12):
+def scalar_period4_scan(a):
     """Oracle: find_nonsliding_period4 with its scan made of scalar composite_map calls."""
     lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
-    delta = lambda x: composite_map(x, a, tol=tol) - (x + 4.0)
+    delta = lambda x: composite_map(x, a) - (x + 4.0)
     xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
     vals = []
     for x in xs:
