@@ -22,6 +22,9 @@ Under "scenarios" the record holds the end-to-end view: the wall time of
 ``python -m switchosc.cli reproduce <id> --no-plot``, each in a fresh
 process (so the import counts), for every id of the change's
 ``experiments.list_scenarios()``, 10 pairs in the same alternating order.
+Under "tier1" it holds the wall time of the tier-1 suite, ``python -m pytest
+-q --continue-on-collection-errors`` run in each checkout with its own
+``src`` first on PYTHONPATH, in the same 10 pairs, and each run's exit code.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import time
 from pathlib import Path
 
 PAIRS = 10  # the fewest pairs that can support a gain claim (9 of 10 won)
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -103,6 +107,16 @@ def time_scenario(checkout: Path, sid: str) -> float:
     return wall
 
 
+def time_tier1(checkout: Path) -> tuple[float, int]:
+    """Wall seconds and exit code of one tier-1 run in the checkout."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    res = subprocess.run([sys.executable, *TIER1], cwd=checkout,
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=3600, check=False)
+    return time.perf_counter() - t0, res.returncode
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -118,7 +132,7 @@ def main(argv=None) -> int:
              for seed in seeds}
     record = {"pairs": PAIRS, "seeds": seeds, "run_seconds": seconds,
               "order": "parent first on odd seeds, change first on even seeds",
-              "workloads": {}, "scenarios": {}}
+              "workloads": {}, "scenarios": {}, "tier1": {}}
     for name in (w["name"] for w in spec["workloads"]):
         rows = {"parent": [], "change": []}
         for seed in seeds:
@@ -157,6 +171,18 @@ def main(argv=None) -> int:
         print(f"scenarios pair {seed} done", file=sys.stderr, flush=True)
     record["scenarios"] = {sid: {"unit": "s", **compare(w["parent"], w["change"], "lower")}
                            for sid, w in walls.items()}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+    runs = {"parent": [], "change": []}
+    for seed in seeds:
+        for side in order[seed]:
+            runs[side].append(time_tier1(checkouts[side]))
+        print(f"tier-1 pair {seed} done", file=sys.stderr, flush=True)
+    record["tier1"] = {
+        "unit": "s", "command": " ".join(["python", *TIER1]),
+        **compare([w for w, _ in runs["parent"]], [w for w, _ in runs["change"]], "lower"),
+        "exit_codes": {side: [code for _, code in r] for side, r in runs.items()},
+    }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

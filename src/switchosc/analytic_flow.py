@@ -1,24 +1,26 @@
-"""Closed-form half-plane solutions and the transcendental crossing functions.
+"""Closed-form half-plane solutions and the crossing function h.
 
-In either half plane the flow from (x_i, 0) is an explicitly solvable damped
-driven linear ODE.  Its zero set is governed by
+In either half plane y' = -a y - sin(w pi x) is linear, so the flow from
+(x0, y0) is the decayed start plus the flow leaving (x0, 0):
 
-    h(xbar, x_i) = exp(-a*xbar) sin(varphi(x_i)) - sin(w*pi*xbar + varphi(x_i)),
+    y(x) = exp(-a (x - x0)) y0 + h(x - x0, x0) / sqrt(w^2 pi^2 + a^2),
+    h(xbar, x_i) = exp(-a*xbar) sin(varphi(x_i)) - sin(w*pi*xbar + varphi(x_i)).
 
-whose own zeros cannot be written down, but are sandwiched between the zeros
-of the two explicit comparison functions h0 (drop the decay) and hinf (drop
-the transient); the Poincare module probes the h0 lattice.
+The phase varphi is reduced mod 2 pi, so one sine per point keeps full
+precision at large x, and y(x0) = y0 exactly.  ``flow_from`` evaluates this
+on a float, ``flow_from_array`` on an array of x; ``flow_solution`` is the
+case y0 = 0.  The zeros of h, the threshold returns, cannot be written down,
+but are sandwiched between the zeros of two explicit comparison functions,
+h0 (drop the decay) and hinf (drop the transient); the Poincare module
+probes the h0 lattice, and ``h_array`` also takes an array of departures,
+one row each.
 
 ``next_contact`` locates the first contact of the general flow from any
 start with a level y = c (the threshold c = 0 from an interior start, the
 layer boundary c = +-eps for an exterior arc).  There no probing is needed:
 the zeros of a c + sin(w pi x) separate the contacts, so that lattice
-brackets the first one.
-
-``h_array`` and ``flow_from_array`` evaluate h and the general flow on arrays
-in the scalar operation order; ``h_array`` also takes an array of departures,
-one row each.  ``flow_solution`` takes a float or an array, so a sampled arc is
-one call, and ``h0_zeros`` takes a float or an array of departures.
+brackets the first one.  No contact search builds an array of more than
+MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from .core import (
     DomainError,
     OscillatorParams,
     SolverError,
-    cospi,
-    cospi_array,
     omega,
     sinpi,
     sinpi_array,
 )
+
+#: Most points a contact search evaluates in one array: a lattice of
+#: ``next_contact``, one departure's probes or one pass of departures.
+MAX_POINTS = 1 << 20
 
 
 def flow_scale(sign: int, params: OscillatorParams) -> float:
@@ -58,33 +62,22 @@ def varphi_over_pi(sign: int, x_i: float, params: OscillatorParams) -> float:
     return math.fmod(w * x_i, 2.0) - phi / math.pi
 
 
-def particular_solution(sign: int, x: float, params: OscillatorParams) -> float:
-    """Steady-state response y_p(x) = [w pi cos(w pi x) - a sin(w pi x)] / (w^2 pi^2 + a^2)."""
-    w = omega(sign)
-    a = params.a
-    return (w * math.pi * cospi(w * x) - a * sinpi(w * x)) / (
-        (w * math.pi) ** 2 + a**2
-    )
-
-
 def flow_from(sign: int, x: float, x0: float, y0: float,
               params: OscillatorParams) -> float:
-    """General half-plane solution through (x0, y0), valid while it stays in S_sign."""
-    yp = particular_solution(sign, x, params)
-    yp0 = particular_solution(sign, x0, params)
-    return yp + math.exp(-params.a * (x - x0)) * (y0 - yp0)
+    """General half-plane solution through (x0, y0), valid while it stays in S_sign.
+
+    The decayed start plus h / flow_scale, the flow leaving (x0, 0); it is
+    y0 exactly at x0.  Raises DomainError for x < x0.
+    """
+    return (math.exp(-params.a * (x - x0)) * y0
+            + h(sign, x - x0, x0, params) / flow_scale(sign, params))
 
 
 def flow_from_array(sign: int, x: np.ndarray, x0: float, y0: float,
                     params: OscillatorParams) -> np.ndarray:
     """``flow_from`` on an array of x, in the same operation order."""
-    w = omega(sign)
-    a = params.a
-    yp = (w * math.pi * cospi_array(w * x) - a * sinpi_array(w * x)) / (
-        (w * math.pi) ** 2 + a**2
-    )
-    yp0 = particular_solution(sign, x0, params)
-    return yp + np.exp(-a * (x - x0)) * (y0 - yp0)
+    return (np.exp(-params.a * (x - x0)) * y0
+            + h_array(sign, x - x0, x0, params) / flow_scale(sign, params))
 
 
 def flow_from_deriv(sign: int, x: float, x0: float, y0: float,
@@ -97,15 +90,12 @@ def flow_solution(sign: int, x: "float | np.ndarray", x_i: float,
                   params: OscillatorParams) -> "float | np.ndarray":
     """Y_+-(x, x_i): the half-plane solution leaving the threshold at (x_i, 0).
 
-    Evaluated in the phase-shifted form, which avoids cancellation between
-    large-x sines and makes Y exactly h / flow_scale.  An array of x is
-    evaluated in one call through ``h_array``.
+    ``flow_from`` with y0 = 0, so exactly h / flow_scale; an array of x is
+    one ``flow_from_array`` call.
     """
     if isinstance(x, np.ndarray):
-        return h_array(sign, x - x_i, x_i, params) / flow_scale(sign, params)
-    if x < x_i:
-        raise DomainError(f"flow is evaluated forward only (x={x} < x_i={x_i})")
-    return h(sign, x - x_i, x_i, params) / flow_scale(sign, params)
+        return flow_from_array(sign, x, x_i, 0.0, params)
+    return flow_from(sign, x, x_i, 0.0, params)
 
 
 def next_contact(sign: int, x0: float, y0: float, level: float,
@@ -117,7 +107,8 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
     lattice holds at most one.  One ``flow_from_array`` call on the lattice
     brackets the first contact and ``brentq`` polishes it.  The lattice runs
     to the horizon x0 + 8/w + max(0, ln(|y0|/amp)/a); a contact past it, which
-    a transient y0 - y_p(x0) larger than |y0| can cause, raises SolverError.
+    a transient y0 - y_p(x0) larger than |y0| can cause, raises SolverError,
+    as does a lattice of more than MAX_POINTS points (a tiny a).
     A start on the level (a layer exit, a fold) skips the cell that begins at
     x0, which holds no other contact; a flow that crosses the level in that
     cell enters the other side at once and is rejected.
@@ -126,6 +117,11 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
     a = params.a
     amp = 1.0 / math.hypot(w * math.pi, a)
     horizon = x0 + 8.0 / w + math.log(max(abs(y0) / amp, 1.0)) / a
+    size = w * (horizon - x0) + 8.0  # both lattices, with their end cells
+    if not size <= MAX_POINTS:
+        raise SolverError(f"the contact search from ({x0!r}, {y0!r}) in S_{sign:+d} at "
+                          f"a={a!r} needs {size:.3g} lattice points up to x = {horizon!r}, "
+                          f"more than {MAX_POINTS}")
     s = math.asin(-a * level) / math.pi  # |a level| <= a eps < 1
     k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * horizon / 2.0) + 1)
     lattice = np.sort(np.concatenate(((s + k) / w, (1.0 - s + k) / w)))
@@ -171,24 +167,14 @@ def h_array(sign: int, xbar: np.ndarray, x_i: "float | np.ndarray",
     return np.exp(-params.a * xbar) * s - sinpi_array(w * xbar + vq)
 
 
-def h_dxbar(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
-    """dh/dxbar, used for grazing detection at located roots."""
-    w = omega(sign)
-    vq = varphi_over_pi(sign, x_i, params)
-    return -params.a * math.exp(-params.a * xbar) * sinpi(vq) - w * math.pi * cospi(
-        w * xbar + vq
-    )
-
-
-def h0_zeros(sign: int, x_i: "float | np.ndarray", params: OscillatorParams,
-             horizon: float) -> "list[float] | np.ndarray":
-    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi) up to the horizon.
+def h0_zeros(sign: int, x_i: np.ndarray, params: OscillatorParams,
+             horizon: float) -> np.ndarray:
+    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi), one row per departure.
 
     Two interleaved lattices: xbar = 2k/w, and xbar = start + 2k/w with
-    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  A float x_i gives the
-    zeros in [0, horizon] as a sorted list.  An array of departures gives one
-    row each, the two lattices for k = 0, 1, ... until both pass the horizon;
-    the caller cuts them to its range.
+    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  Each row holds the two
+    lattices for k = 0, 1, ... until both pass the horizon, unsorted; the
+    caller cuts them to its range.  A 0-d x_i gives one row.
     """
     w = omega(sign)
     period = 2.0 / w
@@ -197,9 +183,7 @@ def h0_zeros(sign: int, x_i: "float | np.ndarray", params: OscillatorParams,
     zs = np.empty(start.shape + (2 * k.size,))
     zs[..., :k.size] = k
     zs[..., k.size:] = start[..., None] + k
-    if isinstance(x_i, np.ndarray):
-        return zs
-    return sorted(zs[(zs >= 0.0) & (zs <= horizon)].tolist())
+    return zs
 
 
 def p0_map(sign: int, x_i: float) -> float:

@@ -87,13 +87,6 @@ def sinpi_array(u: np.ndarray) -> np.ndarray:
     return s
 
 
-def cospi_array(u: np.ndarray) -> np.ndarray:
-    """``cospi`` on an array: the same fmod reduction and exact zeros."""
-    r = np.fmod(np.abs(u), 2.0)
-    r = np.where(r > 1.0, 2.0 - r, r)
-    return np.where(r == 0.5, 0.0, np.cos(np.pi * r))
-
-
 class SwitchingModel(enum.Enum):
     LINEAR = "linear"
     NONLINEAR = "nonlinear"

@@ -24,9 +24,11 @@ from . import poincare
 from .core import (
     DomainError,
     OscillatorParams,
+    SolverError,
     SwitchingModel,
-    sinpi,
     forcing,
+    omega,
+    sinpi,
 )
 from .regularization import (
     exit_scaling_fit,
@@ -188,31 +190,39 @@ def _evaluate_check(check: dict, measured: dict) -> CheckResult:
 # independent solve_ivp oracle used by the cross-validation suite
 
 
-def ivp_crossing(sign: int, x_i: float, a: float,
-                 rtol: float = 1e-12, atol: float = 1e-14) -> float:
-    """Next threshold crossing by direct numerical integration.
+def ivp_contact(sign: int, x0: float, y0: float, level: float, a: float) -> float:
+    """First crossing of y = level by y' = -a y - sin(w pi x) out of S_sign, by solve_ivp.
 
-    Deliberately independent of the h-function machinery: integrates the
-    half-plane ODE with an event on y = 0 oriented toward the return
-    crossing, so the tangent start at y = 0 does not self-trigger.
+    Deliberately independent of the closed-form machinery.  A terminal event
+    stops the DOP853 run at the first crossing seen at a step end.  A dip
+    through the level and back inside one step shows only at its turning
+    point (a second event, on y' = 0): the crossing then lies between that
+    turn and the one before, where y is monotone, and the dense output gives it.
     """
-    w = 1.5 if sign > 0 else 0.5
-
-    def rhs(x, y):
-        return [-a * y[0] - sinpi(w * x)]
-
-    ev = lambda x, y: y[0]
-    ev.terminal, ev.direction = True, -sign
-    sol = solve_ivp(rhs, (x_i, x_i + 8.0), [0.0], rtol=rtol, atol=atol,
-                    events=ev, max_step=0.05)
-    if not len(sol.t_events[0]):
-        raise DomainError(f"ivp oracle found no crossing from {x_i}")
+    w = omega(sign)
+    rhs = lambda x, y: [-a * y[0] - math.sin(w * math.pi * x)]
+    # a start on the level is no contact: the event counts crossings after it
+    hit = lambda x, y: y[0] - level if x > x0 else float(sign)
+    hit.terminal, hit.direction = True, -sign
+    # past this the transient is below half the forced amplitude
+    span = 16.0 / w + math.log(1.0 + 2.0 * abs(y0) * math.hypot(w * math.pi, a)) / a
+    sol = solve_ivp(rhs, (x0, x0 + span), [y0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    events=[hit, lambda x, y: rhs(x, y)[0]], dense_output=True,
+                    max_step=0.25 / w)
+    if sol.status != 1:
+        raise SolverError(f"ivp oracle found no contact with y = {level!r} from "
+                          f"({x0!r}, {y0!r}) in S_{sign:+d} at a={a!r}")
+    lo = x0
+    for xt, (yt,) in zip(sol.t_events[1], sol.y_events[1]):
+        if sign * (yt - level) < 0.0:
+            return brentq(lambda x: sol.sol(x)[0] - level, lo, xt, xtol=1e-14)
+        lo = xt
     return float(sol.t_events[0][0])
 
 
 def ivp_fixed_point(a: float, guess: float) -> float:
     """Fixed point of the two-leg return map built on the ivp oracle."""
-    g = lambda x: ivp_crossing(+1, ivp_crossing(-1, x, a), a) - (x + 4.0)
+    g = lambda x: ivp_contact(+1, ivp_contact(-1, x, 0.0, 0.0, a), 0.0, 0.0, a) - (x + 4.0)
     return brentq(g, guess - 0.02, guess + 0.02, xtol=1e-11)
 
 
@@ -367,8 +377,7 @@ def _run_slow_manifold(sc: Scenario) -> dict:
         p = OscillatorParams(a=a, epsilon=eps)
         xs0, vs0 = capture_start(n)
         traj = simulate_regularized(SwitchingModel.NONLINEAR, p, xs0, vs0,
-                                    x_end=3.0 * n + 2.0 + 0.01,
-                                    rtol=1e-11, atol=1e-13)
+                                    x_end=3.0 * n + 2.0 + 0.01, rtol=1e-11)
         grid = np.linspace(7.0 * n / 3.0, 3.0 * n + 2.0, 700)
         v = traj.eval(grid)
         ratios = []
@@ -387,8 +396,7 @@ def _run_fig11(sc: Scenario) -> dict:
     x0, v0 = sc.spec.get("start", [14.1, 1.1])
     p = OscillatorParams(a=a, epsilon=eps)
     traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0,
-                                x_end=sc.spec.get("x_end", 50.0),
-                                rtol=1e-10, atol=1e-12)
+                                x_end=sc.spec.get("x_end", 50.0))
     spans = traj.layer_spans()
     entry, exit_x = max(spans, key=lambda s: s[1] - s[0])
     xs = np.linspace(0.5 * (entry + exit_x) - 1.0, 0.5 * (entry + exit_x) + 1.0, 9)
@@ -415,7 +423,7 @@ def _run_vr_convergence(sc: Scenario) -> dict:
     n_lo, n_hi = sc.spec.get("windows", [5, 30])
     p = OscillatorParams(a=a, epsilon=eps)
     traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0,
-                                x_end=4.0 * (n_hi + 2) + x0, rtol=1e-10, atol=1e-12)
+                                x_end=4.0 * (n_hi + 2) + x0)
     rows = convergence_to_vr(traj, n_lo, n_hi)
     sups = [r["sup_distance"] for r in rows]
     return {

@@ -11,13 +11,13 @@ upper end is the smallest probe at which h has left the sign of y, its lower
 end the largest probe below that (or 0).  brentq polishes it on h, with the
 phase of x_i computed once.
 
-``next_crossing`` takes one departure and reports the bracket and the
+``next_crossing`` takes one departure and reports x_next and brentq's
 iterations; the sequential hybrid engine uses it.  ``next_crossing_array``
-takes a 1-D array of independent departures, brackets them all in one h
-evaluation and returns each x_next, nan where the scalar form raises.  The two
-share the probes, the departure test and the polish, so their crossings are
-bit-identical.  The period-4 scan, the margin table, the a -> 0 scenario and
-the map table use the array form.
+takes a 1-D array of independent departures, brackets them in passes of at
+most MAX_POINTS probes and returns each x_next, nan where the scalar form
+raises.  The two share the probes, the departure test and the polish, so
+their crossings are bit-identical.  The period-4 scan, the margin table, the
+a -> 0 scenario and the map table use the array form.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import h0_zeros, h_array, h_dxbar, varphi_over_pi
+from .analytic_flow import MAX_POINTS, h0_zeros, h_array, varphi_over_pi
 # h stays bound here, unused: the benchmark's tracer patches it by name
 from .analytic_flow import h  # noqa: F401
 
-GRAZING_DERIV_TOL = 1e-8
 BRACKET_WIDTH = 1e-13
 #: Largest |h| accepted at a polished crossing.
 RESIDUAL_TOL = 1e-12
 #: Scan horizon of a departure, in units of 1/w.
 HORIZON = 6.0
-#: Departures bracketed in one pass of ``next_crossing_array``; bounds its memory.
+#: Most departures bracketed in one pass of ``next_crossing_array``.
 ROWS_PER_PASS = 1024
 
 #: Window of crossing departures into S_- for the composite map (mod 4).
@@ -58,17 +57,10 @@ I_MINUS = (0.0, 2.0 / 3.0)
 
 @dataclass
 class PoincareResult:
-    x_next: float
-    residual: float
-    bracket: tuple[float, float]
-    iterations: int
-    grazing_suspect: bool = False
-    sign: int = 0
-    x_start: float = math.nan
+    """The next crossing and brentq's iterations (0 at an exact probe zero)."""
 
-    @property
-    def xbar(self) -> float:
-        return self.x_next - self.x_start
+    x_next: float
+    iterations: int
 
 
 def _departure_ok(sign: int, x_i: float) -> bool:
@@ -85,13 +77,27 @@ def _departure_ok(sign: int, x_i: float) -> bool:
     return sign * dy > 0.0
 
 
+def _probe_count(sign: int, x_i: float, params: OscillatorParams) -> int:
+    """A bound on the probes of one departure: the uniform grid and 12 zeros of h0.
+
+    Raises SolverError past MAX_POINTS, where the decay step 1/(4a) is tiny.
+    """
+    w = omega(sign)
+    count = HORIZON * max(8.0, 4.0 * params.a / w) + 13.0
+    if not count <= MAX_POINTS:
+        raise SolverError(f"the departure ({x_i!r}, 0.0) into S_{sign:+d} at a={params.a!r} "
+                          f"needs {count:.3g} probes up to x = {x_i + HORIZON / w!r}, "
+                          f"more than {MAX_POINTS}")
+    return int(count)
+
+
 def _probes(sign: int, x_i: "float | np.ndarray",
             params: OscillatorParams) -> np.ndarray:
     """Scan abscissae xbar, unsorted, nan outside (floor, horizon].
 
     The uniform grid, whose step resolves both the oscillation (1/(8w)) and the
     decay (1/(4a)), then the zeros of the comparison function h0.  An array of
-    departures gives one row each.
+    departures gives one row each.  Callers size it by ``_probe_count`` first.
     """
     w = omega(sign)
     horizon = HORIZON / w
@@ -124,8 +130,8 @@ def _brackets(sign: int, x_i: "float | np.ndarray", params: OscillatorParams):
 
 
 def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: float,
-            exact: bool) -> tuple[float, float, int]:
-    """The root of h(., x_i) in [lo, hi], its residual and brentq's iterations.
+            exact: bool) -> tuple[float, int]:
+    """The root of h(., x_i) in [lo, hi] and brentq's iterations.
 
     The callback is h with the phase of x_i computed once.  Raises SolverError
     when the residual exceeds RESIDUAL_TOL.
@@ -146,7 +152,7 @@ def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: floa
         # bracket has collapsed below 1e-13; a residual above the bound means
         # the slope is enormous, not that the root is wrong, but report it anyway
         raise SolverError(f"crossing residual {residual} exceeds {RESIDUAL_TOL}")
-    return root, residual, iters
+    return root, iters
 
 
 def _check_sign(sign: int) -> None:
@@ -170,8 +176,8 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
 
     Raises DomainError for a non-finite x_i or when the field at x_i does not
     allow that departure, and SolverError when no sign change appears within
-    the horizon 6/w (which cannot happen for a > 0).  ``next_crossing_array``
-    takes many departures.
+    the horizon 6/w (which cannot happen for a > 0) or the probes would pass
+    MAX_POINTS.  ``next_crossing_array`` takes many departures.
     """
     _check_sign(sign)
     if not math.isfinite(x_i):
@@ -181,41 +187,37 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
             f"departure into S_{'+' if sign > 0 else '-'} at x={x_i} is inconsistent "
             "with the field direction"
         )
+    _probe_count(sign, x_i, params)  # SolverError past MAX_POINTS
     lo, hi, exact = _brackets(sign, x_i, params)
     if hi == math.inf:
         raise SolverError(
             f"no crossing located within horizon {HORIZON / omega(sign)} from x_i={x_i} "
             f"(sign={sign}, a={params.a})"
         )
-    lo, hi = float(lo), float(hi)
-    root, residual, iters = _polish(sign, x_i, params, lo, hi, exact)
-    grazing = abs(h_dxbar(sign, root, x_i, params)) < GRAZING_DERIV_TOL
-    return PoincareResult(
-        x_next=x_i + root,
-        residual=residual,
-        bracket=(lo, hi),
-        iterations=iters,
-        grazing_suspect=grazing,
-        sign=sign,
-        x_start=x_i,
-    )
+    root, iters = _polish(sign, x_i, params, float(lo), float(hi), exact)
+    return PoincareResult(x_next=x_i + root, iterations=iters)
 
 
 def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams) -> np.ndarray:
     """``next_crossing``'s x_next for a 1-D array of independent departures.
 
     A row is nan where ``next_crossing`` raises.  The rows are bracketed
-    together, ROWS_PER_PASS at a time in one h evaluation, and each is
-    polished by the scalar form's brentq, so every crossing is bit-identical
-    to it.  Raises DomainError for a sign other than +-1 or a non-finite x_i.
+    together in one h evaluation per pass, at most ROWS_PER_PASS rows and
+    MAX_POINTS probes, and each is polished by the scalar form's brentq, so
+    every crossing is bit-identical to it.  Raises DomainError for a sign
+    other than +-1 or a non-finite x_i, and SolverError when one departure's
+    probes would pass MAX_POINTS.
     """
     _check_sign(sign)
     x_i = _departures(x_i)
     xs = x_i.tolist()
     x_next = np.full(x_i.size, np.nan)
     rows = np.array([i for i, x in enumerate(xs) if _departure_ok(sign, x)], dtype=int)
-    for start in range(0, rows.size, ROWS_PER_PASS):
-        chunk = rows[start:start + ROWS_PER_PASS]
+    if not rows.size:
+        return x_next
+    per_pass = max(1, min(ROWS_PER_PASS, MAX_POINTS // _probe_count(sign, xs[rows[0]], params)))
+    for start in range(0, rows.size, per_pass):
+        chunk = rows[start:start + per_pass]
         brackets = _brackets(sign, x_i[chunk], params)
         for r, lo, hi, exact in zip(chunk.tolist(), *(v.tolist() for v in brackets)):
             if hi == math.inf:

@@ -174,19 +174,20 @@ def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> fl
 
 def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          x0: float, v0: float, x_end: float,
-                         rtol: float = 1e-10, atol: float = 1e-12,
+                         rtol: float = 1e-10,
                          stop_at_downward_v0_after: float | None = None,
                          with_sensitivity: bool = False) -> Trajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
-    Alternates stiff layer integration (``radau.solve_ivp``, analytic
-    Jacobian, stop levels v = +-1 where v leaves the layer) with closed-form
-    exterior arcs.  When ``stop_at_downward_v0_after`` is set, a downward
-    v = 0 stop is added and the run terminates at the first such crossing
-    past that abscissa (the Poincare section used by the regularized return
-    map).  ``with_sensitivity`` also accumulates J = d/dv (dv/dx) along the
-    path (a quadrature in the kernel, which leaves the steps unchanged),
-    yielding the log-derivative of the flow map for contraction estimates.
+    Alternates stiff layer integration (``radau.solve_ivp`` at rtol and atol
+    = rtol/100, analytic Jacobian, stop levels v = +-1 where v leaves the
+    layer) with closed-form exterior arcs.  When ``stop_at_downward_v0_after``
+    is set, a downward v = 0 stop is added and the run terminates at the
+    first such crossing past that abscissa (the Poincare section used by the
+    regularized return map).  ``with_sensitivity`` also accumulates
+    J = d/dv (dv/dx) along the path (a quadrature in the kernel, which leaves
+    the steps unchanged), yielding the log-derivative of the flow map for
+    contraction estimates.
     The returned trajectory has passed ``Trajectory.validate``.
     """
     if params.epsilon <= 0.0:
@@ -198,6 +199,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
         raise DomainError(f"regularized simulation runs forward: x_end={x_end} < x0={x0}")
     e = params.epsilon
     a = params.a
+    atol = rtol / 100.0
     traj = Trajectory(params=params, model=model)
     log_sens = 0.0
     rate, rate_dv = layer_system(model, params)
@@ -399,8 +401,8 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 # ---------------------------------------------------------------------------
 # the regularized linear maps
 
-#: Integrator tolerances of every P_eps run.
-_PMAP_RTOL, _PMAP_ATOL = 1e-11, 1e-13
+#: Integrator rtol of every P_eps run.
+_PMAP_RTOL = 1e-11
 
 
 def _section_return(x: float, params: OscillatorParams,
@@ -411,7 +413,7 @@ def _section_return(x: float, params: OscillatorParams,
     x in (0, 1); where it points up, the run begins 1e-12 below the section.
     """
     traj = simulate_regularized(SwitchingModel.LINEAR, params, x, -_NUDGE,
-                                x_end=x + 12.0, rtol=_PMAP_RTOL, atol=_PMAP_ATOL,
+                                x_end=x + 12.0, rtol=_PMAP_RTOL,
                                 stop_at_downward_v0_after=x + 0.5,
                                 with_sensitivity=with_sensitivity)
     if traj.section_x is None:
@@ -430,7 +432,7 @@ def regularized_poincare_linear(x: float, params: OscillatorParams,
     """P_eps(x): return map of the regularized linear system on {v = 0, downward}.
 
     Follows the full hybrid trajectory (layer transits plus exterior arcs)
-    until the next downward v = 0 crossing, at rtol 1e-11 and atol 1e-13.
+    until the next downward v = 0 crossing, at rtol 1e-11.
     Without ``allow_capture`` a layer arc longer than
     ``capture_threshold(eps)`` raises CaptureError: the orbit left the
     non-sliding regime.

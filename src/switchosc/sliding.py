@@ -12,11 +12,11 @@ automatically fast-attracting (df/dlambda > 0); the regularization module is
 the validating oracle for this rule.
 
 The hybrid simulator stores each arc as a closed-form segment of a
-``core.Trajectory``: the threshold-leaving solution ``flow_solution``, the
-general ``flow_from_array`` from an interior start, or zero on a slide.
-Samples are tabulated only when read.  Arcs from the threshold end at
-``poincare.next_crossing``; an arc from an interior start ends at
-``analytic_flow.next_contact`` with the level y = 0.
+``core.Trajectory``: ``flow_from_array`` from the arc's start (y0 = 0 for a
+departure from the threshold), or zero on a slide.  Samples are tabulated
+only when read.  Arcs from the threshold end at ``poincare.next_crossing``;
+an arc from an interior start ends at ``analytic_flow.next_contact`` with the
+level y = 0.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .core import (
     forcing_dlam,
     sinpi,
 )
-# flow_from stays bound here: the benchmark's tracer patches it by name
+# flow_from and flow_solution stay bound here: the benchmark's tracer patches
+# them by name
 from .analytic_flow import flow_from, flow_from_array, flow_solution, next_contact
 from .poincare import _departure_ok, next_crossing, next_crossing_array
 
@@ -246,11 +247,10 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             if kind == "depart":
                 side, y0 = payload, 0.0
                 x_hit = next_crossing(side, x, params).x_next
-                arc = partial(flow_solution, side, x_i=x, params=params)
             else:
                 y0, side = payload, (1 if payload > 0.0 else -1)
                 x_hit = next_contact(side, x, y0, 0.0, params)
-                arc = partial(flow_from_array, side, x0=x, y0=y0, params=params)
+            arc = partial(flow_from_array, side, x0=x, y0=y0, params=params)
             cut = x_hit > x_end
             traj.segments.append(TrajectorySegment(
                 Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, x, min(x_hit, x_end),

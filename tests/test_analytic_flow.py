@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from switchosc.analytic_flow import (
+    MAX_POINTS,
     flow_from,
+    flow_from_array,
     flow_scale,
     flow_solution,
     h,
@@ -16,7 +17,15 @@ from switchosc.analytic_flow import (
     phase_lag,
     varphi_over_pi,
 )
-from switchosc.core import OscillatorError, OscillatorParams, SolverError, omega, sinpi
+from switchosc.core import (
+    DomainError,
+    OscillatorError,
+    OscillatorParams,
+    SolverError,
+    omega,
+    sinpi,
+)
+from switchosc.experiments import ivp_contact
 from switchosc.regularization import fold_points
 
 
@@ -72,6 +81,28 @@ def test_shifted_and_unshifted_forms_agree():
             eq14_reference(sign, x_i + xbar, x_i, p), abs=1e-12)
 
 
+def test_flow_from_starts_exactly_at_y0_and_matches_the_unshifted_form():
+    # the unshifted form: y_p(x) + exp(-a (x - x0)) (y0 - y_p(x0))
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        sign = 1 if rng.uniform() < 0.5 else -1
+        p = OscillatorParams(a=float(10.0 ** rng.uniform(-3, 1)))
+        x0, y0 = float(rng.uniform(0.0, 40.0)), sign * float(rng.uniform(0.0, 2.0))
+        x = x0 + rng.uniform(0.0, 6.0, size=4)
+        assert flow_from(sign, x0, x0, y0, p) == y0
+        assert flow_from_array(sign, np.array([x0]), x0, y0, p)[0] == y0
+        w, a = omega(sign), p.a
+        yp = lambda u: ((w * math.pi * np.cos(w * math.pi * u) - a * np.sin(w * math.pi * u))
+                        / ((w * math.pi) ** 2 + a**2))
+        want = yp(x) + np.exp(-a * (x - x0)) * (y0 - yp(x0))
+        got = flow_from_array(sign, x, x0, y0, p)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        scalar = [flow_from(sign, u, x0, y0, p) for u in x.tolist()]
+        np.testing.assert_allclose(got, scalar, rtol=0.0, atol=1e-15)
+    with pytest.raises(DomainError):
+        flow_from(+1, 0.9, 1.0, 0.2, OscillatorParams(a=0.5))
+
+
 def test_flow_from_general_initial_condition():
     p = OscillatorParams(a=0.4)
     # reduces to the threshold flow when y0 = 0
@@ -113,10 +144,15 @@ def test_h_is_scaled_flow():
             flow_solution(-1, 0.7 + xbar, 0.7, p) * flow_scale(-1, p), abs=1e-12)
 
 
+def h0_zeros_up_to(sign, x_i, p, horizon):
+    """The zeros of h0 from one departure in [0, horizon], sorted."""
+    zs = np.sort(h0_zeros(sign, np.array(x_i), p, horizon))
+    return zs[(zs >= 0.0) & (zs <= horizon)].tolist()
+
+
 def test_h0_zeros_contain_period_lattice_and_are_roots():
     p = OscillatorParams(a=1.0)
-    zs = h0_zeros(+1, 10.0 / 3.0, p, 12.0)[:8]
-    assert zs == sorted(zs)
+    zs = h0_zeros_up_to(+1, 10.0 / 3.0, p, 12.0)[:8]
     # the 2n/w family is always present
     for k in (0.0, 4.0 / 3.0, 8.0 / 3.0):
         assert any(abs(z - k) < 1e-12 for z in zs)
@@ -127,10 +163,17 @@ def test_h0_zeros_contain_period_lattice_and_are_roots():
 
 
 def test_zero_lattices_are_sorted():
+    # each row holds two lattices of step 2/w, the first from 0, both past the horizon
     p = OscillatorParams(a=0.5)
-    zs = h0_zeros(-1, 7.7, p, 400.0)[:200]
-    assert all(z2 >= z1 for z1, z2 in zip(zs, zs[1:]))
-    assert all(z >= 0.0 for z in zs)
+    x_i = np.array([7.7, -3.1, 0.0, 401.9])
+    zs = h0_zeros(-1, x_i, p, 400.0)
+    half = zs.shape[1] // 2
+    assert zs.shape == (4, 2 * half)
+    for lattice in (zs[:, :half], zs[:, half:]):
+        np.testing.assert_allclose(np.diff(lattice, axis=1), 4.0, rtol=0.0, atol=1e-12)
+        assert np.all(lattice[:, -1] > 400.0)
+    assert np.all(zs[:, 0] == 0.0)
+    np.testing.assert_array_equal(zs[0], h0_zeros(-1, np.array(7.7), p, 400.0))
 
 
 def test_sandwich_property():
@@ -165,33 +208,6 @@ def test_p0_map_values():
         x1 = p0_map(-1, float(x))
         assert x1 == pytest.approx(4.0 - float(x), abs=1e-12)
         assert p0_map(+1, x1) == pytest.approx(4.0 + float(x), abs=1e-12)
-
-
-def ivp_contact(sign, x0, y0, level, a):
-    """First crossing of y = level by y' = -a y - sin(w pi x) out of S_sign, by solve_ivp.
-
-    A terminal event stops the run at the first crossing seen at a step end.
-    A dip through the level and back inside one step shows only at its turning
-    point (a second event, on y' = 0): the crossing then lies between that
-    turn and the one before, where y is monotone, and the dense output gives it.
-    """
-    w = omega(sign)
-    rhs = lambda x, y: [-a * y[0] - math.sin(w * math.pi * x)]
-    # a start on the level is no contact: the event counts crossings after it
-    hit = lambda x, y: y[0] - level if x > x0 else float(sign)
-    hit.terminal, hit.direction = True, -sign
-    # past this the transient is below half the forced amplitude
-    span = 16.0 / w + math.log(1.0 + 2.0 * abs(y0) * math.hypot(w * math.pi, a)) / a
-    sol = solve_ivp(rhs, (x0, x0 + span), [y0], method="DOP853", rtol=1e-13, atol=1e-15,
-                    events=[hit, lambda x, y: rhs(x, y)[0]], dense_output=True,
-                    max_step=0.25 / w)
-    assert sol.status == 1, (sign, x0, y0, level, a)
-    lo = x0
-    for xt, (yt,) in zip(sol.t_events[1], sol.y_events[1]):
-        if sign * (yt - level) < 0.0:
-            return brentq(lambda x: sol.sol(x)[0] - level, lo, xt, xtol=1e-14)
-        lo = xt
-    return float(sol.t_events[0][0])
 
 
 def horizon(sign, x0, y0, a):
@@ -234,6 +250,16 @@ def test_next_contact_from_interior_and_off_boundary_starts(sign):
         located += check_contact(sign, x0, sign * e * float(rng.uniform(1.0 + 1e-6, 1.5)),
                                  sign * e, p)
     assert located >= 30
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-9])
+def test_next_contact_refuses_a_lattice_past_the_cap(a):
+    # the transient of y0 = 1 decays over ln(|y0|/amp)/a, so the lattice would
+    # hold billions of points or more; the search stops before building it
+    p = OscillatorParams(a=a)
+    with pytest.raises(SolverError, match=f"more than {MAX_POINTS}") as exc:
+        next_contact(+1, 0.0, 1.0, 0.0, p)
+    assert f"(0.0, 1.0) in S_+1 at a={a!r}" in str(exc.value)
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -191,6 +191,19 @@ def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys)
     assert out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--model", "linear", "--a", "1e-300", "--x0", "0", "--y0", "1",
+     "--x-end", "3", "--out-dir", "{dir}"],
+    ["orbit", "find", "--model", "linear", "--a", "1e300"],
+])
+def test_contact_search_past_the_array_cap_usage_error(args, tmp_path, capsys):
+    # a contact lattice (tiny a) or a departure's probes (huge a) would need
+    # more points than memory holds; both stop before building the array
+    code, out, err = run([a.format(dir=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "more than" in err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "linear", "a": 123.0}))

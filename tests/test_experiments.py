@@ -6,7 +6,7 @@ from switchosc import experiments, poincare
 from switchosc.core import DomainError, SolverError
 from switchosc.experiments import (
     TRACEABILITY,
-    ivp_crossing,
+    ivp_contact,
     ivp_fixed_point,
     list_scenarios,
     load_scenario,
@@ -43,7 +43,7 @@ def test_a0_limit_raises_a_rejected_departure_s_error(monkeypatch):
 def test_ivp_oracle_agrees_with_h_machinery():
     # the deliberately independent integration path reproduces next_crossing
     p = OscillatorParams(a=0.3)
-    assert ivp_crossing(-1, 0.4, 0.3) == pytest.approx(
+    assert ivp_contact(-1, 0.4, 0.0, 0.0, 0.3) == pytest.approx(
         next_crossing(-1, 0.4, p).x_next, abs=1e-9)
 
 

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from switchosc.analytic_flow import flow_solution, h, h_dxbar, p0_map, phase_lag
+from switchosc.analytic_flow import (
+    MAX_POINTS,
+    flow_from_deriv,
+    flow_solution,
+    h,
+    p0_map,
+    phase_lag,
+)
 from switchosc import poincare
 from switchosc.core import (
     DomainError,
@@ -18,7 +25,7 @@ from switchosc.core import (
 )
 from switchosc.poincare import (
     BRACKET_WIDTH,
-    GRAZING_DERIV_TOL,
+    _brackets,
     _departure_ok,
     composite_map,
     composite_map_array,
@@ -36,10 +43,12 @@ XSTAR_PAPER = 0.6261249968
 
 @pytest.mark.parametrize("a", [0.01, 0.1, 1.0, 10.0, 100.0])
 def test_first_crossing_from_10_3_confined(a):
-    res = next_crossing(+1, 10.0 / 3.0, OscillatorParams(a=a))
+    p = OscillatorParams(a=a)
+    res = next_crossing(+1, 10.0 / 3.0, p)
     assert 4.0 < res.x_next < 14.0 / 3.0
-    assert res.residual < 1e-12
-    assert not res.grazing_suspect
+    assert abs(h(+1, res.x_next - 10.0 / 3.0, 10.0 / 3.0, p)) < 1e-12
+    # a transversal return, not a graze
+    assert abs(flow_from_deriv(+1, res.x_next, 10.0 / 3.0, 0.0, p)) > 1e-8
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
@@ -60,8 +69,8 @@ def test_flow_map_consistency_and_bracket():
     for sign, x_i in ((+1, 10.0 / 3.0), (-1, 0.21), (-1, 8.0)):
         res = next_crossing(sign, x_i, p)
         assert abs(flow_solution(sign, res.x_next, x_i, p)) < 1e-10
-        lo, hi = res.bracket
-        assert lo < res.x_next - x_i < hi or res.residual == 0.0
+        lo, hi, exact = _brackets(sign, x_i, p)
+        assert lo < res.x_next - x_i < hi or (exact and res.x_next - x_i == hi)
 
 
 def test_departure_consistency_enforced():
@@ -147,9 +156,10 @@ def test_zero_bracket_end_reports_no_iterations():
     # the first probe already has the other sign, so the bracket is (0, t1)
     # with h(0) = 0 exactly: brentq returns 0 at once (the zero-length arc of
     # the open contact-finder fault) and leaves its own count unset
-    res = next_crossing(+1, 6.642139527593896, OscillatorParams(a=1.068))
-    assert res.bracket[0] == 0.0
-    assert res.x_next == res.x_start
+    x_i, p = 6.642139527593896, OscillatorParams(a=1.068)
+    assert _brackets(+1, x_i, p)[0] == 0.0
+    res = next_crossing(+1, x_i, p)
+    assert res.x_next == x_i
     assert res.iterations == 0
 
 
@@ -192,11 +202,9 @@ def scalar_scan_crossing(sign, x_i, params):
         prev = t
     else:
         raise SolverError("no crossing")
-    residual = abs(f(root))
-    if residual > 1e-12:
+    if abs(f(root)) > 1e-12:
         raise SolverError("residual")
-    grazing = abs(h_dxbar(sign, root, x_i, params)) < GRAZING_DERIV_TOL
-    return x_i + root, (prev, t), residual, grazing
+    return x_i + root
 
 
 def test_array_probe_matches_scalar_scan_bit_for_bit():
@@ -221,8 +229,7 @@ def test_array_probe_matches_scalar_scan_bit_for_bit():
             with pytest.raises(type(exc)):
                 next_crossing(sign, x_i, p)
             continue
-        res = next_crossing(sign, x_i, p)
-        assert (res.x_next, res.bracket, res.residual, res.grazing_suspect) == expected
+        assert next_crossing(sign, x_i, p).x_next == expected
         accepted += 1
     assert accepted > 200
 
@@ -347,3 +354,50 @@ def test_composite_map_array_matches_scalar():
             except (DomainError, SolverError):
                 expected.append(math.nan)
         assert_same_floats(composite_map_array(x, a), expected)
+
+
+def test_composite_map_is_strictly_increasing_where_defined():
+    # P is the composite of two return maps of a planar flow, so it preserves
+    # order; nan marks a departure or an intermediate contact it rejects
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.uniform(0.0, 2.0 / 3.0, size=1500))
+    pairs = 0
+    for a in (10.0 ** rng.uniform(-3.0, math.log10(0.5), size=25)).tolist():
+        px = composite_map_array(x, a)
+        both = ~np.isnan(px[:-1]) & ~np.isnan(px[1:])
+        assert np.all(np.diff(px)[both] > 0.0), a
+        pairs += int(both.sum())
+    assert pairs > 20000
+
+
+@pytest.mark.parametrize("a", [1e300, 1.7e308])
+def test_departure_probes_past_the_cap_raise(a):
+    # the decay step 1/(4a) would ask for more probes than memory holds
+    p = OscillatorParams(a=a)
+    with pytest.raises(SolverError, match=f"more than {MAX_POINTS}") as exc:
+        next_crossing(-1, 0.5, p)
+    assert f"(0.5, 0.0) into S_-1 at a={a!r}" in str(exc.value)
+    with pytest.raises(SolverError, match="probes"):
+        next_crossing_array(-1, np.array([0.5, 0.6]), p)
+    with pytest.raises(SolverError, match="probes"):
+        find_nonsliding_period4(a)
+
+
+def test_next_crossing_array_passes_fit_under_the_cap(monkeypatch):
+    # at a = 100 a departure into S_- takes about 4 800 probes, so a pass
+    # holds about 200 departures, not ROWS_PER_PASS
+    p = OscillatorParams(a=100.0)
+    x_i = np.linspace(0.01, 1.99, 500)
+    expected = [scalar_or_nan(-1, x, p) for x in x_i.tolist()]
+    sizes = []
+    real = poincare._probes
+
+    def probes(sign, x, params):
+        t = real(sign, x, params)
+        sizes.append(t.shape)
+        return t
+
+    monkeypatch.setattr(poincare, "_probes", probes)
+    assert_same_floats(next_crossing_array(-1, x_i, p), expected)
+    assert len(sizes) == 3 and sum(rows for rows, _ in sizes) == 500
+    assert all(rows * width <= MAX_POINTS for rows, width in sizes)

@@ -119,7 +119,7 @@ def test_attracting_branch_capture_rate():
     n = 4
     x0, v_start = capture_start(n, offset_frac=0.1)
     traj = simulate_regularized(NONLIN, p, x0, v_start, x0 + 0.01,
-                                rtol=1e-12, atol=1e-14)
+                                rtol=1e-12)
     v0 = critical_branch(NONLIN, 2 * n, x0)
     rate = math.pi * x0 / 2.0 * psi_prime(v0) / p.epsilon
     xs = np.linspace(x0 + 5e-5, x0 + 2.5e-4, 7)
@@ -155,7 +155,7 @@ def test_measured_trajectory_matches_first_order_expansion():
     n = 8
     x0, v_start = capture_start(n)
     traj = simulate_regularized(NONLIN, p, x0, v_start, 3.0 * n + 2.0,
-                                rtol=1e-11, atol=1e-13)
+                                rtol=1e-11)
     for x in np.linspace(7.0 * n / 3.0, 3.0 * n + 2.0, 50):
         sm = slow_manifold_expansion(n, float(x), p)
         v = float(traj.eval([x])[0])
@@ -367,7 +367,7 @@ def test_funnel_windows_capture_onto_branch_2n():
         for frac in (0.1, 0.5, 0.9):
             x_in = lo + 1e-4 + frac * (hi - lo - 1e-4)
             traj = simulate_regularized(NONLIN, p, x_in, v_in, x_in + 0.6,
-                                        rtol=1e-10, atol=1e-12)
+                                        rtol=1e-10)
             xq = x_in + 0.5
             v = float(traj.eval([xq])[0])
             v0 = critical_branch(NONLIN, 6, xq)
@@ -480,7 +480,7 @@ def test_log_sensitivity_matches_finite_difference(eps):
     checked = 0
     for x in np.linspace(x_star - 0.08, x_star + 0.08, 9):
         x = float(x)
-        traj = simulate_regularized(LIN, p, x, 0.0, x + 12.0, rtol=1e-11, atol=1e-13,
+        traj = simulate_regularized(LIN, p, x, 0.0, x + 12.0, rtol=1e-11,
                                     stop_at_downward_v0_after=x + 0.5,
                                     with_sensitivity=True)
         slope = math.exp(traj.log_sensitivity)
