@@ -26,7 +26,6 @@ from .poincare import (
     PoincareResult,
     composite_map,
     dP_da_at_zero,
-    dP_dx,
     find_nonsliding_period4,
     next_crossing,
     solve_x0,

@@ -18,6 +18,7 @@ import numpy as np
 from . import experiments, poincare
 from .core import (
     DomainError,
+    NoOrbitError,
     OscillatorParams,
     SwitchingModel,
     OscillatorError,
@@ -149,7 +150,11 @@ def cmd_orbit_find(args) -> int:
     params = _params(args, cfg)
     model = _model(args, cfg)
     if model is SwitchingModel.LINEAR and not args.sliding:
-        x_star, mult = poincare.find_nonsliding_period4(params.a)
+        try:
+            x_star, mult = poincare.find_nonsliding_period4(params.a)
+        except NoOrbitError as exc:
+            print(f"no non-sliding period-4 orbit: {exc}")
+            return 1
         print(f"non-sliding period-4 fixed point x* = {_g(x_star)}")
         print(f"multiplier dP/dx = {_g(mult)}")
         return 0

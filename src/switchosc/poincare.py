@@ -1,29 +1,31 @@
-"""Crossing-to-crossing maps and the non-sliding period-4 orbit (linear model).
+"""Crossing-to-crossing maps and the period-4 fixed points of section maps.
 
 The next threshold contact after a departure at (x_i, 0) is the first positive
-zero of the crossing function h.  h has a trivial zero at 0 (double when the
-departure is tangent), so the solver never probes near 0.  Its probes are a
-grid whose step resolves both the oscillation (1/(8w)) and the decay (1/(4a)),
-and the zeros of the comparison function h0: the lattice 2k/w and its shift by
-a start that depends on x_i.  The hinf lattice is not probed.  h is evaluated
-on all probes in one array call.  The probes stay unsorted: the bracket's
-upper end is the smallest probe at which h has left the sign of y, its lower
-end the largest probe below that (or 0).  brentq polishes it on h, with the
-phase of x_i computed once.
+zero of the crossing function h; its trivial zero at 0 is never probed.  The
+probes, a grid whose step resolves both the oscillation (1/(8w)) and the
+decay (1/(4a)) plus the zeros of the comparison function h0, take one array
+evaluation of h.  The smallest probe at which h has left the sign of y and the
+largest probe below it (or 0) bracket the zero, and brentq polishes it with
+the phase of x_i computed once.  ``next_crossing`` takes one departure and
+reports brentq's iterations; ``next_crossing_array`` takes a 1-D array of
+independent departures in passes of at most MAX_POINTS probes, nan where the
+scalar form raises.  The two share the probes and the polish, so their
+crossings are bit-identical.
 
-``next_crossing`` takes one departure and reports x_next and brentq's
-iterations; the sequential hybrid engine uses it.  ``next_crossing_array``
-takes a 1-D array of independent departures, brackets them in passes of at
-most MAX_POINTS probes and returns each x_next, nan where the scalar form
-raises.  The two share the probes, the departure test and the polish, so
-their crossings are bit-identical.  The period-4 scan, the margin table, the
-a -> 0 scenario and the map table use the array form.
+``section_fixed_point`` is the one Newton driver for a period-4 fixed point
+P(x) = x + 4 of a section map, in both engines: a run from x reports P(x) and
+log P'(x).  The discontinuous linear map is total under Filippov's
+convention: a leg that lands on an attracting interval slides to its end,
+10/3 mod 4, and departs from there, so P' = 0 on such departures; a
+transversal leg contributes (rate at departure / rate at arrival) e^(-a dx).
+The non-sliding orbit is the fixed point whose legs both cross.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -275,53 +277,111 @@ def solve_x0() -> float:
     return brentq(dP_da_at_zero, 0.5, 2.0 / 3.0 - 1e-12, xtol=1e-12)
 
 
-def dP_dx(x: float, a: float) -> float:
-    """Derivative of the composite map at a fixed point of P(x) - (x + 4).
+#: Newton iterates (bisection steps included) before a fixed-point solve gives up.
+_FIXED_POINT_RUNS = 40
+#: A Newton step shorter than this ends the fixed-point solve.
+_FIXED_POINT_XTOL = 1e-12
 
-    Closed form by the triple-angle reduction; x must be such a fixed point.
+
+def section_fixed_point(run, bracket: tuple[float, float]):
+    """Root of g(x) = P(x) - (x + 4) in ``bracket`` (ends in either order).
+
+    ``run(x)`` returns (P(x), log P'(x), payload); P' >= 0, since a section
+    map of a planar flow preserves order.  Newton on g' = P' - 1 starts at the
+    bracket midpoint; when a step would leave the bracket or the last one did
+    not halve |g|, the bracket ends are run once and bisection takes over.
+    Returns (x, log P'(x), payload) of the iterate whose Newton step or
+    sign-change bracket is below 1e-12, or whose g is within 8 ulp of P (where
+    P' nears 1, a step on rounding noise stays large).  Raises DomainError
+    for a non-finite bracket or one without a sign change, SolverError with
+    the last iterate, g and bracket when the runs are spent.
     """
-    pm = next_crossing(-1, x, OscillatorParams(a=a)).x_next
-    den = 3.0 - 4.0 * sinpi(x / 2.0) ** 2
-    if abs(den) < 1e-9:
-        raise SolverError(f"dP_dx denominator ~ 0 at x={x} (x near 2/3 mod 4)")
-    num = 3.0 - 4.0 * sinpi(pm / 2.0) ** 2
-    return (num / den) * math.exp(-4.0 * a)
+    lo, hi = sorted(bracket)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"fixed-point bracket must be finite, got {bracket}")
+    g_lo = None  # g at lo, unknown until a bisection needs the ends
+    x, g_ref = 0.5 * (lo + hi), math.inf  # g_ref: |g| a Newton step must halve
+    for _ in range(_FIXED_POINT_RUNS):
+        payload = None  # one payload alive at a time
+        px, log_slope, payload = run(x)
+        gx = px - (x + 4.0)
+        last = x, gx
+        dg = math.expm1(log_slope)
+        step = -gx / dg if dg != 0.0 else math.inf
+        if (abs(step) < _FIXED_POINT_XTOL or abs(gx) <= 8.0 * math.ulp(px)
+                or (g_lo is not None and hi - lo < _FIXED_POINT_XTOL)):
+            return x, log_slope, payload
+        if g_lo is None and not (lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref):
+            payload = None
+            g_lo, g_hi = (run(end)[0] - (end + 4.0) for end in (lo, hi))
+            if g_lo * g_hi > 0.0:
+                raise DomainError(
+                    f"no fixed point of P in [{lo}, {hi}]: g = {g_lo} and {g_hi} at the ends")
+        if g_lo is not None:  # keep the sign change inside [lo, hi]
+            if (gx > 0.0) == (g_lo > 0.0):
+                lo, g_lo = x, gx
+            else:
+                hi = x
+        if lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref:
+            x, g_ref = x + step, abs(gx)
+        else:
+            x, g_ref = 0.5 * (lo + hi), math.inf
+    raise SolverError(
+        f"fixed-point iteration did not converge in {_FIXED_POINT_RUNS} runs: last "
+        f"iterate x={last[0]!r}, g={last[1]!r}, bracket=({lo!r}, {hi!r})")
+
+
+def _slide_end(x: float, landing: float) -> float | None:
+    """The end 10/3 mod 4 of the attracting interval a leg from x lands on, or None.
+
+    The ends count: from 10/3 the slide has no length, and its departure is
+    the crossing's.  Raises SolverError for any other non-crossing landing.
+    """
+    region = classify_threshold_point(landing)
+    if region is Region.ATTRACTING or (region is Region.TANGENCY_PLUS
+                                       and sinpi(landing / 2.0) < 0.0):
+        return 4.0 * math.floor(landing / 4.0) + 10.0 / 3.0
+    if region is not Region.CROSSING:
+        raise SolverError(f"the composite map from x={x!r} lands at x={landing!r} on a "
+                          f"{region.value} point of the threshold")
+    return None
+
+
+def _composite_run(params: OscillatorParams, x: float):
+    """(P(x), log P'(x), slide end or None) of the total composite map.
+
+    The legs x -> x1 -> x2 are two ``next_crossing`` calls.  After a slide P
+    is the crossing from the slide's end, the same for every x nearby.
+    """
+    x1 = next_crossing(-1, x, params).x_next
+    end = _slide_end(x, x1)
+    if end is None:
+        x2 = next_crossing(+1, x1, params).x_next
+        end = _slide_end(x, x2)
+    if end is not None:
+        return next_crossing(+1, end, params).x_next, -math.inf, end
+    # each leg: rate of departure over rate of arrival, times the decay
+    log_slope = (math.log(abs(sinpi(x / 2.0) / sinpi(x1 / 2.0)))
+                 + math.log(abs(sinpi(1.5 * x1) / sinpi(1.5 * x2)))
+                 - params.a * (x2 - x))
+    return x2, log_slope, None
 
 
 def find_nonsliding_period4(a: float) -> tuple[float, float]:
-    """Fixed point x* of P(x, a) - (x + 4) on (0, 2/3) and its multiplier.
+    """Fixed point x* of P(x, a) - (x + 4) on (0, 2/3) and its multiplier P'(x*).
 
-    Brackets on 64 subintervals, whose 65 ends take two
-    ``next_crossing_array`` calls (``composite_map_array``), then refines by
-    bisection-backed root finding on the scalar ``composite_map``.  Raises
-    NoOrbitError when no transversal fixed point exists (no sign change, or an
-    intermediate contact falls outside a crossing region, which is how the
-    orbit dies as `a` grows), SolverError on a numerical failure.
+    Solved on the total composite map, whose fixed point is the sliding
+    orbit's crossing past the grazing-sliding bifurcation.  Raises
+    NoOrbitError when that orbit slides or none exists, SolverError on a
+    numerical failure.
     """
     p = OscillatorParams(a=a)
-    lo, hi, n = 1e-4, 2.0 / 3.0 - 1e-4, 64
-    delta = lambda x: composite_map(x, a) - (x + 4.0)
-    xs = lo + (hi - lo) * np.arange(n + 1) / n
-    vals = (composite_map_array(xs, a) - (xs + 4.0)).tolist()
-    xs = xs.tolist()
-    root = None
-    for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if math.isnan(v1) or math.isnan(v2):
-            continue
-        if v1 == 0.0:
-            root = x1
-            break
-        if (v1 > 0.0) != (v2 > 0.0):
-            root = brentq(delta, x1, x2, xtol=1e-12)
-            break
-    if root is None:
-        raise NoOrbitError(f"no non-sliding period-4 fixed point found for a={a}")
-    mid = next_crossing(-1, root, p)
-    for contact in (mid.x_next, composite_map(root, a)):
-        if classify_threshold_point(contact) is not Region.CROSSING:
-            raise NoOrbitError(
-                f"fixed point candidate x={root} touches a non-crossing region at "
-                f"x={contact}; the transversal orbit does not exist at a={a}"
-            )
-    multiplier = dP_dx(root, a)
-    return root, multiplier
+    try:
+        x_star, log_slope, slide = section_fixed_point(partial(_composite_run, p),
+                                                       (1e-4, 2.0 / 3.0 - 1e-4))
+    except DomainError as exc:  # no sign change: every departure here is valid
+        raise NoOrbitError(f"no period-4 fixed point at a={a}: {exc}") from exc
+    if slide is not None:
+        raise NoOrbitError(f"the period-4 fixed point x={x_star} slides to x={slide}: "
+                           f"no non-sliding orbit at a={a}")
+    return x_star, math.exp(log_slope)

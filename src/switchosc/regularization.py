@@ -18,12 +18,11 @@ dense output (the step's cubic in numpy) as its evaluator and each exterior
 arc the closed form ``flow_from_array``, so ``Trajectory.eval`` serves v on
 arrays; ``v_r`` is evaluated the same way.
 
-Fixed points of the regularized return map P_eps are found by Newton's method
-on its variational derivative: a run with ``with_sensitivity`` yields both
-P_eps(x) and log P_eps'(x) (a section map of a planar flow preserves
-orientation, so P_eps' > 0) in the steps of a plain run, since the kernel
-carries J' = d/dv (dv/dx) as a quadrature; so each iterate costs one run.
-The bracket guards the iteration, with bisection as fallback.
+Fixed points of the regularized return map P_eps are found by
+``poincare.section_fixed_point``, the Newton driver of the discontinuous map
+too: a run with ``with_sensitivity`` yields P_eps(x) and log P_eps'(x) in the
+steps of a plain run (the kernel carries J' = d/dv (dv/dx) as a quadrature),
+so each iterate costs one run.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .core import (
 )
 # flow_from stays bound here: the benchmark's tracer patches it by name
 from .analytic_flow import flow_from, flow_from_array, flow_from_deriv, next_contact
+from .poincare import section_fixed_point
 from .radau import solve_ivp
 from .sliding import _linear_branch, _nonlinear_branch
 
@@ -405,20 +405,19 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
 _PMAP_RTOL = 1e-11
 
 
-def _section_return(x: float, params: OscillatorParams,
-                    with_sensitivity: bool = False) -> Trajectory:
-    """The linear-model run from (x, -1e-12) to its next downward v = 0 crossing.
+def _section_return(x: float, params: OscillatorParams) -> tuple[float, float, Trajectory]:
+    """(P_eps(x), log P_eps'(x), run): the run ``section_fixed_point`` iterates.
 
-    A start at (x, 0) would stop at once where the field points down, as for
-    x in (0, 1); where it points up, the run begins 1e-12 below the section.
+    The linear-model run goes from (x, -1e-12) to its next downward v = 0
+    crossing.  A start at (x, 0) would stop at once where the field points
+    down, as for x in (0, 1); where it points up, the run begins 1e-12 below.
     """
     traj = simulate_regularized(SwitchingModel.LINEAR, params, x, -_NUDGE,
                                 x_end=x + 12.0, rtol=_PMAP_RTOL,
-                                stop_at_downward_v0_after=x + 0.5,
-                                with_sensitivity=with_sensitivity)
+                                stop_at_downward_v0_after=x + 0.5, with_sensitivity=True)
     if traj.section_x is None:
         raise SolverError(f"P_eps: no section return from x={x}")
-    return traj
+    return traj.section_x, traj.log_sensitivity, traj
 
 
 def _require_no_capture(traj: Trajectory) -> None:
@@ -427,99 +426,32 @@ def _require_no_capture(traj: Trajectory) -> None:
             f"layer capture at {traj.captured_spans()}; non-sliding regime violated")
 
 
-def regularized_poincare_linear(x: float, params: OscillatorParams,
-                                allow_capture: bool = False) -> float:
+def regularized_poincare_linear(x: float, params: OscillatorParams) -> float:
     """P_eps(x): return map of the regularized linear system on {v = 0, downward}.
 
     Follows the full hybrid trajectory (layer transits plus exterior arcs)
-    until the next downward v = 0 crossing, at rtol 1e-11.
-    Without ``allow_capture`` a layer arc longer than
-    ``capture_threshold(eps)`` raises CaptureError: the orbit left the
-    non-sliding regime.
+    until the next downward v = 0 crossing, at rtol 1e-11.  A layer arc
+    longer than ``capture_threshold(eps)`` raises CaptureError: the orbit left
+    the non-sliding regime.
     """
-    if params.epsilon <= 0.0:
-        raise DomainError("regularized map needs epsilon > 0")
-    traj = _section_return(x, params)
-    if not allow_capture:
-        _require_no_capture(traj)
-    return traj.section_x
-
-
-#: Newton iterates (bisection steps included) before the fixed-point solve gives up.
-_FIXED_POINT_RUNS = 40
-#: A Newton step shorter than this ends the fixed-point solve.
-_FIXED_POINT_XTOL = 1e-12
-
-
-def _fixed_point_orbit(params: OscillatorParams, bracket: tuple[float, float],
-                       allow_capture: bool) -> tuple[float, Trajectory]:
-    """Root of g(x) = P_eps(x) - (x + 4) in ``bracket`` and the orbit from it.
-
-    Newton on g' = P_eps' - 1, where P_eps' = exp(log_sensitivity) > 0 comes
-    from the variational equation of the same run that gives P_eps, so one
-    iterate costs one run.  Iterates start at the bracket midpoint and never
-    leave the bracket.  When a Newton step would leave it, or the step that
-    led to the current iterate did not halve |g|, the next iterate is the
-    bisection point; the bracket ends are evaluated only then, to learn which
-    side holds the root.  Only scalars of rejected iterates are kept, so one
-    trajectory is alive at a time.  Without ``allow_capture`` the returned
-    orbit must be capture-free.
-    """
-    lo, hi = sorted(bracket)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"fixed-point bracket must be finite, got {bracket}")
-
-    def run(x):
-        traj = _section_return(x, params, with_sensitivity=True)
-        return traj.section_x - (x + 4.0), math.expm1(traj.log_sensitivity), traj
-
-    g_lo = None  # g at lo, unknown until a bisection needs the ends
-    x, g_ref = 0.5 * (lo + hi), math.inf  # g_ref: |g| a Newton step must halve
-    for _ in range(_FIXED_POINT_RUNS):
-        traj = None
-        gx, dg, traj = run(x)
-        last = x, gx
-        step = -gx / dg if dg != 0.0 else math.inf
-        if abs(step) < _FIXED_POINT_XTOL:
-            if not allow_capture:
-                _require_no_capture(traj)
-            return x, traj
-        if g_lo is None and not (lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref):
-            traj = None
-            g_lo, g_hi = run(lo)[0], run(hi)[0]
-            if g_lo * g_hi > 0.0:
-                raise DomainError(
-                    f"no fixed point of P_eps in [{lo}, {hi}]: "
-                    f"g = {g_lo} and {g_hi} at the ends")
-        if g_lo is not None:  # keep the sign change inside [lo, hi]
-            if (gx > 0.0) == (g_lo > 0.0):
-                lo, g_lo = x, gx
-            else:
-                hi = x
-        if lo <= x + step <= hi and abs(gx) <= 0.5 * g_ref:
-            x, g_ref = x + step, abs(gx)
-        else:
-            x, g_ref = 0.5 * (lo + hi), math.inf
-    raise SolverError(
-        f"fixed-point iteration did not converge in {_FIXED_POINT_RUNS} runs: last "
-        f"iterate x={last[0]!r}, g={last[1]!r}, bracket=({lo!r}, {hi!r})")
+    px, _, traj = _section_return(x, params)  # DomainError unless epsilon > 0
+    _require_no_capture(traj)
+    return px
 
 
 def regularized_fixed_point(params: OscillatorParams,
                             bracket: tuple[float, float]) -> float:
     """Fixed point of P_eps(x) - (x + 4) inside ``bracket`` (ends in either order).
 
-    Solved by Newton's method on the variational derivative P_eps' of each
-    run, guarded by the bracket with bisection as fallback; the located
-    iterate is returned once its Newton step falls below 1e-12.  The return
-    map stays total when an iterate brushes a sliding branch, so the
-    iteration tolerates capture; the orbit at the located fixed point must
-    then be capture-free (the non-sliding regime check applies to the orbit,
-    not to probe points), or CaptureError is raised.  A bracket without a
-    fixed point raises DomainError; an iteration that does not converge
-    raises SolverError with its last iterate, g and bracket.
+    Solved by ``poincare.section_fixed_point`` on the runs' variational
+    derivative P_eps'.  The iterates may be captured by a sliding branch; the
+    orbit at the located fixed point must not, or CaptureError is raised.  A
+    bracket without a fixed point raises DomainError, an iteration that does
+    not converge SolverError with its last iterate, g and bracket.
     """
-    return _fixed_point_orbit(params, bracket, allow_capture=False)[0]
+    x, _, orbit = section_fixed_point(partial(_section_return, params=params), bracket)
+    _require_no_capture(orbit)
+    return x
 
 
 @dataclass
@@ -534,27 +466,23 @@ def find_regularized_sliding_orbit_linear(a: float,
                                           params: OscillatorParams) -> RegSlidingOrbit:
     """Regularized sliding period-4 orbit of the linear model (large-a regime).
 
-    Locates the fixed point of P_eps in (0.02, 0.64) by the Newton iteration
-    of ``regularized_fixed_point``, with capture allowed, and verifies that
-    the orbit from it carries a captured layer segment (the slide along the
-    attracting critical branch).  Its contraction is the variational
-    log-derivative log P_eps' of that same final run, which resolves the
+    Locates the fixed point of P_eps in (0.02, 0.64) as
+    ``regularized_fixed_point`` does, and requires a captured layer segment on
+    the orbit from it (the slide along the attracting critical branch).  Its
+    contraction is log P_eps' of that same run, which resolves the
     exponential smallness; so the solve makes only its Newton runs.
     """
     if params.a != a:
         raise DomainError("params.a must equal a")
-    fp, orbit = _fixed_point_orbit(params, (0.02, 0.64), allow_capture=True)
+    fp, _, orbit = section_fixed_point(partial(_section_return, params=params),
+                                       (0.02, 0.64))
     captured = orbit.captured_spans()
     if not captured:
         raise NoOrbitError(
             f"no sliding (captured) segment on the orbit at a={a}, "
             f"eps={params.epsilon}: not in the sliding regime")
-    return RegSlidingOrbit(
-        fixed_point=fp,
-        trajectory=orbit,
-        log_contraction=orbit.log_sensitivity,
-        sliding_span=captured[0],
-    )
+    return RegSlidingOrbit(fixed_point=fp, trajectory=orbit,
+                           log_contraction=orbit.log_sensitivity, sliding_span=captured[0])
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,17 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float,
             f"field at x={x_entry} does not point from S_{'+' if from_side > 0 else '-'} "
             "towards the threshold"
         )
-    cands = branches_at(model, x_entry)
+    if model is SwitchingModel.LINEAR:
+        cands = branches_at(model, x_entry)
+    else:
+        # lambda_n(x) = 2(n/x - 1) rises with n: from above the first root met
+        # is the largest n with x in (2n/3, 2n), from below the smallest
+        n_lo, n_hi = max(math.floor(x_entry / 2.0) + 1, 1), math.ceil(3.0 * x_entry / 2.0) - 1
+        cands = [_nonlinear_branch(n_hi if from_side > 0 else n_lo)] if n_lo <= n_hi else []
     if not cands:
         return EntryDecision(kind="crossing")
-    roots = sorted(((b.lambda_of(x_entry), b) for b in cands), key=lambda t: t[0])
-    lam_star, branch = roots[-1] if from_side > 0 else roots[0]
+    branch = cands[0]
+    lam_star = branch.lambda_of(x_entry)
     slope = forcing_dlam(model, x_entry, lam_star)
     if abs(slope) < TANGENCY_FIELD_TOL:
         return EntryDecision(kind="tangency", branch=branch, lam_star=lam_star)

@@ -35,6 +35,18 @@ def test_orbit_sliding_absence_exit_code(capsys):
     assert "no sliding" in out
 
 
+def test_orbit_find_nonsliding_absence_exit_code(capsys):
+    code, out, _ = run(["orbit", "find", "--model", "linear", "--a", "10"], capsys)
+    assert code == 1
+    assert "no non-sliding period-4 orbit" in out
+
+
+def test_orbit_find_nonsliding_orbit_near_the_grazing_point(capsys):
+    code, out, _ = run(["orbit", "find", "--model", "linear", "--a", "0.03"], capsys)
+    assert code == 0
+    assert "x* = 0.606982" in out
+
+
 def test_simulate_writes_csv_and_svg(tmp_path, capsys):
     code, out, _ = run(["simulate", "--model", "nonlinear", "--a", "0.5",
                         "--x0", "0", "--y0", "0", "--x-end", "4.4",

@@ -14,6 +14,7 @@ from switchosc.analytic_flow import (
     phase_lag,
 )
 from switchosc import poincare
+from switchosc.experiments import ivp_fixed_point
 from switchosc.core import (
     DomainError,
     NoOrbitError,
@@ -22,7 +23,9 @@ from switchosc.core import (
     SolverError,
     classify_threshold_point,
     omega,
+    sinpi,
 )
+from switchosc.sliding import find_sliding_period4_linear
 from switchosc.poincare import (
     BRACKET_WIDTH,
     _brackets,
@@ -30,7 +33,6 @@ from switchosc.poincare import (
     composite_map,
     composite_map_array,
     dP_da_at_zero,
-    dP_dx,
     find_nonsliding_period4,
     next_crossing,
     next_crossing_array,
@@ -123,12 +125,24 @@ def test_solve_x0_matches_paper():
     assert 0.5 < x0 < 2.0 / 3.0
 
 
+def dP_dx(x, a):
+    """Oracle: P'(x) at a fixed point x of P(x) - (x + 4), by the triple angle.
+
+    With x2 = x + 4 the product of the legs' rate ratios reduces to
+    (3 - 4 sin^2(pi x1/2)) / (3 - 4 sin^2(pi x/2)) e^(-4a).
+    """
+    pm = next_crossing(-1, x, OscillatorParams(a=a)).x_next
+    num = 3.0 - 4.0 * sinpi(pm / 2.0) ** 2
+    return num / (3.0 - 4.0 * sinpi(x / 2.0) ** 2) * math.exp(-4.0 * a)
+
+
 def test_dP_dx_limits_and_modes():
     # a -> 0: P-(x) = 4 - x makes numerator equal denominator
     x0 = solve_x0()
     assert dP_dx(x0, 1e-8) == pytest.approx(1.0, abs=1e-6)
     x_star, _ = find_nonsliding_period4(0.01)
     closed = dP_dx(x_star, 0.01)
+    assert find_nonsliding_period4(0.01)[1] == pytest.approx(closed, rel=1e-12)
     d = 1e-6
     fd = (composite_map(x_star + d, 0.01) - composite_map(x_star - d, 0.01)) / (2.0 * d)
     assert 0.0 < closed < 1.0
@@ -147,9 +161,29 @@ def test_fixed_point_tends_to_x0():
     assert x_star == pytest.approx(solve_x0(), abs=1e-4)
 
 
+def test_small_a_solve_stops_at_rounding_level(monkeypatch):
+    # g ~ a and g' = P' - 1 -> 0, so a Newton step on g's rounding noise can
+    # stay above 1e-12: a g within rounding of P ends the solve instead, and
+    # where g jumps across its root by more than that (16 ulp at one of these
+    # a, which used to spend all 40 runs), the sign-change bracket's width does
+    runs = []
+    real = poincare._composite_run
+    monkeypatch.setattr(poincare, "_composite_run", lambda p, x: runs.append(x) or real(p, x))
+    counts = []
+    for a in (10.0 ** np.random.default_rng(11).uniform(-8.0, -4.0, 40)).tolist():
+        runs.clear()
+        x_star, mult = find_nonsliding_period4(a)
+        assert x_star == pytest.approx(solve_x0(), abs=1e-4) and 0.99 < mult < 1.0
+        counts.append(len(runs))
+    assert np.median(counts) <= 13 and max(counts) <= 24, counts
+
+
 def test_no_orbit_reported_in_large_a_regime():
-    with pytest.raises(NoOrbitError):
-        find_nonsliding_period4(10.0)
+    # at a = 1.05 the crossings from just below 8/3 have zero length, so the
+    # map has no fixed point in (0, 2/3); at a = 10 its fixed point slides
+    for a in (1.05, 10.0):
+        with pytest.raises(NoOrbitError):
+            find_nonsliding_period4(a)
 
 
 def test_zero_bracket_end_reports_no_iterations():
@@ -336,12 +370,63 @@ def scalar_period4_scan(a):
 
 @pytest.mark.parametrize("a", np.geomspace(1e-3, 0.02, 6).tolist() + [0.5, 10.0])
 def test_period4_scan_matches_scalar_scan_bit_for_bit(a):
+    # the Newton solve on the total map against the scan of scalar
+    # composite_map calls: the same orbit, or the same absence
     expected = scalar_period4_scan(a)
     if expected == "no orbit":
         with pytest.raises(NoOrbitError):
             find_nonsliding_period4(a)
     else:
-        assert find_nonsliding_period4(a) == expected
+        x_star, mult = find_nonsliding_period4(a)
+        assert x_star == pytest.approx(expected[0], abs=1e-12)
+        assert mult == pytest.approx(expected[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [0.028, 0.03, 0.0315])
+def test_nonsliding_orbit_up_to_the_grazing_point_matches_ivp_oracle(a):
+    # every 64-cell of the scan that holds this root has an undefined end:
+    # the landing x1 is within 0.005 of the attracting interval
+    assert scalar_period4_scan(a) == "no orbit"
+    x_star, mult = find_nonsliding_period4(a)
+    assert x_star == pytest.approx(ivp_fixed_point(a, x_star), abs=1e-10)
+    assert 0.0 < mult == pytest.approx(dP_dx(x_star, a), rel=1e-10)
+
+
+def grazing_point(has_orbit, lo=0.0319, hi=0.032):
+    """Bisected a where has_orbit(a) turns from True (at lo) to False (at hi)."""
+    assert has_orbit(lo) and not has_orbit(hi)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if has_orbit(mid) else (lo, mid)
+    return lo
+
+
+def nonsliding_exists(a):
+    try:
+        find_nonsliding_period4(a)
+    except NoOrbitError:
+        return False
+    return True
+
+
+def test_exactly_one_period4_family_at_every_a():
+    for a in np.linspace(0.02, 0.05, 301).tolist():
+        assert nonsliding_exists(a) != find_sliding_period4_linear(a).exists, a
+
+
+def test_both_period4_families_meet_at_one_grazing_point():
+    a_g = grazing_point(nonsliding_exists)
+    a_s = grazing_point(lambda a: not find_sliding_period4_linear(a).exists)
+    assert abs(a_g - a_s) < 1e-12
+    # below a_g the non-sliding orbit's landing nears the attracting
+    # interval, so its multiplier vanishes; above it the slide shrinks to 0
+    below, above = a_g - 1e-9, a_g + 1e-9
+    assert 0.0 < find_nonsliding_period4(below)[1] < 1e-6
+    assert not find_sliding_period4_linear(below).exists
+    res = find_sliding_period4_linear(above)
+    assert res.exists and 0.0 < 22.0 / 3.0 - res.landing < 1e-6
+    with pytest.raises(NoOrbitError, match="slides"):
+        find_nonsliding_period4(above)
 
 
 def test_composite_map_array_matches_scalar():

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from switchosc.analytic_flow import flow_from, flow_solution
-from switchosc import radau, regularization
+from switchosc import poincare, radau, regularization
 from switchosc.core import (
     DomainError,
     Mode,
@@ -224,7 +224,7 @@ def test_section_return_has_no_zero_length_arc():
     # a start on the section, where the field points down, would stop at once
     # and leave a zero-length layer arc; the run starts just below it instead
     p = OscillatorParams(a=0.01, epsilon=1e-3)
-    traj = regularization._section_return(0.3, p)
+    traj = regularization._section_return(0.3, p)[2]
     assert traj.segments[0].x0 == 0.3 and traj.eval(0.3)[0] == -1e-12
     assert all(s.x1 > s.x0 for s in traj.segments)
 
@@ -251,13 +251,16 @@ def test_capture_reported_outside_nonsliding_regime():
         regularized_poincare_linear(0.28, OscillatorParams(a=2.0, epsilon=1e-2))
 
 
+def section_map(x, p):
+    """P_eps(x) whether or not the run is captured: the map the solvers iterate."""
+    return regularization._section_return(x, p)[0]
+
+
 def test_regularized_sliding_orbit_linear():
     a = 2.0
     orb = find_regularized_sliding_orbit_linear(a, OscillatorParams(a=a, epsilon=2.5e-3))
     # period-4 closure of the section map
-    res = regularized_poincare_linear(orb.fixed_point,
-                                      OscillatorParams(a=a, epsilon=2.5e-3),
-                                      allow_capture=True)
+    res = section_map(orb.fixed_point, OscillatorParams(a=a, epsilon=2.5e-3))
     assert res == pytest.approx(orb.fixed_point + 4.0, abs=1e-8)
     assert orb.sliding_span[1] - orb.sliding_span[0] > 0.3
     assert orb.log_contraction < -40.0  # exponentially strong contraction
@@ -461,7 +464,7 @@ def test_regularized_fixed_point_bracket_contract(monkeypatch):
 
 
 def test_regularized_fixed_point_reports_non_convergence(monkeypatch):
-    monkeypatch.setattr(regularization, "_FIXED_POINT_RUNS", 2)
+    monkeypatch.setattr(poincare, "_FIXED_POINT_RUNS", 2)
     with pytest.raises(SolverError) as info:
         regularized_fixed_point(OscillatorParams(a=0.01, epsilon=1e-2), (0.5, 0.7))
     found = re.search(r"last iterate x=(\S+), g=(\S+), bracket=\((\S+), (\S+)\)",
@@ -486,8 +489,7 @@ def test_log_sensitivity_matches_finite_difference(eps):
         slope = math.exp(traj.log_sensitivity)
         if slope < 1e-3:
             continue
-        fd = (regularized_poincare_linear(x + h, p, allow_capture=True)
-              - regularized_poincare_linear(x - h, p, allow_capture=True)) / (2.0 * h)
+        fd = (section_map(x + h, p) - section_map(x - h, p)) / (2.0 * h)
         assert fd == pytest.approx(slope, rel=1e-6), x
         checked += 1
     assert checked >= 7
@@ -508,8 +510,7 @@ def test_fixed_point_agrees_with_brentq_within_run_budget(monkeypatch, a, eps):
         fp = find_regularized_sliding_orbit_linear(a, p).fixed_point
         # only the Newton runs: the contraction is the last run's log P_eps'
         assert len(runs) <= 3 and fp + 1e-4 not in runs and fp - 1e-4 not in runs
-    ref = brentq(lambda x: regularized_poincare_linear(x, p, allow_capture=True) - (x + 4.0),
-                 *bracket, xtol=1e-13)
+    ref = brentq(lambda x: section_map(x, p) - (x + 4.0), *bracket, xtol=1e-13)
     assert abs(fp - ref) <= 1e-12
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -13,7 +15,7 @@ from switchosc.core import (
     SwitchingModel,
     forcing,
 )
-from switchosc import poincare
+from switchosc import poincare, sliding
 from switchosc.poincare import find_nonsliding_period4, next_crossing
 from switchosc.sliding import (
     ageing_metrics,
@@ -125,6 +127,65 @@ def test_entry_side_rule_from_below_lands_on_even_branch():
         n = d.branch.index
         assert n % 2 == 0
         assert 2.0 * n / 3.0 < x < 2.0 * n
+
+
+def sorted_entry_branch(model, x, side):
+    """Oracle: every branch at x sorted by its root lambda; the fast flow from
+    lambda = side stops at the first root it meets, or None."""
+    roots = sorted(((b.lambda_of(x), b) for b in branches_at(model, x)), key=lambda t: t[0])
+    if not roots:
+        return None
+    return (roots[-1] if side > 0 else roots[0])[1]
+
+
+def test_select_branch_matches_enumerate_and_sort():
+    rng = np.random.default_rng(8)
+    xs = (10.0 ** rng.uniform(-1.0, 4.0, size=400)).tolist()
+    # the open domain ends 2n/3 and 2n, and their neighbours
+    for n in (1, 2, 3, 7, 40, 301):
+        for end in (2.0 * n / 3.0, 2.0 * n):
+            xs += [end, np.nextafter(end, 0.0), np.nextafter(end, np.inf)]
+    checked = {"crossing": 0, "sliding": 0}
+    for model in (LIN, NONLIN):
+        for x in xs:
+            for side in (-1, 1):
+                try:
+                    d = select_branch_on_entry(model, x, side)
+                except DomainError:  # the field points away from the threshold
+                    continue
+                if d.kind == "tangency":
+                    continue
+                expected = sorted_entry_branch(model, x, side)
+                assert d.branch == expected, (model, x, side)
+                if expected is not None:
+                    assert d.lam_star == expected.lambda_of(x)
+                checked[d.kind] += 1
+    assert min(checked.values()) > 100, checked
+
+
+def test_entry_selection_builds_at_most_two_branches(monkeypatch):
+    built = []
+    real = sliding._nonlinear_branch
+    monkeypatch.setattr(sliding, "_nonlinear_branch", lambda n: built.append(n) or real(n))
+    kinds = []
+    for x in (4e3 + 0.3, 4e4 + 2.9):
+        for side in (-1, 1):
+            built.clear()
+            try:
+                kinds.append(select_branch_on_entry(NONLIN, x, side).kind)
+            except DomainError:  # the field points away from the threshold
+                continue
+            assert len(built) <= 2, (x, side)
+    assert kinds.count("sliding") >= 2
+
+
+def test_ageing_run_at_large_x_slides_on_the_largest_branch():
+    # from S_+ the slide attaches to n = ceil(3x/2) - 1; a run that had to
+    # build all ~x branches per contact would not finish here
+    x0 = 4e7 + 0.3
+    traj = simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), (x0, 0.7), x0 + 40.0)
+    entry = next(e for e in traj.events if e.kind == "slide-entry")
+    assert entry.branch == 60000004 == math.ceil(1.5 * entry.x) - 1
 
 
 def test_select_branch_rejects_outward_field():
