@@ -13,6 +13,8 @@ from .core import (
     Region,
     SwitchingModel,
     Trajectory,
+    branch,
+    branch_indices,
     classify_threshold_point,
     forcing,
     vector_field,
@@ -36,8 +38,6 @@ from .sliding import (
     check_no_nonsliding_periodic_nonlinear,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
-    linear_branches,
-    nonlinear_branches,
     select_branch_on_entry,
     simulate_discontinuous,
 )

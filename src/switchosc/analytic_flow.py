@@ -99,7 +99,7 @@ def flow_solution(sign: int, x: "float | np.ndarray", x_i: float,
 
 
 def next_contact(sign: int, x0: float, y0: float, level: float,
-                 params: OscillatorParams) -> float:
+                 params: OscillatorParams, x_end: float) -> float:
     """First x > x0 at which the flow from (x0, y0) in S_sign reaches y = level.
 
     d/dx (e^(a x) (y - level)) = -e^(a x) (a level + sin(w pi x)), so the
@@ -108,7 +108,10 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
     brackets the first contact and ``brentq`` polishes it.  The lattice runs
     to the horizon x0 + 8/w + max(0, ln(|y0|/amp)/a); a contact past it, which
     a transient y0 - y_p(x0) larger than |y0| can cause, raises SolverError,
-    as does a lattice of more than MAX_POINTS points (a tiny a).
+    as does a lattice of more than MAX_POINTS points (a tiny a).  A run that
+    ends at x_end needs no contact past it: the lattice stops at its first
+    point at or past x_end, which keeps every bracket before x_end, and no
+    contact before that point returns inf.
     A start on the level (a layer exit, a fold) skips the cell that begins at
     x0, which holds no other contact; a flow that crosses the level in that
     cell enters the other side at once and is rejected.
@@ -117,19 +120,24 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
     a = params.a
     amp = 1.0 / math.hypot(w * math.pi, a)
     horizon = x0 + 8.0 / w + math.log(max(abs(y0) / amp, 1.0)) / a
-    size = w * (horizon - x0) + 8.0  # both lattices, with their end cells
+    # lattice cells are at most 2/w long, so this holds the first point past x_end
+    reach = min(horizon, x_end + 3.0 / w)
+    size = w * (reach - x0) + 8.0  # both lattices, with their end cells
     if not size <= MAX_POINTS:
         raise SolverError(f"the contact search from ({x0!r}, {y0!r}) in S_{sign:+d} at "
-                          f"a={a!r} needs {size:.3g} lattice points up to x = {horizon!r}, "
+                          f"a={a!r} needs {size:.3g} lattice points up to x = {reach!r}, "
                           f"more than {MAX_POINTS}")
     s = math.asin(-a * level) / math.pi  # |a level| <= a eps < 1
-    k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * horizon / 2.0) + 1)
+    k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * reach / 2.0) + 1)
     lattice = np.sort(np.concatenate(((s + k) / w, (1.0 - s + k) / w)))
     # a lattice point within rounding of x0 is x0 itself (a fold start)
     lattice = lattice[(lattice > x0 + 1e-12 * max(1.0, abs(x0))) & (lattice < horizon)]
-    xs = np.append(lattice, horizon)
+    past = np.flatnonzero(lattice >= x_end)
+    xs = lattice[:past[0] + 1] if past.size else np.append(lattice, horizon)
     inside = np.flatnonzero(sign * (flow_from_array(sign, xs, x0, y0, params) - level) <= 0.0)
     if not inside.size:
+        if past.size:
+            return math.inf
         raise SolverError(f"no contact with y = {level!r} from ({x0!r}, {y0!r}) "
                           f"before x = {horizon!r}")
     j = inside[0]

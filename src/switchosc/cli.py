@@ -22,6 +22,8 @@ from .core import (
     OscillatorParams,
     SwitchingModel,
     OscillatorError,
+    branch,
+    branch_indices,
 )
 from .regularization import (
     critical_branch,
@@ -33,8 +35,6 @@ from .sliding import (
     ageing_metrics,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
-    linear_branches,
-    nonlinear_branches,
     simulate_discontinuous,
 )
 from .svgplot import line_plot
@@ -180,8 +180,7 @@ def cmd_manifolds(args) -> int:
     params = _params(args, cfg)
     model = _model(args, cfg)
     lo, hi = _colon_floats(args.range, "lo:hi", "--range")
-    branches = (nonlinear_branches((lo, hi)) if model is SwitchingModel.NONLINEAR
-                else linear_branches((lo, hi)))
+    branches = [branch(model, n) for n in branch_indices(model, lo, hi)]
     out = _out_dir(args)
     path = out / "manifolds.csv"
     with open(path, "w", newline="\n") as fh:

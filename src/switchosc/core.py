@@ -6,6 +6,10 @@ lambda) combination of two sinusoids, and a single sinusoid whose frequency is
 a (nonlinear) function of lambda.  They agree for y != 0 and differ only in
 threshold semantics, which is what the rest of the library is about.
 
+The sliding branches, where f_i(x, lambda) vanishes for a lambda in (-1, 1),
+are defined here once: ``branch`` builds one and ``branch_indices`` lists, in
+O(1), the indices whose domain meets an interval.
+
 Both engines return one ``Trajectory``: its segments keep the closed form (or
 the layer kernel's dense output) they were computed from, so ``eval`` works on
 arrays for either engine, and samples are tabulated only when read.
@@ -204,6 +208,82 @@ def classify_threshold_point(x: float) -> Region:
     if sp < 0.0 and sm > 0.0:
         return Region.REPELLING
     return Region.CROSSING
+
+
+@dataclass(frozen=True)
+class SlidingBranch:
+    """One branch of the sliding manifold: an open x-interval with its lambda graph."""
+
+    model: SwitchingModel
+    index: int
+    domain: tuple[float, float]
+    stability: str  # "attracting" | "repelling"
+
+    def lambda_of(self, x: float) -> float:
+        lo, hi = self.domain
+        if not lo < x < hi:
+            raise DomainError(f"x={x} outside branch domain ({lo}, {hi})")
+        if self.model is SwitchingModel.LINEAR:
+            return -1.0 - 1.0 / cospi(x)
+        return 2.0 * (self.index / x - 1.0)
+
+    def lambda_prime(self, x: float) -> float:
+        if self.model is SwitchingModel.LINEAR:
+            c = cospi(x)
+            return -math.pi * sinpi(x) / (c * c)
+        return -2.0 * self.index / (x * x)
+
+    @property
+    def width(self) -> float:
+        return self.domain[1] - self.domain[0]
+
+
+def _domain(model: SwitchingModel, n: int) -> tuple[float, float]:
+    if model is SwitchingModel.LINEAR:
+        lo = 2.0 / 3.0 + 2.0 * n
+        return lo, lo + 2.0 / 3.0
+    return 2.0 * n / 3.0, 2.0 * n
+
+
+def branch(model: SwitchingModel, n: int) -> SlidingBranch:
+    """Sliding branch n, where f_i(x, lambda) = 0 for a lambda in (-1, 1).
+
+    Linear (Filippov): one branch per interval (2/3 + 2n, 4/3 + 2n), any
+    integer n, attracting for odd n.  Nonlinear: branch n >= 1 on
+    (2n/3, 2n), attracting for even n; the branches overlap for x > 4/3 and
+    their width 4n/3 grows with n (the ageing law).
+    """
+    linear = model is SwitchingModel.LINEAR
+    if not linear and n < 1:
+        raise DomainError("nonlinear branch index starts at 1")
+    return SlidingBranch(model, n, _domain(model, n),
+                         "attracting" if n % 2 == (1 if linear else 0) else "repelling")
+
+
+def branch_indices(model: SwitchingModel, lo: float, hi: float) -> range:
+    """Indices n whose open domain (d0, d1) meets (lo, hi): d0 < hi and lo < d1.
+
+    (x, x) gives the branches at x.  Both domain ends rise with n, so the
+    indices form a range.  Its ends come from a closed-form guess, trimmed by
+    the comparisons ``lambda_of`` makes, so every index returned for (x, x)
+    has x inside its float domain.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"branch range needs finite ends, got ({lo}, {hi})")
+    linear = model is SwitchingModel.LINEAR
+    if linear:
+        first, last = math.floor(lo / 2.0 - 2.0 / 3.0) + 1, math.ceil(hi / 2.0 - 1.0 / 3.0) - 1
+    else:
+        first, last = max(math.floor(lo / 2.0) + 1, 1), math.ceil(1.5 * hi) - 1
+    while (linear or first > 1) and _domain(model, first - 1)[1] > lo:
+        first -= 1
+    while not _domain(model, first)[1] > lo:
+        first += 1
+    while _domain(model, last + 1)[0] < hi:
+        last += 1
+    while last >= first and not _domain(model, last)[0] < hi:
+        last -= 1
+    return range(first, max(first, last + 1))
 
 
 @dataclass

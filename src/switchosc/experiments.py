@@ -26,6 +26,8 @@ from .core import (
     OscillatorParams,
     SolverError,
     SwitchingModel,
+    branch,
+    branch_indices,
     forcing,
     omega,
     sinpi,
@@ -47,8 +49,6 @@ from .sliding import (
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
     check_no_nonsliding_periodic_nonlinear,
-    linear_branches,
-    nonlinear_branches,
     simulate_discontinuous,
 )
 from .svgplot import line_plot
@@ -453,14 +453,12 @@ def _run_property_suite(sc: Scenario) -> dict:
                  and psi_prime(-1.0 + step) > psi_prime(-1.0))
     # branch nullclines
     res = 0.0
-    for b in linear_branches((0.0, 12.0)):
-        for t in np.linspace(0.02, 0.98, 41):
-            x = b.domain[0] + t * b.width
-            res = max(res, abs(forcing(SwitchingModel.LINEAR, x, b.lambda_of(x))))
-    for b in nonlinear_branches((0.0, 30.0)):
-        for t in np.linspace(0.02, 0.98, 41):
-            x = b.domain[0] + t * b.width
-            res = max(res, abs(forcing(SwitchingModel.NONLINEAR, x, b.lambda_of(x))))
+    for model, hi in ((SwitchingModel.LINEAR, 12.0), (SwitchingModel.NONLINEAR, 30.0)):
+        for n in branch_indices(model, 0.0, hi):
+            b = branch(model, n)
+            for t in np.linspace(0.02, 0.98, 41):
+                x = b.domain[0] + t * b.width
+                res = max(res, abs(forcing(model, x, b.lambda_of(x))))
     # criterion-2 fixed point via two independent code paths
     a = sc.params.get("a", 0.01)
     x_map, _ = poincare.find_nonsliding_period4(a)

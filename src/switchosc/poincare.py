@@ -36,6 +36,8 @@ from .core import (
     OscillatorParams,
     Region,
     SolverError,
+    SwitchingModel,
+    branch,
     classify_threshold_point,
     cospi,
     omega,
@@ -332,15 +334,17 @@ def section_fixed_point(run, bracket: tuple[float, float]):
 
 
 def _slide_end(x: float, landing: float) -> float | None:
-    """The end 10/3 mod 4 of the attracting interval a leg from x lands on, or None.
+    """The end 10/3 mod 4 of the attracting branch a leg from x lands on, or None.
 
-    The ends count: from 10/3 the slide has no length, and its departure is
-    the crossing's.  Raises SolverError for any other non-crossing landing.
+    That is linear branch 2 floor(landing/4) + 1, whose end the hybrid run
+    slides to as well.  The ends count: from 10/3 the slide has no length, and
+    its departure is the crossing's.  Raises SolverError for any other
+    non-crossing landing.
     """
     region = classify_threshold_point(landing)
     if region is Region.ATTRACTING or (region is Region.TANGENCY_PLUS
                                        and sinpi(landing / 2.0) < 0.0):
-        return 4.0 * math.floor(landing / 4.0) + 10.0 / 3.0
+        return branch(SwitchingModel.LINEAR, 2 * math.floor(landing / 4.0) + 1).domain[1]
     if region is not Region.CROSSING:
         raise SolverError(f"the composite map from x={x!r} lands at x={landing!r} on a "
                           f"{region.value} point of the threshold")

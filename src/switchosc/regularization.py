@@ -43,6 +43,7 @@ from .core import (
     TrajectoryEvent,
     TrajectorySegment,
     Mode,
+    branch,
     capture_threshold,
     forcing,
     forcing_dlam,
@@ -52,7 +53,6 @@ from .core import (
 from .analytic_flow import flow_from, flow_from_array, flow_from_deriv, next_contact
 from .poincare import section_fixed_point
 from .radau import solve_ivp
-from .sliding import _linear_branch, _nonlinear_branch
 
 _NUDGE = 1e-12
 #: Layer solves and exterior arcs before a regularized run gives up.
@@ -128,8 +128,7 @@ def _clip(lam: float) -> float:
 
 def critical_branch(model: SwitchingModel, index: int, x: float) -> float:
     """v0 with psi(v0) = branch lambda(x); the layer image of a sliding branch."""
-    b = _linear_branch(index) if model is SwitchingModel.LINEAR else _nonlinear_branch(index)
-    return psi_inverse(b.lambda_of(x))
+    return psi_inverse(branch(model, index).lambda_of(x))
 
 
 def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
@@ -166,10 +165,15 @@ def _exterior_v(side: int, x0: float, v0: float, params: OscillatorParams,
 RegTrajectory = Trajectory
 
 
-def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams) -> float:
-    """Next x > x0 where the exterior flow from (x0, eps*v0) re-reaches y = side*eps."""
+def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams,
+                x_end: float = math.inf) -> float:
+    """Next x > x0 where the exterior flow from (x0, eps*v0) re-reaches y = side*eps.
+
+    inf when that return lies past the first contact lattice point at or past
+    x_end (see ``next_contact``).
+    """
     e = params.epsilon
-    return next_contact(side, x0, e * v0, side * e, params)
+    return next_contact(side, x0, e * v0, side * e, params, x_end)
 
 
 def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
@@ -243,7 +247,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             traj.events.append(TrajectoryEvent(x=x, kind="layer-exit", branch=side))
             mode = "ext"
         else:
-            xr = _ext_return(side, x, v, params)
+            xr = _ext_return(side, x, v, params, x_end)
             seg_end = min(xr, x_end)
             traj.segments.append(TrajectorySegment(
                 Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, x, seg_end, v,
@@ -283,7 +287,7 @@ def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
     """
     guard = 0.1
     nu = 2 * n
-    b = _nonlinear_branch(nu)
+    b = branch(SwitchingModel.NONLINEAR, nu)
     v0 = psi_inverse(b.lambda_of(x))
     sp = psi_prime(v0)
     if not sp > guard:
@@ -312,7 +316,7 @@ def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
     """
     nu = 2 * n
     xs = float(nu)  # lambda = 0 there; mid-branch
-    v0 = psi_inverse(_nonlinear_branch(nu).lambda_of(xs))
+    v0 = psi_inverse(branch(SwitchingModel.NONLINEAR, nu).lambda_of(xs))
     gap = (2.0 / xs) / psi_prime(v0)
     return xs, v0 + offset_frac * gap
 

@@ -1,15 +1,17 @@
-"""Threshold semantics of the discontinuous system: branches, entry selection,
+"""Threshold semantics of the discontinuous system: entry selection,
 event-driven hybrid simulation, sliding periodic orbits, ageing metrics.
 
-Sliding happens where the forcing can vanish for some lambda in (-1, 1).  For
-the linear model that reproduces the classical Filippov picture (isolated
-branches on the attracting/repelling intervals); for the nonlinear model the
-branches proliferate and overlap, and the branch a trajectory attaches to is
-decided by the fast layer dynamics v' = -f_i(x, psi(v)): descending from
-lambda = +1 the motion stops at the largest root of f_i(x, .) in (-1, 1),
-ascending from lambda = -1 at the smallest.  A root reached this way is
-automatically fast-attracting (df/dlambda > 0); the regularization module is
-the validating oracle for this rule.
+Sliding happens where the forcing can vanish for some lambda in (-1, 1); the
+branches where it does are ``core.branch`` and ``core.branch_indices``.  For
+the linear model they are the classical Filippov picture (isolated branches
+on the attracting/repelling intervals); for the nonlinear model they
+proliferate and overlap, and the branch a trajectory attaches to is decided
+by the fast layer dynamics v' = -f_i(x, psi(v)): descending from lambda = +1
+the motion stops at the largest root of f_i(x, .) in (-1, 1), ascending from
+lambda = -1 at the smallest.  Both models take that rule; the roots rise
+with the branch index, and a linear point lies on one branch at most.  A root
+reached this way is automatically fast-attracting (df/dlambda > 0); the
+regularization module is the validating oracle for this rule.
 
 The hybrid simulator stores each arc as a closed-form segment of a
 ``core.Trajectory``: ``flow_from_array`` from the arc's start (y0 = 0 for a
@@ -38,10 +40,11 @@ from .core import (
     TrajectoryEvent,
     TrajectorySegment,
     HybridState,
-    cospi,
+    SlidingBranch,
+    branch,
+    branch_indices,
     forcing,
     forcing_dlam,
-    sinpi,
 )
 # flow_from and flow_solution stay bound here: the benchmark's tracer patches
 # them by name
@@ -52,91 +55,6 @@ Y_ZERO_TOL = 1e-12
 TANGENCY_FIELD_TOL = 1e-11
 #: Loop steps (arcs, contacts and slides) before a hybrid run gives up.
 _EVENT_BUDGET = 100000
-
-
-@dataclass(frozen=True)
-class SlidingBranch:
-    """One branch of the sliding manifold: an open x-interval with its lambda graph."""
-
-    model: SwitchingModel
-    index: int
-    domain: tuple[float, float]
-    stability: str  # "attracting" | "repelling"
-
-    def lambda_of(self, x: float) -> float:
-        lo, hi = self.domain
-        if not lo < x < hi:
-            raise DomainError(f"x={x} outside branch domain ({lo}, {hi})")
-        if self.model is SwitchingModel.LINEAR:
-            return -1.0 - 1.0 / cospi(x)
-        return 2.0 * (self.index / x - 1.0)
-
-    def lambda_prime(self, x: float) -> float:
-        if self.model is SwitchingModel.LINEAR:
-            c = cospi(x)
-            return -math.pi * sinpi(x) / (c * c)
-        return -2.0 * self.index / (x * x)
-
-    @property
-    def width(self) -> float:
-        return self.domain[1] - self.domain[0]
-
-
-def _linear_branch(k: int) -> SlidingBranch:
-    lo = 2.0 / 3.0 + 2.0 * k
-    return SlidingBranch(
-        model=SwitchingModel.LINEAR,
-        index=k,
-        domain=(lo, lo + 2.0 / 3.0),
-        stability="attracting" if k % 2 else "repelling",
-    )
-
-
-def _nonlinear_branch(n: int) -> SlidingBranch:
-    if n < 1:
-        raise DomainError("nonlinear branch index starts at 1")
-    return SlidingBranch(
-        model=SwitchingModel.NONLINEAR,
-        index=n,
-        domain=(2.0 * n / 3.0, 2.0 * n),
-        stability="attracting" if n % 2 == 0 else "repelling",
-    )
-
-
-def linear_branches(x_range: tuple[float, float]) -> list[SlidingBranch]:
-    """All linear-model branches whose domain meets x_range."""
-    lo, hi = x_range
-    k_lo = math.floor((lo - 4.0 / 3.0) / 2.0)
-    k_hi = math.ceil((hi - 2.0 / 3.0) / 2.0)
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        b = _linear_branch(k)
-        if b.domain[1] > lo and b.domain[0] < hi:
-            out.append(b)
-    return out
-
-
-def nonlinear_branches(x_range: tuple[float, float]) -> list[SlidingBranch]:
-    """All nonlinear-model branches meeting x_range; they overlap for x > 4/3."""
-    lo, hi = x_range
-    out = []
-    for n in range(1, max(2, math.ceil(3.0 * hi / 2.0)) + 1):
-        b = _nonlinear_branch(n)
-        if b.domain[1] > lo and b.domain[0] < hi:
-            out.append(b)
-    return out
-
-
-def branches_at(model: SwitchingModel, x: float) -> list[SlidingBranch]:
-    """Branches whose open domain contains x, sorted by lambda value ascending."""
-    if model is SwitchingModel.LINEAR:
-        if cospi(x) < -0.5:
-            k = round((x - 1.0) / 2.0)
-            return [_linear_branch(k)]
-        return []
-    n_lo = math.floor(x / 2.0) + 1
-    n_hi = math.ceil(3.0 * x / 2.0) - 1
-    return [_nonlinear_branch(n) for n in range(n_lo, n_hi + 1) if n >= 1]
 
 
 @dataclass(frozen=True)
@@ -166,27 +84,23 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float,
             f"field at x={x_entry} does not point from S_{'+' if from_side > 0 else '-'} "
             "towards the threshold"
         )
-    if model is SwitchingModel.LINEAR:
-        cands = branches_at(model, x_entry)
-    else:
-        # lambda_n(x) = 2(n/x - 1) rises with n: from above the first root met
-        # is the largest n with x in (2n/3, 2n), from below the smallest
-        n_lo, n_hi = max(math.floor(x_entry / 2.0) + 1, 1), math.ceil(3.0 * x_entry / 2.0) - 1
-        cands = [_nonlinear_branch(n_hi if from_side > 0 else n_lo)] if n_lo <= n_hi else []
+    # the roots at x_entry rise with the index: from above the first root met
+    # is the largest index, from below the smallest
+    cands = branch_indices(model, x_entry, x_entry)
     if not cands:
         return EntryDecision(kind="crossing")
-    branch = cands[0]
-    lam_star = branch.lambda_of(x_entry)
+    found = branch(model, cands[-1] if from_side > 0 else cands[0])
+    lam_star = found.lambda_of(x_entry)
     slope = forcing_dlam(model, x_entry, lam_star)
     if abs(slope) < TANGENCY_FIELD_TOL:
-        return EntryDecision(kind="tangency", branch=branch, lam_star=lam_star)
+        return EntryDecision(kind="tangency", branch=found, lam_star=lam_star)
     if slope < 0.0:
         # cannot happen for a consistent inward field: the first root met from
         # either edge of [-1, 1] is attracting for the fast flow
         raise SolverError(
             f"first-met root at x={x_entry} is fast-repelling; inconsistent geometry"
         )
-    return EntryDecision(kind="sliding", branch=branch, lam_star=lam_star)
+    return EntryDecision(kind="sliding", branch=found, lam_star=lam_star)
 
 
 def _departure_side(x: float) -> int:
@@ -224,20 +138,17 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
     if params.epsilon != 0.0:
         raise DomainError("simulate_discontinuous requires epsilon = 0")
     if isinstance(initial, HybridState) and initial.mode is Mode.SLIDING:
-        x0 = initial.x
-        if initial.branch is None:
-            cands = branches_at(model, x0)
+        x0, n = initial.x, initial.branch
+        if n is None:
+            cands = branch_indices(model, x0, x0)
             if len(cands) != 1:
-                raise DomainError(
-                    "sliding start needs an explicit branch index when branches overlap"
-                )
-            branch = cands[0]
-        else:
-            branch = (_linear_branch(initial.branch) if model is SwitchingModel.LINEAR
-                      else _nonlinear_branch(initial.branch))
-            if not branch.domain[0] < x0 < branch.domain[1]:
-                raise DomainError(f"sliding start x={x0} outside branch domain")
-        state = ("slide", x0, branch)
+                raise DomainError(f"sliding start x={x0} lies on {len(cands)} branches: "
+                                  "give an explicit branch index")
+            n = cands[0]
+        start = branch(model, n)
+        if not start.domain[0] < x0 < start.domain[1]:
+            raise DomainError(f"sliding start x={x0} outside branch domain")
+        state = ("slide", x0, start)
     else:
         x0, y0 = (initial.x, initial.y) if isinstance(initial, HybridState) else initial
         state = ("depart", x0, _departure_side(x0)) if y0 == 0.0 else ("interior", x0, y0)
@@ -255,7 +166,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                 x_hit = next_crossing(side, x, params).x_next
             else:
                 y0, side = payload, (1 if payload > 0.0 else -1)
-                x_hit = next_contact(side, x, y0, 0.0, params)
+                x_hit = next_contact(side, x, y0, 0.0, params, x_end)
             arc = partial(flow_from_array, side, x0=x, y0=y0, params=params)
             cut = x_hit > x_end
             traj.segments.append(TrajectorySegment(
@@ -279,16 +190,16 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                 traj.events.append(TrajectoryEvent(x=x, kind="fold"))
                 state = ("depart", x, side)
         elif kind == "slide":
-            branch = payload
-            x_exit = branch.domain[1]
+            b = payload
+            x_exit = b.domain[1]
             cut = x_exit > x_end
             traj.segments.append(TrajectorySegment(
                 Mode.SLIDING, x, min(x_exit, x_end), 0.0, 0.0, np.zeros_like,
-                branch=branch.index))
+                branch=b.index))
             if cut:
                 break
             traj.events.append(TrajectoryEvent(
-                x=x_exit, kind="slide-exit", branch=branch.index))
+                x=x_exit, kind="slide-exit", branch=b.index))
             # the endpoint is a tangency point; exactly one half-plane field
             # points away from the threshold there and the orbit leaves into it
             state = ("depart", x_exit, _departure_side(x_exit))
@@ -418,26 +329,19 @@ def ageing_metrics(model: SwitchingModel,
     trajectory is given, each sliding segment contributes its length keyed by
     the branch it ran on.
     """
-    rows = []
+    rows = {}
     if x_range is not None:
-        branches = (nonlinear_branches(x_range) if model is SwitchingModel.NONLINEAR
-                    else linear_branches(x_range))
-        for b in branches:
-            rows.append({"n": b.index, "branch_width": b.width, "slid_length": 0.0,
-                         "stability": b.stability})
+        for n in branch_indices(model, *x_range):
+            rows[n] = _ageing_row(branch(model, n))
     if trajectory is not None:
-        by_branch = {r["n"]: r for r in rows}
         for seg in trajectory.segments:
             if seg.mode is Mode.SLIDING:
-                length = seg.x1 - seg.x0
-                row = by_branch.get(seg.branch)
-                if row is None:
-                    b = (_nonlinear_branch(seg.branch) if model is SwitchingModel.NONLINEAR
-                         else _linear_branch(seg.branch))
-                    row = {"n": seg.branch, "branch_width": b.width,
-                           "slid_length": 0.0, "stability": b.stability}
-                    rows.append(row)
-                    by_branch[seg.branch] = row
-                row["slid_length"] += length
-    return rows
+                if seg.branch not in rows:
+                    rows[seg.branch] = _ageing_row(branch(model, seg.branch))
+                rows[seg.branch]["slid_length"] += seg.x1 - seg.x0
+    return list(rows.values())
 
+
+def _ageing_row(b: SlidingBranch) -> dict:
+    return {"n": b.index, "branch_width": b.width, "slid_length": 0.0,
+            "stability": b.stability}

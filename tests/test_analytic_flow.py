@@ -223,10 +223,14 @@ def check_contact(sign, x0, y0, level, p):
         # the horizon is sized from |y0|, not from |y0 - y_p(x0)|: a contact
         # past it is reported as missing, never as a later one
         with pytest.raises(SolverError, match="no contact"):
-            next_contact(sign, x0, y0, level, p)
+            next_contact(sign, x0, y0, level, p, math.inf)
         return 0
-    got = next_contact(sign, x0, y0, level, p)
+    got = next_contact(sign, x0, y0, level, p, math.inf)
     assert got > x0 and got == pytest.approx(want, rel=0.0, abs=1e-9), (x0, y0, level, p)
+    # a run ending at or past the contact finds it bit for bit; one ending
+    # before it may find it or report none (inf)
+    assert next_contact(sign, x0, y0, level, p, got) == got
+    assert next_contact(sign, x0, y0, level, p, 0.5 * (x0 + got)) in (got, math.inf)
     return 1
 
 
@@ -258,7 +262,7 @@ def test_next_contact_refuses_a_lattice_past_the_cap(a):
     # hold billions of points or more; the search stops before building it
     p = OscillatorParams(a=a)
     with pytest.raises(SolverError, match=f"more than {MAX_POINTS}") as exc:
-        next_contact(+1, 0.0, 1.0, 0.0, p)
+        next_contact(+1, 0.0, 1.0, 0.0, p, math.inf)
     assert f"(0.0, 1.0) in S_+1 at a={a!r}" in str(exc.value)
 
 
@@ -276,7 +280,7 @@ def test_next_contact_from_boundary_starts(sign):
         else:
             entering += 1
             with pytest.raises(OscillatorError, match="at once"):
-                next_contact(sign, x0, level, level, p)
+                next_contact(sign, x0, level, level, p, math.inf)
     assert 10 <= entering <= 30
 
 
@@ -294,6 +298,6 @@ def test_next_contact_from_outward_and_inward_folds(sign, parity):
         check_contact(sign, fold_points(sign, n, p), level, level, p)
         inward = fold_points(sign, n + 1, p)
         with pytest.raises(OscillatorError, match="at once"):
-            next_contact(sign, inward, level, level, p)
+            next_contact(sign, inward, level, level, p, math.inf)
         eta = float(10.0 ** rng.uniform(-6.0, -1.0)) / omega(sign)
         check_contact(sign, inward - eta, level, level, p)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from switchosc.analytic_flow import flow_from
 from switchosc.cli import main
 from switchosc.core import OscillatorError, OscillatorParams
 from switchosc.poincare import composite_map, next_crossing
@@ -205,7 +206,7 @@ def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys)
 
 @pytest.mark.parametrize("args", [
     ["simulate", "--model", "linear", "--a", "1e-300", "--x0", "0", "--y0", "1",
-     "--x-end", "3", "--out-dir", "{dir}"],
+     "--x-end", "1e12", "--out-dir", "{dir}"],
     ["orbit", "find", "--model", "linear", "--a", "1e300"],
 ])
 def test_contact_search_past_the_array_cap_usage_error(args, tmp_path, capsys):
@@ -214,6 +215,26 @@ def test_contact_search_past_the_array_cap_usage_error(args, tmp_path, capsys):
     code, out, err = run([a.format(dir=tmp_path) for a in args], capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "more than" in err
+
+
+@pytest.mark.parametrize("model,epsilon,y0", [("linear", 0.0, 1.0),
+                                             ("nonlinear", 1e-3, 2.0)])
+def test_contact_search_stops_at_the_run_end(model, epsilon, y0, tmp_path, capsys):
+    # at a = 1e-9 the transient would put the contact horizon past 1e9, but
+    # the run ends at x = 3 on the closed-form arc; a regularized run (y0 in
+    # layer units there) stays outside the layer the same way
+    args = ["simulate", "--model", model, "--a", "1e-9", "--x0", "0",
+            "--y0", str(y0 / epsilon if epsilon else y0), "--x-end", "3",
+            "--out-dir", str(tmp_path)]
+    if epsilon:
+        args += ["--epsilon", str(epsilon)]
+    code, _, _ = run(args, capsys)
+    assert code == 0
+    last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")
+    scale = epsilon if epsilon else 1.0
+    y3 = flow_from(+1, 3.0, 0.0, y0, OscillatorParams(a=1e-9, epsilon=epsilon))
+    assert float(last[0]) == 3.0
+    assert float(last[1]) == pytest.approx(y3 / scale, rel=1e-11)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

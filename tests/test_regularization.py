@@ -309,12 +309,10 @@ def test_convergence_to_vr_windows_smoke():
 def test_normal_hyperbolicity_signs():
     # d f/dv = psi'(v0) * df/dlambda carries the branch stability: positive on
     # attracting branches, negative on repelling ones, for both models
-    from switchosc.core import forcing_dlam
-    from switchosc.sliding import linear_branches, nonlinear_branches
+    from switchosc.core import branch, branch_indices, forcing_dlam
 
-    for model, branches in ((LIN, linear_branches((0.0, 12.0))),
-                            (NONLIN, nonlinear_branches((0.0, 20.0)))):
-        for b in branches:
+    for model, hi in ((LIN, 12.0), (NONLIN, 20.0)):
+        for b in (branch(model, n) for n in branch_indices(model, 0.0, hi)):
             for t in (0.2, 0.5, 0.8):
                 x = b.domain[0] + t * b.width
                 lam = b.lambda_of(x)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,18 +14,17 @@ from switchosc.core import (
     OscillatorParams,
     SolverError,
     SwitchingModel,
+    branch,
+    branch_indices,
     forcing,
 )
 from switchosc import poincare, sliding
 from switchosc.poincare import find_nonsliding_period4, next_crossing
 from switchosc.sliding import (
     ageing_metrics,
-    branches_at,
     check_no_nonsliding_periodic_nonlinear,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
-    linear_branches,
-    nonlinear_branches,
     select_branch_on_entry,
     simulate_discontinuous,
 )
@@ -42,12 +42,34 @@ def fast_layer_landing(model, x, from_side, eps=1e-4, a=0.5):
         return [(-a * eps * v[0] - forcing(model, x, psi(float(np.clip(v[0], -1, 1))))) / eps]
 
     v0 = 0.999 * from_side
-    sol = solve_ivp(rhs, (0.0, 3.0), [v0], method="Radau", rtol=1e-11, atol=1e-13)
+    # dv/dt carries the rounding of f over eps, ~1e-12 here: a tighter atol
+    # leaves the step control thrashing at the equilibrium for millions of
+    # steps on some builds of the linear algebra
+    sol = solve_ivp(rhs, (0.0, 3.0), [v0], method="Radau", rtol=1e-10, atol=1e-10)
     return psi(float(sol.y[0, -1]))
 
 
+def branches(model, lo, hi):
+    return [branch(model, n) for n in branch_indices(model, lo, hi)]
+
+
+@functools.cache
+def _domain_table(model):
+    idx = np.arange(-10, 10011) if model is LIN else np.arange(1, 15011)
+    ends = np.array([branch(model, int(n)).domain for n in idx])
+    return idx, ends[:, 0], ends[:, 1]
+
+
+def brute_indices(model, lo, hi):
+    """Oracle for branch_indices: a scan of every index in a window wide
+    enough for |x| < 1e4, kept where the domain meets (lo, hi)."""
+    idx, d0, d1 = _domain_table(model)
+    assert hi < d0[-1] and (model is NONLIN or lo > d1[0]), (lo, hi)
+    return idx[(d0 < hi) & (d1 > lo)].tolist()
+
+
 def test_linear_branches_on_one_period():
-    bs = linear_branches((0.0, 4.0))
+    bs = branches(LIN, 0.0, 4.0)
     doms = {(round(b.domain[0], 12), round(b.domain[1], 12)): b.stability for b in bs
             if b.domain[0] >= 0.0 and b.domain[1] <= 4.0}
     assert doms == {
@@ -57,7 +79,7 @@ def test_linear_branches_on_one_period():
 
 
 def test_linear_branch_lambda_values():
-    b = [x for x in linear_branches((0.5, 1.5))][0]
+    b = branches(LIN, 0.5, 1.5)[0]
     assert b.lambda_of(1.0) == pytest.approx(0.0, abs=1e-14)
     # both endpoints drive sec(pi x) -> -2, so lambda -> +1
     for x in (2.0 / 3.0 + 1e-9, 4.0 / 3.0 - 1e-9):
@@ -65,7 +87,7 @@ def test_linear_branch_lambda_values():
 
 
 def test_nonlinear_branch_geometry_and_ageing_width():
-    bs = {b.index: b for b in nonlinear_branches((0.0, 8.0))}
+    bs = {b.index: b for b in branches(NONLIN, 0.0, 8.0)}
     assert bs[1].domain == pytest.approx((2.0 / 3.0, 2.0))
     assert bs[2].domain == pytest.approx((4.0 / 3.0, 4.0))
     for n, b in bs.items():
@@ -75,15 +97,14 @@ def test_nonlinear_branch_geometry_and_ageing_width():
 
 
 def test_branch_overlap_beyond_four_thirds():
-    assert len(branches_at(NONLIN, 1.0)) == 1
-    assert len(branches_at(NONLIN, 3.0)) == 3  # branches 2, 3, 4 coexist
-    assert branches_at(NONLIN, 0.5) == []
+    assert branch_indices(NONLIN, 1.0, 1.0) == range(1, 2)
+    assert branch_indices(NONLIN, 3.0, 3.0) == range(2, 5)  # branches 2, 3, 4 coexist
+    assert not branch_indices(NONLIN, 0.5, 0.5)
 
 
 @pytest.mark.parametrize("model,xr", [(LIN, (0.0, 12.0)), (NONLIN, (0.0, 30.0))])
 def test_branch_nullcline_residuals(model, xr):
-    branches = linear_branches(xr) if model is LIN else nonlinear_branches(xr)
-    for b in branches:
+    for b in branches(model, *xr):
         for t in np.linspace(0.02, 0.98, 37):
             x = b.domain[0] + t * b.width
             assert abs(forcing(model, x, b.lambda_of(x))) < 1e-12
@@ -104,6 +125,17 @@ def test_select_branch_matches_fast_layer_oracle():
     # layer flow; overlapping-branch cases from both sides
     cases = [(NONLIN, 3.0, +1), (NONLIN, 3.7, -1), (NONLIN, 7.1, -1),
              (NONLIN, 9.5, +1), (LIN, 3.0, +1), (LIN, 6.9, -1)]
+    # and seeded contacts over [1, 100] that slide
+    rng = np.random.default_rng(27)
+    for model in (LIN, NONLIN):
+        for x in rng.uniform(1.0, 100.0, 20).tolist():
+            for side in (-1, 1):
+                try:
+                    if select_branch_on_entry(model, x, side).kind == "sliding":
+                        cases.append((model, x, side))
+                except DomainError:  # the field points away from the threshold
+                    pass
+    assert len(cases) >= 6 + 20
     for model, x, side in cases:
         d = select_branch_on_entry(model, x, side)
         assert d.kind == "sliding"
@@ -132,10 +164,10 @@ def test_entry_side_rule_from_below_lands_on_even_branch():
 def sorted_entry_branch(model, x, side):
     """Oracle: every branch at x sorted by its root lambda; the fast flow from
     lambda = side stops at the first root it meets, or None."""
-    roots = sorted(((b.lambda_of(x), b) for b in branches_at(model, x)), key=lambda t: t[0])
+    roots = sorted((branch(model, n).lambda_of(x), n) for n in brute_indices(model, x, x))
     if not roots:
         return None
-    return (roots[-1] if side > 0 else roots[0])[1]
+    return branch(model, (roots[-1] if side > 0 else roots[0])[1])
 
 
 def test_select_branch_matches_enumerate_and_sort():
@@ -163,10 +195,35 @@ def test_select_branch_matches_enumerate_and_sort():
     assert min(checked.values()) > 100, checked
 
 
+def _float_ends(model, top):
+    """Both float ends of branches up to ``top`` and their neighbours one ulp away."""
+    for n in range(-5 if model is LIN else 1, top + 1):
+        for end in branch(model, n).domain:
+            yield from (float(np.nextafter(end, -np.inf)), end, float(np.nextafter(end, np.inf)))
+
+
+@pytest.mark.parametrize("model", [LIN, NONLIN])
+def test_branch_float_ends_agree_with_the_domain_comparisons(model):
+    # at a branch's own float end the selection must not pick a branch whose
+    # lambda_of rejects the point, and branch_indices must list exactly the
+    # indices a scan of the domains finds, at points and on ranges
+    xs = list(_float_ends(model, 2000))
+    for x in xs:
+        assert list(branch_indices(model, x, x)) == brute_indices(model, x, x), x
+        for side in (-1, 1):
+            try:
+                select_branch_on_entry(model, x, side)
+            except DomainError as exc:
+                assert "does not point" in str(exc), (x, side)
+    rng = np.random.default_rng(27)
+    for lo, hi in np.sort(rng.choice(xs, size=(4000, 2)), axis=1).tolist():
+        assert list(branch_indices(model, lo, hi)) == brute_indices(model, lo, hi), (lo, hi)
+
+
 def test_entry_selection_builds_at_most_two_branches(monkeypatch):
     built = []
-    real = sliding._nonlinear_branch
-    monkeypatch.setattr(sliding, "_nonlinear_branch", lambda n: built.append(n) or real(n))
+    real = sliding.branch
+    monkeypatch.setattr(sliding, "branch", lambda model, n: built.append(n) or real(model, n))
     kinds = []
     for x in (4e3 + 0.3, 4e4 + 2.9):
         for side in (-1, 1):
@@ -175,17 +232,22 @@ def test_entry_selection_builds_at_most_two_branches(monkeypatch):
                 kinds.append(select_branch_on_entry(NONLIN, x, side).kind)
             except DomainError:  # the field points away from the threshold
                 continue
-            assert len(built) <= 2, (x, side)
+            assert len(built) <= 1, (x, side)
     assert kinds.count("sliding") >= 2
 
 
-def test_ageing_run_at_large_x_slides_on_the_largest_branch():
-    # from S_+ the slide attaches to n = ceil(3x/2) - 1; a run that had to
-    # build all ~x branches per contact would not finish here
-    x0 = 4e7 + 0.3
-    traj = simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), (x0, 0.7), x0 + 40.0)
+@pytest.mark.parametrize("a", [0.1, 1.0])
+@pytest.mark.parametrize("x0", [10.3, 50.3, 200.7, 1000.1, 1e5 + 0.3, 4e7 + 0.3])
+def test_ageing_run_at_large_x_slides_on_the_largest_branch(x0, a):
+    # from S_+ the slide attaches to n = ceil(3x/2) - 1 and leaves at its end
+    # 2n, so the slide grows with x (the ageing law); a run that had to build
+    # all ~x branches per contact would not finish at large x
+    traj = simulate_discontinuous(NONLIN, OscillatorParams(a=a), (x0, 0.7), 3.0 * x0 + 60.0)
     entry = next(e for e in traj.events if e.kind == "slide-entry")
-    assert entry.branch == 60000004 == math.ceil(1.5 * entry.x) - 1
+    leave = next(e for e in traj.events if e.kind == "slide-exit")
+    n = math.ceil(1.5 * entry.x) - 1
+    assert entry.branch == leave.branch == n
+    assert leave.x == 2.0 * n
 
 
 def test_select_branch_rejects_outward_field():
