@@ -22,6 +22,10 @@ Under "scenarios" the record holds the end-to-end view: the wall time of
 ``python -m switchosc.cli reproduce <id> --no-plot``, each in a fresh
 process (so the import counts), for every id of the change's
 ``experiments.list_scenarios()``, 10 pairs in the same alternating order.
+Each side's first ``results.csv`` per scenario, without its ``runtime_s``
+row, is compared with the other side's: ``results_match`` says whether they
+are equal (both texts are kept when they are not), and ``results_differ``
+lists the scenarios whose rows moved.
 Under "tier1" it holds the wall time of the tier-1 suite, ``python -m pytest
 -q --continue-on-collection-errors`` run in each checkout with its own
 ``src`` first on PYTHONPATH, in the same 10 pairs, and each run's exit code.
@@ -91,8 +95,9 @@ def scenario_ids(checkout: Path) -> list[str]:
     return res.stdout.split()
 
 
-def time_scenario(checkout: Path, sid: str) -> float:
-    """Wall seconds of one ``switchosc reproduce <sid> --no-plot`` in a fresh process."""
+def time_scenario(checkout: Path, sid: str) -> tuple[float, str]:
+    """Wall seconds of one ``switchosc reproduce <sid> --no-plot`` in a fresh
+    process, and its results.csv without the ``runtime_s`` row."""
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
         res = subprocess.run(
@@ -101,10 +106,11 @@ def time_scenario(checkout: Path, sid: str) -> float:
             cwd=checkout, env={**os.environ, "PYTHONPATH": str(checkout / "src")},
             capture_output=True, text=True, timeout=1800, check=False)
         wall = time.perf_counter() - t0
-    if res.returncode != 0:
-        raise RuntimeError(f"{checkout} reproduce {sid} exited {res.returncode}: "
-                           f"{res.stdout[-2000:]}{res.stderr[-2000:]}")
-    return wall
+        if res.returncode != 0:
+            raise RuntimeError(f"{checkout} reproduce {sid} exited {res.returncode}: "
+                               f"{res.stdout[-2000:]}{res.stderr[-2000:]}")
+        rows = (Path(out) / sid / "results.csv").read_text().splitlines(keepends=True)
+    return wall, "".join(r for r in rows if not r.startswith("runtime_s,"))
 
 
 def time_tier1(checkout: Path) -> tuple[float, int]:
@@ -132,7 +138,7 @@ def main(argv=None) -> int:
              for seed in seeds}
     record = {"pairs": PAIRS, "seeds": seeds, "run_seconds": seconds,
               "order": "parent first on odd seeds, change first on even seeds",
-              "workloads": {}, "scenarios": {}, "tier1": {}}
+              "workloads": {}, "scenarios": {}, "results_differ": None, "tier1": {}}
     for name in (w["name"] for w in spec["workloads"]):
         rows = {"parent": [], "change": []}
         for seed in seeds:
@@ -164,13 +170,20 @@ def main(argv=None) -> int:
 
     ids = scenario_ids(checkouts["change"])
     walls = {sid: {"parent": [], "change": []} for sid in ids}
+    results = {sid: {} for sid in ids}
     for seed in seeds:
         for sid in ids:
             for side in order[seed]:
-                walls[sid][side].append(time_scenario(checkouts[side], sid))
+                wall, rows = time_scenario(checkouts[side], sid)
+                walls[sid][side].append(wall)
+                results[sid].setdefault(side, rows)
         print(f"scenarios pair {seed} done", file=sys.stderr, flush=True)
-    record["scenarios"] = {sid: {"unit": "s", **compare(w["parent"], w["change"], "lower")}
-                           for sid, w in walls.items()}
+    match = {sid: r["parent"] == r["change"] for sid, r in results.items()}
+    record["scenarios"] = {
+        sid: {"unit": "s", **compare(w["parent"], w["change"], "lower"),
+              "results_match": match[sid], **({} if match[sid] else {"results": results[sid]})}
+        for sid, w in walls.items()}
+    record["results_differ"] = [sid for sid in ids if not match[sid]]
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
     runs = {"parent": [], "change": []}

@@ -9,6 +9,7 @@ stiff layer integration, slow-manifold and exit-point asymptotics.
 from .core import (
     HybridState,
     Mode,
+    NoOrbitError,
     OscillatorParams,
     Region,
     SwitchingModel,

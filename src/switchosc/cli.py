@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, poincare
+from .experiments import fmt, write_csv
 from .core import (
     DomainError,
     NoOrbitError,
@@ -29,21 +30,18 @@ from .regularization import (
     critical_branch,
     exit_scaling_fit,
     regularized_poincare_linear,
-    simulate_regularized,
 )
 from .sliding import (
     ageing_metrics,
     find_sliding_period4_linear,
     find_sliding_period4_nonlinear,
-    simulate_discontinuous,
 )
 from .svgplot import line_plot
 
 CSV_HEADER = "x,y_or_v,mode,branch,event"
-
-
-def _g(v) -> str:
-    return f"{v:.12g}" if isinstance(v, float) else str(v)
+#: Most branch rows ``manifolds`` and ``ageing`` build for one --range; a
+#: nonlinear --range 0:1e5 (150 000 rows) fits.
+MAX_BRANCH_ROWS = 2**18
 
 
 def _out_dir(args) -> Path:
@@ -112,12 +110,15 @@ def _model(args, cfg: dict) -> SwitchingModel:
         raise DomainError(f"model must be linear or nonlinear, got {name!r}") from None
 
 
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for x, y, mode, branch, event in rows:
-            fh.write(f"{_g(float(x))},{_g(float(y))},{mode},"
-                     f"{'' if branch is None else branch},{event}\n")
+def _branch_range(args, model: SwitchingModel) -> tuple[float, float]:
+    """The --range lo:hi, refused when it meets more than MAX_BRANCH_ROWS branches."""
+    lo, hi = _colon_floats(args.range, "lo:hi", "--range")
+    indices = branch_indices(model, lo, hi)
+    count = indices.stop - indices.start  # len() overflows past sys.maxsize
+    if count > MAX_BRANCH_ROWS:
+        raise DomainError(f"--range {args.range} meets {count} branches, more than the "
+                          f"{MAX_BRANCH_ROWS} rows a table holds")
+    return lo, hi
 
 
 def cmd_simulate(args) -> int:
@@ -128,19 +129,15 @@ def cmd_simulate(args) -> int:
     y0 = _setting(args, cfg, "y0", 0.0)
     x_end = _setting(args, cfg, "x_end", x0 + 8.0)
     out = _out_dir(args)
-    if params.epsilon > 0.0:
-        traj = simulate_regularized(model, params, x0, y0, x_end)
-        ylab = "v"
-    else:
-        traj = simulate_discontinuous(model, params, (x0, y0), x_end)
-        ylab = "y"
+    traj = experiments.simulate(model, params, x0, y0, x_end)
     csv_path = out / "trajectory.csv"
-    _write_csv(csv_path, traj.rows())
+    write_csv(csv_path, CSV_HEADER, traj.rows())
     print(f"wrote {csv_path}")
     if args.plot:
         svg_path = out / "trajectory.svg"
         line_plot([("trajectory", *traj.xy())], path=str(svg_path),
-                  title=f"{model.value}, a={_g(params.a)}", xlabel="x", ylabel=ylab)
+                  title=f"{model.value}, a={fmt(params.a)}", xlabel="x",
+                  ylabel="v" if params.epsilon > 0.0 else "y")
         print(f"wrote {svg_path}")
     return 0
 
@@ -149,29 +146,25 @@ def cmd_orbit_find(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
     model = _model(args, cfg)
-    if model is SwitchingModel.LINEAR and not args.sliding:
-        try:
+    linear = model is SwitchingModel.LINEAR
+    absent = ("no non-sliding period-4 orbit" if linear and not args.sliding else
+              "no sliding period-4 orbit" if linear else "orbit construction failed")
+    try:
+        if linear and not args.sliding:
             x_star, mult = poincare.find_nonsliding_period4(params.a)
-        except NoOrbitError as exc:
-            print(f"no non-sliding period-4 orbit: {exc}")
-            return 1
-        print(f"non-sliding period-4 fixed point x* = {_g(x_star)}")
-        print(f"multiplier dP/dx = {_g(mult)}")
-        return 0
-    if model is SwitchingModel.LINEAR:
-        res = find_sliding_period4_linear(params.a)
-        if not res.exists:
-            print(f"no sliding period-4 orbit: {res.reason}")
-            return 1
-        print(f"sliding period-4 orbit: landing x = {_g(res.landing)}, "
-              f"closure error {_g(res.closure_error)}, branch {res.branch}")
-        return 0
-    res = find_sliding_period4_nonlinear(params.a)
-    if not res.exists:
-        print(f"orbit construction failed: {res.reason}")
+            print(f"non-sliding period-4 fixed point x* = {fmt(x_star)}")
+            print(f"multiplier dP/dx = {fmt(mult)}")
+        elif linear:
+            res = find_sliding_period4_linear(params.a)
+            print(f"sliding period-4 orbit: landing x = {fmt(res.landing)}, "
+                  f"closure error {fmt(res.closure_error)}, branch {res.branch}")
+        else:
+            res = find_sliding_period4_nonlinear(params.a)
+            print(f"sliding period-4 orbit: x_a = {fmt(res.landing)}, branch {res.branch}, "
+                  f"closure error {fmt(res.closure_error)}")
+    except NoOrbitError as exc:
+        print(f"{absent}: {exc}")
         return 1
-    print(f"sliding period-4 orbit: x_a = {_g(res.x_a)}, branch {res.branch}, "
-          f"closure error {_g(res.closure_error)}")
     return 0
 
 
@@ -179,22 +172,18 @@ def cmd_manifolds(args) -> int:
     cfg = _load_config(args.config)
     params = _params(args, cfg)
     model = _model(args, cfg)
-    lo, hi = _colon_floats(args.range, "lo:hi", "--range")
+    lo, hi = _branch_range(args, model)
     branches = [branch(model, n) for n in branch_indices(model, lo, hi)]
-    out = _out_dir(args)
-    path = out / "manifolds.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,x_lo,x_hi,stability,lambda_mid,v0_mid\n")
-        for b in branches:
-            xm = 0.5 * (max(b.domain[0], lo) + min(b.domain[1], hi))
-            lam = b.lambda_of(xm)
-            v0 = (critical_branch(model, b.index, xm)
-                  if params.epsilon > 0.0 else float("nan"))
-            fh.write(f"{b.index},{_g(b.domain[0])},{_g(b.domain[1])},"
-                     f"{b.stability},{_g(lam)},{_g(v0)}\n")
+    rows = []
+    for b in branches:
+        xm = 0.5 * (max(b.domain[0], lo) + min(b.domain[1], hi))
+        v0 = critical_branch(model, b.index, xm) if params.epsilon > 0.0 else math.nan
+        rows.append((b.index, *b.domain, b.stability, b.lambda_of(xm), v0))
+    path = _out_dir(args) / "manifolds.csv"
+    write_csv(path, "n,x_lo,x_hi,stability,lambda_mid,v0_mid", rows)
     print(f"wrote {path} ({len(branches)} branches)")
     for b in branches:
-        print(f"n={b.index} domain=({_g(b.domain[0])}, {_g(b.domain[1])}) {b.stability}")
+        print(f"n={b.index} domain=({fmt(b.domain[0])}, {fmt(b.domain[1])}) {b.stability}")
     return 0
 
 
@@ -206,21 +195,20 @@ def cmd_map(args) -> int:
         raise DomainError(f"--grid sample count must be a positive integer, got {n}")
     xs = np.linspace(lo, hi, int(n))
     discontinuous = OscillatorParams(a=params.a)
-    out = _out_dir(args)
-    path = out / "maps.csv"
     # a departure either map rejects leaves both columns nan
     pc = poincare.composite_map_array(xs, params.a)
     pm = np.where(np.isnan(pc), np.nan, poincare.next_crossing_array(-1, xs, discontinuous))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,p_minus,p_composite,p_eps\n")
-        for x, x_minus, x_comp in zip(xs, pm.tolist(), pc.tolist()):
-            pe = float("nan")
-            if params.epsilon > 0.0:
-                try:
-                    pe = regularized_poincare_linear(float(x), params)
-                except OscillatorError:
-                    pass
-            fh.write(f"{_g(float(x))},{_g(x_minus)},{_g(x_comp)},{_g(pe)}\n")
+    rows = []
+    for x, x_minus, x_comp in zip(xs.tolist(), pm.tolist(), pc.tolist()):
+        pe = math.nan
+        if params.epsilon > 0.0:
+            try:
+                pe = regularized_poincare_linear(x, params)
+            except OscillatorError:
+                pass
+        rows.append((x, x_minus, x_comp, pe))
+    path = _out_dir(args) / "maps.csv"
+    write_csv(path, "x,p_minus,p_composite,p_eps", rows)
     print(f"wrote {path}")
     return 0
 
@@ -228,15 +216,10 @@ def cmd_map(args) -> int:
 def cmd_ageing(args) -> int:
     cfg = _load_config(args.config)
     model = _model(args, cfg)
-    lo, hi = _colon_floats(args.range, "lo:hi", "--range")
-    rows = ageing_metrics(model, x_range=(lo, hi))
-    out = _out_dir(args)
-    path = out / "ageing.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,branch_width,slid_length,stability\n")
-        for r in rows:
-            fh.write(f"{r['n']},{_g(r['branch_width'])},{_g(r['slid_length'])},"
-                     f"{r['stability']}\n")
+    rows = ageing_metrics(model, x_range=_branch_range(args, model))
+    path = _out_dir(args) / "ageing.csv"
+    write_csv(path, "n,branch_width,slid_length,stability",
+              ((r["n"], r["branch_width"], r["slid_length"], r["stability"]) for r in rows))
     print(f"wrote {path}")
     return 0
 
@@ -248,16 +231,12 @@ def cmd_scaling(args) -> int:
     n_grid = _comma_numbers(args.n_grid, "--n-grid", integer=True)
     fit_eps, fit_n = exit_scaling_fit(params.a, eps_grid, args.n_fixed,
                                       n_grid, args.eps_fixed)
-    print(f"slope_eps = {_g(fit_eps.exponent)} (r^2 = {_g(fit_eps.r_squared)})")
-    print(f"slope_n   = {_g(fit_n.exponent)} (r^2 = {_g(fit_n.r_squared)})")
+    print(f"slope_eps = {fmt(fit_eps.exponent)} (r^2 = {fmt(fit_eps.r_squared)})")
+    print(f"slope_n   = {fmt(fit_n.exponent)} (r^2 = {fmt(fit_n.r_squared)})")
     out = _out_dir(args)
     path = out / "scaling.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("sweep,abscissa,delay\n")
-        for u, d in fit_eps.samples:
-            fh.write(f"eps,{_g(u)},{_g(d)}\n")
-        for u, d in fit_n.samples:
-            fh.write(f"n,{_g(u)},{_g(d)}\n")
+    write_csv(path, "sweep,abscissa,delay",
+              [("eps", *s) for s in fit_eps.samples] + [("n", *s) for s in fit_n.samples])
     if args.plot:
         svg = out / "scaling.svg"
         line_plot([("delay vs eps", [s[0] for s in fit_eps.samples],

@@ -374,9 +374,8 @@ class Trajectory:
     def layer_spans(self) -> list[tuple[float, float]]:
         return [(s.x0, s.x1) for s in self.segments if s.mode is Mode.LAYER]
 
-    def captured_spans(self, threshold: float | None = None) -> list[tuple[float, float]]:
-        if threshold is None:
-            threshold = capture_threshold(self.params.epsilon)
+    def captured_spans(self) -> list[tuple[float, float]]:
+        threshold = capture_threshold(self.params.epsilon)
         return [sp for sp in self.layer_spans() if sp[1] - sp[0] > threshold]
 
     def validate(self) -> None:

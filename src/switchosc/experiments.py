@@ -23,9 +23,11 @@ from scipy.optimize import brentq
 from . import poincare
 from .core import (
     DomainError,
+    NoOrbitError,
     OscillatorParams,
     SolverError,
     SwitchingModel,
+    Trajectory,
     branch,
     branch_indices,
     forcing,
@@ -72,7 +74,6 @@ class Report:
     measured: dict
     checks: list[CheckResult] = field(default_factory=list)
     runtime_s: float = 0.0
-    artifacts: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -84,6 +85,13 @@ class Report:
                    f"{c.detail} [{c.provenance}]")
 
 
+class ScenarioValues(dict):
+    """A scenario's ``params``, ``spec`` or run: reading a value it lacks is a usage error."""
+
+    def __missing__(self, key):
+        raise DomainError(f"the scenario gives no value {key!r}")
+
+
 @dataclass
 class Scenario:
     id: str
@@ -93,7 +101,9 @@ class Scenario:
     params: dict = field(default_factory=dict)
     spec: dict = field(default_factory=dict)
     expected: list = field(default_factory=list)
-    seed: int | None = None
+
+    def __post_init__(self):
+        self.params, self.spec = ScenarioValues(self.params), ScenarioValues(self.spec)
 
     @property
     def switching_model(self) -> SwitchingModel:
@@ -107,6 +117,19 @@ def _scenario_dir():
 def list_scenarios() -> list[str]:
     return sorted(p.name[:-5] for p in _scenario_dir().iterdir()
                   if p.name.endswith(".json"))
+
+
+def fmt(v) -> str:
+    """A table cell or printed value: floats at 12 significant digits, None empty."""
+    return "" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+def write_csv(path: str | Path, header: str, rows) -> None:
+    """The CSV file at ``path``: ``header``, then one line of ``fmt`` cells per row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -135,7 +158,7 @@ def load_scenario(id_or_path: str) -> Scenario:
     _validate_checks(id_or_path, doc.get("expected", []))
     try:
         return Scenario(**doc)
-    except TypeError as exc:  # an unknown or missing key
+    except (TypeError, ValueError) as exc:  # an unknown or missing key; params or spec no object
         raise DomainError(f"scenario {id_or_path}: {exc}") from None
 
 
@@ -183,7 +206,7 @@ def _evaluate_check(check: dict, measured: dict) -> CheckResult:
     ok = verdict(val, check)
     detail = template.format(**check, val=val)
     return CheckResult(name=name, passed=bool(ok), measured=val, detail=detail,
-                       provenance=check.get("provenance", "DERIVED"))
+                       provenance=check["provenance"])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +272,7 @@ def _run_nonsliding_fixed_point(sc: Scenario) -> dict:
 
 def _run_a0_limit(sc: Scenario) -> dict:
     a = sc.params["a"]
-    n = sc.spec.get("samples", 50)
+    n = sc.spec["samples"]
     xs = np.linspace(0.02, 2.0 / 3.0 - 0.02, n)
     lands = poincare.composite_map_array(xs, a)
     for x in xs[np.isnan(lands)].tolist():
@@ -259,7 +282,7 @@ def _run_a0_limit(sc: Scenario) -> dict:
 
 def _run_interval_confinement(sc: Scenario) -> dict:
     a_grid = sc.spec["a_grid"]
-    n_max = sc.spec.get("n_max", 10)
+    n_max = sc.spec["n_max"]
     worst = math.inf
     lemma4_ok = True
     for a in a_grid:
@@ -271,16 +294,23 @@ def _run_interval_confinement(sc: Scenario) -> dict:
     return {"lemma4_ok": lemma4_ok, "min_margin": worst}
 
 
+def _sliding_orbit(find, a: float):
+    """``find(a)``, or None where it raises NoOrbitError."""
+    try:
+        return find(a)
+    except NoOrbitError:
+        return None
+
+
 def _run_sliding_linear(sc: Scenario) -> dict:
-    a_exist = sc.params.get("a", 10.0)
-    a_absent = sc.spec.get("a_absent", 1e-3)
-    res = find_sliding_period4_linear(a_exist)
-    absent = find_sliding_period4_linear(a_absent)
+    a_exist = sc.params["a"]
+    res = _sliding_orbit(find_sliding_period4_linear, a_exist)
     out = {
-        "exists": res.exists,
-        "landing": res.landing if res.exists else math.nan,
-        "closure_error": res.closure_error if res.exists else math.nan,
-        "absent_reported": not absent.exists,
+        "exists": res is not None,
+        "landing": res.landing if res else math.nan,
+        "closure_error": res.closure_error if res else math.nan,
+        "absent_reported": _sliding_orbit(find_sliding_period4_linear,
+                                          sc.spec["a_absent"]) is None,
     }
     # crossing-map composite landing: alternate half-plane legs from (10/3, +)
     # until the landing leaves the crossing region (3 legs in the Theorem-2
@@ -302,20 +332,19 @@ def _run_sliding_nonlinear(sc: Scenario) -> dict:
     out = {}
     all_ok = True
     for a in sc.spec["a_grid"]:
-        res = find_sliding_period4_nonlinear(a)
+        res = _sliding_orbit(find_sliding_period4_nonlinear, a)
         key = f"a_{a}"
-        out[key + "_x_a"] = res.x_a if res.exists else math.nan
-        out[key + "_closure"] = res.closure_error if res.exists else math.nan
-        ok = res.exists and 2.0 < res.x_a < 4.0 and res.closure_error < 1e-9
-        all_ok &= ok
+        out[key + "_x_a"] = res.landing if res else math.nan
+        out[key + "_closure"] = res.closure_error if res else math.nan
+        all_ok &= bool(res) and 2.0 < res.landing < 4.0 and res.closure_error < 1e-9
     out["all_ok"] = all_ok
     return out
 
 
 def _run_fold_points(sc: Scenario) -> dict:
     worst = 0.0
+    a = sc.params["a"]
     for a_eps in sc.spec["a_eps_grid"]:
-        a = sc.params.get("a", 0.01)
         p = OscillatorParams(a=a, epsilon=a_eps / a)
         for sign, w in ((+1, 1.5), (-1, 0.5)):
             for n in (1, 2, 3, 5):
@@ -343,9 +372,9 @@ def _run_regularized_linear(sc: Scenario) -> dict:
         "first_order_bound": all(e <= 5.0 * eps for e, eps in zip(errs, eps_grid)),
         "loglog_slope": slope,
     }
-    a2 = sc.spec.get("a_sliding", 2.0)
+    a2 = sc.spec["a_sliding"]
     logc = {}
-    for eps in sc.spec.get("eps_sliding", [1e-2, 1e-3]):
+    for eps in sc.spec["eps_sliding"]:
         orb = find_regularized_sliding_orbit_linear(a2, OscillatorParams(a=a2, epsilon=eps))
         logc[eps] = orb.log_contraction
     e_coarse, e_fine = max(logc), min(logc)
@@ -393,10 +422,9 @@ def _run_slow_manifold(sc: Scenario) -> dict:
 def _run_fig11(sc: Scenario) -> dict:
     a = sc.params["a"]
     eps = sc.params["epsilon"]
-    x0, v0 = sc.spec.get("start", [14.1, 1.1])
+    x0, v0 = sc.spec["start"]
     p = OscillatorParams(a=a, epsilon=eps)
-    traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0,
-                                x_end=sc.spec.get("x_end", 50.0))
+    traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0, x_end=sc.spec["x_end"])
     spans = traj.layer_spans()
     entry, exit_x = max(spans, key=lambda s: s[1] - s[0])
     xs = np.linspace(0.5 * (entry + exit_x) - 1.0, 0.5 * (entry + exit_x) + 1.0, 9)
@@ -419,8 +447,8 @@ def _run_fig11(sc: Scenario) -> dict:
 def _run_vr_convergence(sc: Scenario) -> dict:
     a = sc.params["a"]
     eps = sc.params["epsilon"]
-    x0, v0 = sc.spec.get("start", [14.1, 1.1])
-    n_lo, n_hi = sc.spec.get("windows", [5, 30])
+    x0, v0 = sc.spec["start"]
+    n_lo, n_hi = sc.spec["windows"]
     p = OscillatorParams(a=a, epsilon=eps)
     traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0,
                                 x_end=4.0 * (n_hi + 2) + x0)
@@ -460,7 +488,7 @@ def _run_property_suite(sc: Scenario) -> dict:
                 x = b.domain[0] + t * b.width
                 res = max(res, abs(forcing(model, x, b.lambda_of(x))))
     # criterion-2 fixed point via two independent code paths
-    a = sc.params.get("a", 0.01)
+    a = sc.params["a"]
     x_map, _ = poincare.find_nonsliding_period4(a)
     x_ivp = ivp_fixed_point(a, x_map)
     return {
@@ -473,6 +501,14 @@ def _run_property_suite(sc: Scenario) -> dict:
     }
 
 
+def simulate(model: SwitchingModel, params: OscillatorParams, x0: float, y0: float,
+             x_end: float) -> Trajectory:
+    """The run from (x0, y0) to x_end: regularized in (x, v) for epsilon > 0, else discontinuous."""
+    if params.epsilon > 0.0:
+        return simulate_regularized(model, params, x0, y0, x_end)
+    return simulate_discontinuous(model, params, (x0, y0), x_end)
+
+
 def _run_trajectory(sc: Scenario) -> dict:
     """Generic figure reproduction: one or more runs, measured summary, plot data."""
     p = OscillatorParams(a=sc.params["a"], epsilon=sc.params.get("epsilon", 0.0))
@@ -480,13 +516,8 @@ def _run_trajectory(sc: Scenario) -> dict:
     model = sc.switching_model
     series = []
     measured = {"n_runs": len(runs)}
-    for i, run in enumerate(runs):
-        x0, y0 = run["start"]
-        x_end = run["x_end"]
-        if p.epsilon > 0.0:
-            traj = simulate_regularized(model, p, x0, y0, x_end)
-        else:
-            traj = simulate_discontinuous(model, p, (x0, y0), x_end)
+    for i, run in enumerate(map(ScenarioValues, runs)):
+        traj = simulate(model, p, *run["start"], run["x_end"])
         series.append((run.get("label", f"run{i}"), *traj.xy()))
         measured[f"run{i}_events"] = len(traj.events)
     measured["_series"] = series
@@ -526,36 +557,22 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     if out_dir is not None:
         out = Path(out_dir) / scenario.id
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "results.csv"
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("key,value\n")
-            for k in sorted(measured):
-                if k.startswith("_"):
-                    continue
-                v = measured[k]
-                if isinstance(v, list):
-                    v = ";".join(f"{u:.12g}" if isinstance(u, float) else str(u)
-                                 for u in (v if not isinstance(v[0], (list, tuple))
-                                           else [x for pair in v for x in pair]))
-                elif isinstance(v, float):
-                    v = f"{v:.12g}"
-                fh.write(f"{k},{v}\n")
-        rep_path = out / "report.txt"
-        with open(rep_path, "w", newline="\n") as fh:
+        # a list of numbers, or of number pairs, is one cell of ';'-joined entries
+        write_csv(out / "results.csv", "key,value", (
+            (k, ";".join(map(fmt, np.ravel(v).tolist())) if isinstance(v, list) else v)
+            for k, v in sorted(measured.items()) if not k.startswith("_")))
+        with open(out / "report.txt", "w", newline="\n") as fh:
             for line in report.lines():
                 fh.write(line + "\n")
             fh.write(f"runtime_s {runtime:.3f}\n")
-        report.artifacts += [str(csv_path), str(rep_path)]
         if plot:
             series = measured.get("_series")
             if series is None and "_traj" in measured:
                 series = [("v(x)", *measured["_traj"].xy())]
             if series:
-                svg_path = out / f"{scenario.id}.svg"
-                line_plot(series, path=str(svg_path), title=scenario.id,
+                line_plot(series, path=str(out / f"{scenario.id}.svg"), title=scenario.id,
                           xlabel="x", ylabel="y" if scenario.params.get(
                               "epsilon", 0.0) == 0.0 else "v")
-                report.artifacts.append(str(svg_path))
     return report
 
 
@@ -564,8 +581,5 @@ def write_traceability(out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "traceability.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("criterion,scenario\n")
-        for crit, sid in sorted(TRACEABILITY.items()):
-            fh.write(f"{crit},{sid}\n")
+    write_csv(path, "criterion,scenario", sorted(TRACEABILITY.items()))
     return path

@@ -20,7 +20,7 @@ arrays; ``v_r`` is evaluated the same way.
 
 Fixed points of the regularized return map P_eps are found by
 ``poincare.section_fixed_point``, the Newton driver of the discontinuous map
-too: a run with ``with_sensitivity`` yields P_eps(x) and log P_eps'(x) in the
+too: a run with a ``section_after`` yields P_eps(x) and log P_eps'(x) in the
 steps of a plain run (the kernel carries J' = d/dv (dv/dx) as a quadrature),
 so each iterate costs one run.
 """
@@ -179,19 +179,17 @@ def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams,
 def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          x0: float, v0: float, x_end: float,
                          rtol: float = 1e-10,
-                         stop_at_downward_v0_after: float | None = None,
-                         with_sensitivity: bool = False) -> Trajectory:
+                         section_after: float | None = None) -> Trajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
     Alternates stiff layer integration (``radau.solve_ivp`` at rtol and atol
     = rtol/100, analytic Jacobian, stop levels v = +-1 where v leaves the
-    layer) with closed-form exterior arcs.  When ``stop_at_downward_v0_after``
-    is set, a downward v = 0 stop is added and the run terminates at the
-    first such crossing past that abscissa (the Poincare section used by the
-    regularized return map).  ``with_sensitivity`` also accumulates
-    J = d/dv (dv/dx) along the path (a quadrature in the kernel, which leaves
-    the steps unchanged), yielding the log-derivative of the flow map for
-    contraction estimates.
+    layer) with closed-form exterior arcs.  With ``section_after`` set the run
+    is a section run of the regularized return map: a downward v = 0 stop is
+    added, the run terminates at the first such crossing past that abscissa
+    (``section_x``), and ``log_sensitivity`` accumulates J = d/dv (dv/dx)
+    along the path (a quadrature in the kernel, which leaves the steps
+    unchanged), the log-derivative of the flow map for contraction estimates.
     The returned trajectory has passed ``Trajectory.validate``.
     """
     if params.epsilon <= 0.0:
@@ -207,10 +205,9 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
     traj = Trajectory(params=params, model=model)
     log_sens = 0.0
     rate, rate_dv = layer_system(model, params)
+    section = section_after is not None
     # v leaves the layer through +-1; the section is the downward v = 0
-    stops = [(1.0, +1), (-1.0, -1)]
-    if stop_at_downward_v0_after is not None:
-        stops.append((0.0, -1))
+    stops = [(1.0, +1), (-1.0, -1)] + ([(0.0, -1)] if section else [])
 
     x, v = x0, v0
     mode = "layer" if abs(v) <= 1.0 else "ext"
@@ -220,8 +217,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             break
         if mode == "layer":
             v_in = min(max(v, -1.0 + _NUDGE), 1.0 - _NUDGE)
-            sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, atol, stops,
-                            with_sensitivity)
+            sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, atol, stops, section)
             if sol.status < 0:
                 raise LayerIntegrationError(f"layer integration failed: {sol.message}",
                                             sol.t[-1], sol.v_end, sol.h_last)
@@ -232,13 +228,13 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             if sol.stop is None:
                 x = x1
                 continue
-            if with_sensitivity:
+            if section:
                 # section-map log-derivative: rate-in/rate-out factors plus
                 # the integrated dF/dv along the arc
                 log_sens += (sol.j_end + math.log(abs(rate(x, v_in)))
                              - math.log(abs(rate(x1, level))))
             if level == 0.0:
-                if x1 > stop_at_downward_v0_after:
+                if x1 > section_after:
                     traj.section_x = x1
                     break
                 x, v = x1, -_NUDGE
@@ -253,7 +249,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                 Mode.FLOW_PLUS if side > 0 else Mode.FLOW_MINUS, x, seg_end, v,
                 float(side) if xr <= x_end else math.nan,
                 partial(_exterior_v, side, x, v, params)))
-            if with_sensitivity and xr <= x_end:
+            if section and xr <= x_end:
                 r_out = abs(flow_from_deriv(side, x, x, e * v, params))
                 r_in = abs(flow_from_deriv(side, xr, x, e * v, params))
                 log_sens += math.log(r_out) - math.log(r_in) - a * (xr - x)
@@ -267,7 +263,7 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             f"regularized event budget of {_EVENT_BUDGET} arcs exhausted before "
             f"x_end={x_end!r}: {mode} arc next at x={x!r}, v={v!r}, last events "
             f"{traj.events[-3:]}")
-    if with_sensitivity:
+    if section:
         traj.log_sensitivity = log_sens
     traj.validate()
     return traj
@@ -308,7 +304,12 @@ class ExitMeasurement:
     trajectory: Trajectory
 
 
-def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
+#: ``capture_start``'s offset above the attracting branch, as a fraction of
+#: the lambda-gap to the repelling branch above it.
+_CAPTURE_OFFSET = 0.25
+
+
+def capture_start(n: int) -> tuple[float, float]:
     """A start state just above the attracting branch 2n, inside its basin.
 
     The basin ceiling is the adjacent repelling branch, a lambda-gap of 2/x
@@ -318,11 +319,10 @@ def capture_start(n: int, offset_frac: float = 0.25) -> tuple[float, float]:
     xs = float(nu)  # lambda = 0 there; mid-branch
     v0 = psi_inverse(branch(SwitchingModel.NONLINEAR, nu).lambda_of(xs))
     gap = (2.0 / xs) / psi_prime(v0)
-    return xs, v0 + offset_frac * gap
+    return xs, v0 + _CAPTURE_OFFSET * gap
 
 
-def measure_exit_point(n: int, params: OscillatorParams,
-                       rtol: float = 1e-10) -> ExitMeasurement:
+def measure_exit_point(n: int, params: OscillatorParams) -> ExitMeasurement:
     """Layer exit point x_e of a trajectory captured on the attracting branch 2n.
 
     Integrates from the first-order slow manifold at x = 3n (well inside the
@@ -333,7 +333,7 @@ def measure_exit_point(n: int, params: OscillatorParams,
     xs = 1.5 * nu
     vs = slow_manifold_expansion(n, xs, params)["v_first_order"]
     traj = simulate_regularized(SwitchingModel.NONLINEAR, params, xs, vs,
-                                x_end=2.0 * nu + 1.0, rtol=rtol)
+                                x_end=2.0 * nu + 1.0)
     exits = [ev.x for ev in traj.events if ev.kind == "layer-exit" and ev.branch == -1]
     if not exits:
         raise SolverError(f"trajectory was not captured/did not exit for n={n}")
@@ -359,10 +359,14 @@ class ScalingFit:
         return math.log10(max(xs) / min(xs))
 
 
+#: Fewest samples ``fit_power_law`` fits.
+_MIN_FIT_SAMPLES = 4
+
+
 def fit_power_law(samples: list[tuple[float, float]],
-                  min_samples: int = 4, min_decades: float = 0.0) -> ScalingFit:
-    if len(samples) < min_samples:
-        raise DomainError(f"need >= {min_samples} samples, got {len(samples)}")
+                  min_decades: float = 0.0) -> ScalingFit:
+    if len(samples) < _MIN_FIT_SAMPLES:
+        raise DomainError(f"need >= {_MIN_FIT_SAMPLES} samples, got {len(samples)}")
     lx = np.log([s[0] for s in samples])
     ly = np.log([s[1] for s in samples])
     if (lx.max() - lx.min()) / math.log(10.0) < min_decades - 1e-9:
@@ -397,8 +401,8 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
             continue
         m = measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed))
         n_samples.append((float(n), m.delay))
-    fit_eps = fit_power_law(eps_samples, min_samples=4, min_decades=2.0)
-    fit_n = fit_power_law(n_samples, min_samples=4)
+    fit_eps = fit_power_law(eps_samples, min_decades=2.0)
+    fit_n = fit_power_law(n_samples)
     return fit_eps, fit_n
 
 
@@ -417,8 +421,7 @@ def _section_return(x: float, params: OscillatorParams) -> tuple[float, float, T
     down, as for x in (0, 1); where it points up, the run begins 1e-12 below.
     """
     traj = simulate_regularized(SwitchingModel.LINEAR, params, x, -_NUDGE,
-                                x_end=x + 12.0, rtol=_PMAP_RTOL,
-                                stop_at_downward_v0_after=x + 0.5, with_sensitivity=True)
+                                x_end=x + 12.0, rtol=_PMAP_RTOL, section_after=x + 0.5)
     if traj.section_x is None:
         raise SolverError(f"P_eps: no section return from x={x}")
     return traj.section_x, traj.log_sensitivity, traj

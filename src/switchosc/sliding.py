@@ -24,7 +24,7 @@ level y = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     DomainError,
     Mode,
+    NoOrbitError,
     OscillatorError,
     OscillatorParams,
     SolverError,
@@ -218,14 +219,14 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
 
 @dataclass
 class SlidingOrbitResult:
-    exists: bool
-    trajectory: Trajectory | None = None
-    crossings: list[float] = field(default_factory=list)
-    landing: float | None = None
-    closure_error: float | None = None
-    x_a: float | None = None
-    branch: int | None = None
-    reason: str = ""
+    """A sliding period-4 orbit: one period's run, its crossings, the slide's
+    entry (``landing``), the slide exit's distance from closure and its branch."""
+
+    trajectory: Trajectory
+    crossings: list[float]
+    landing: float
+    closure_error: float
+    branch: int
 
 
 def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
@@ -233,8 +234,8 @@ def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
 
     Simulates one period forward: the orbit exists iff the trajectory slides
     into x = 22/3 (= 10/3 + 4) on the attracting branch.  For small a the
-    crossings drift past 22/3 and absence is reported, as expected in that
-    regime.
+    crossings drift past 22/3 and NoOrbitError reports the absence, as
+    expected in that regime.
     """
     p = OscillatorParams(a=a)
     # (10/3, 0) is the right edge of the first attracting interval: the only
@@ -247,13 +248,9 @@ def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
         if seg.mode is Mode.SLIDING and seg.x0 < target <= seg.x1 + 1e-9:
             exit_x = next(e.x for e in traj.events
                           if e.kind == "slide-exit" and e.x >= target - 1e-9)
-            return SlidingOrbitResult(
-                exists=True, trajectory=traj, crossings=crossings,
-                landing=seg.x0, closure_error=abs(exit_x - target),
-                branch=seg.branch)
-    return SlidingOrbitResult(
-        exists=False, trajectory=traj, crossings=crossings,
-        reason=f"no sliding segment reaches x = 22/3 at a={a}; crossings={crossings}")
+            return SlidingOrbitResult(trajectory=traj, crossings=crossings, landing=seg.x0,
+                                      closure_error=abs(exit_x - target), branch=seg.branch)
+    raise NoOrbitError(f"no sliding segment reaches x = 22/3 at a={a}; crossings={crossings}")
 
 
 def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
@@ -264,6 +261,8 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     from the 4-periodicity of the field.  Periodicity of nonlinear sliding
     runs is only claimed here because the regularized limit confirms it
     (cross-module test); raw threshold concatenations would be unverified.
+    ``landing`` is the slide's entry x_a.  A run that does not slide, or
+    leaves the closure of S_-, raises NoOrbitError.
     """
     p = OscillatorParams(a=a)
     traj = simulate_discontinuous(
@@ -271,17 +270,12 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     entries = [e for e in traj.events if e.kind == "slide-entry"]
     exits = [e for e in traj.events if e.kind == "slide-exit"]
     if not entries or not exits:
-        return SlidingOrbitResult(exists=False, trajectory=traj,
-                                  reason="orbit did not slide")
-    x_a = entries[0].x
-    closure = abs(exits[0].x - 4.0)
+        raise NoOrbitError("orbit did not slide")
     ymax = max(max(seg.ys) for seg in traj.segments)
     if ymax > Y_ZERO_TOL:
-        return SlidingOrbitResult(exists=False, trajectory=traj,
-                                  reason=f"orbit left closure of S_- (max y {ymax})")
-    return SlidingOrbitResult(
-        exists=True, trajectory=traj, crossings=[], landing=x_a,
-        closure_error=closure, x_a=x_a, branch=entries[0].branch)
+        raise NoOrbitError(f"orbit left closure of S_- (max y {ymax})")
+    return SlidingOrbitResult(trajectory=traj, crossings=[], landing=entries[0].x,
+                              closure_error=abs(exits[0].x - 4.0), branch=entries[0].branch)
 
 
 def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,13 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
      '{"id": "X", "kind": "x0_root", "expected": '
      '[{"name": "x0", "op": "le", "provenance": "PAPER"}]}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "a0_limit", "params": {"a": 1e-8}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "a0_limit", "params": 1e-8, "spec": {"samples": 5}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "trajectory", "params": {"a": 1.0}, '
+     '"spec": {"runs": [{"start": [0.3, -0.4]}]}}'),
 ])
 def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys):
     path = tmp_path / name
@@ -202,6 +210,18 @@ def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["manifolds", "ageing"])
+def test_branch_table_past_the_row_cap_usage_error(command, tmp_path, capsys):
+    # 1.5e8 nonlinear branches meet 0:1e8; the range is refused before any row is built
+    t0 = time.perf_counter()
+    code, out, err = run([command, "--model", "nonlinear", "--a", "1", "--range", "0:1e8",
+                          "--out-dir", str(tmp_path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: --range") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [

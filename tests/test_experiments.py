@@ -1,5 +1,7 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from switchosc import experiments, poincare
@@ -11,6 +13,7 @@ from switchosc.experiments import (
     list_scenarios,
     load_scenario,
     run_scenario,
+    write_csv,
     write_traceability,
 )
 from switchosc.poincare import find_nonsliding_period4, next_crossing
@@ -25,6 +28,17 @@ def test_all_scenarios_parse_with_provenance():
         assert sc.id == sid
         for check in sc.expected:
             assert check["provenance"] in ("PAPER", "TRIVIAL", "DERIVED")
+
+
+def test_write_csv_formats_cells_as_the_table_writers_did(tmp_path):
+    # floats (numpy ones too) at 12 significant digits, ints and strings as
+    # they are, None empty
+    path = tmp_path / "t.csv"
+    write_csv(path, "f,g,h,i,n,s,none,nan,inf", [
+        (0.1 + 0.2, np.float64(2.0) / 3.0, -1.5e-20, 123456789012345.0, 22, "sliding",
+         None, math.nan, -math.inf)])
+    assert path.read_bytes() == (b"f,g,h,i,n,s,none,nan,inf\n"
+                                 b"0.3,0.666666666667,-1.5e-20,1.23456789012e+14,22,sliding,,nan,-inf\n")
 
 
 def test_unknown_scenario_rejected():

@@ -409,22 +409,30 @@ def nonsliding_exists(a):
     return True
 
 
+def sliding_exists(a):
+    try:
+        find_sliding_period4_linear(a)
+    except NoOrbitError:
+        return False
+    return True
+
+
 def test_exactly_one_period4_family_at_every_a():
     for a in np.linspace(0.02, 0.05, 301).tolist():
-        assert nonsliding_exists(a) != find_sliding_period4_linear(a).exists, a
+        assert nonsliding_exists(a) != sliding_exists(a), a
 
 
 def test_both_period4_families_meet_at_one_grazing_point():
     a_g = grazing_point(nonsliding_exists)
-    a_s = grazing_point(lambda a: not find_sliding_period4_linear(a).exists)
+    a_s = grazing_point(lambda a: not sliding_exists(a))
     assert abs(a_g - a_s) < 1e-12
     # below a_g the non-sliding orbit's landing nears the attracting
     # interval, so its multiplier vanishes; above it the slide shrinks to 0
     below, above = a_g - 1e-9, a_g + 1e-9
     assert 0.0 < find_nonsliding_period4(below)[1] < 1e-6
-    assert not find_sliding_period4_linear(below).exists
+    assert not sliding_exists(below)
     res = find_sliding_period4_linear(above)
-    assert res.exists and 0.0 < 22.0 / 3.0 - res.landing < 1e-6
+    assert 0.0 < 22.0 / 3.0 - res.landing < 1e-6
     with pytest.raises(NoOrbitError, match="slides"):
         find_nonsliding_period4(above)
 

@@ -117,7 +117,7 @@ def test_attracting_branch_capture_rate():
     # fast rate |df/dv| / eps once the transient is in the linear regime
     p = OscillatorParams(a=0.01, epsilon=1e-3)
     n = 4
-    x0, v_start = capture_start(n, offset_frac=0.1)
+    x0, v_start = capture_start(n)
     traj = simulate_regularized(NONLIN, p, x0, v_start, x0 + 0.01,
                                 rtol=1e-12)
     v0 = critical_branch(NONLIN, 2 * n, x0)
@@ -291,7 +291,7 @@ def test_vr_eps_limit_is_discontinuous_orbit():
         # y_d on the same window: flow from (12, 0) until 12 + x_a, zero after
         y_d = np.array([
             flow_solution(-1, float(x), 12.0, OscillatorParams(a=a))
-            if x <= 12.0 + orbit.x_a else 0.0
+            if x <= 12.0 + orbit.landing else 0.0
             for x in xs])
         sup_gaps.append(float(np.max(np.abs(y_vr - y_d))))
     assert sup_gaps[0] < 0.02 and sup_gaps[1] < sup_gaps[0]
@@ -331,7 +331,7 @@ def test_riccati_window_dominance():
     eps = 1e-3
     n = 10
     p = OscillatorParams(a=a, epsilon=eps)
-    m = measure_exit_point(n, p, rtol=1e-11)
+    m = measure_exit_point(n, p)
     psi_second = 3.0  # psi''(-1) = -3 v at v = -1
     alpha = (math.pi / 2.0 * math.asin(a * eps)
              + n * math.pi**2 * psi_second / 2.0) ** (1.0 / 3.0)
@@ -482,8 +482,7 @@ def test_log_sensitivity_matches_finite_difference(eps):
     for x in np.linspace(x_star - 0.08, x_star + 0.08, 9):
         x = float(x)
         traj = simulate_regularized(LIN, p, x, 0.0, x + 12.0, rtol=1e-11,
-                                    stop_at_downward_v0_after=x + 0.5,
-                                    with_sensitivity=True)
+                                    section_after=x + 0.5)
         slope = math.exp(traj.log_sensitivity)
         if slope < 1e-3:
             continue

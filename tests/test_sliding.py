@@ -11,6 +11,7 @@ from switchosc.core import (
     DomainError,
     HybridState,
     Mode,
+    NoOrbitError,
     OscillatorParams,
     SolverError,
     SwitchingModel,
@@ -322,11 +323,13 @@ def test_explicit_repelling_start_slides_then_exits():
 
 @pytest.mark.parametrize("a,expect", [(10.0, True), (2.0, True), (1e-3, False)])
 def test_sliding_orbit_linear_regimes(a, expect):
+    if not expect:
+        with pytest.raises(NoOrbitError, match="no sliding segment reaches"):
+            find_sliding_period4_linear(a)
+        return
     res = find_sliding_period4_linear(a)
-    assert res.exists is expect
-    if expect:
-        assert 20.0 / 3.0 < res.landing < 22.0 / 3.0
-        assert res.closure_error < 1e-8
+    assert 20.0 / 3.0 < res.landing < 22.0 / 3.0
+    assert res.closure_error < 1e-8
 
 
 def test_sliding_orbit_linear_large_a_first_crossing():
@@ -337,8 +340,7 @@ def test_sliding_orbit_linear_large_a_first_crossing():
 @pytest.mark.parametrize("a", [0.1, 0.5, 2.0])
 def test_sliding_orbit_nonlinear(a):
     res = find_sliding_period4_nonlinear(a)
-    assert res.exists
-    assert 2.0 < res.x_a < 4.0
+    assert 2.0 < res.landing < 4.0
     assert res.closure_error < 1e-10
     assert res.branch == 2
 
@@ -346,7 +348,7 @@ def test_sliding_orbit_nonlinear(a):
 def test_sliding_orbit_nonlinear_large_a_limit():
     # x_a -> 2+ as a -> infinity (the h^inf lattice zero at xbar = 2)
     res = find_sliding_period4_nonlinear(1e3)
-    assert 2.0 < res.x_a < 2.01
+    assert 2.0 < res.landing < 2.01
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
@@ -423,7 +425,7 @@ def test_ageing_metrics_tables():
     res = find_sliding_period4_nonlinear(0.5)
     t_rows = ageing_metrics(NONLIN, trajectory=res.trajectory)
     slid = {r["n"]: r["slid_length"] for r in t_rows if r["slid_length"] > 0}
-    assert slid[2] == pytest.approx(4.0 - res.x_a, abs=1e-9)
+    assert slid[2] == pytest.approx(4.0 - res.landing, abs=1e-9)
 
 
 def test_tangency_contact_flagged():
