@@ -113,7 +113,10 @@ def _model(args, cfg: dict) -> SwitchingModel:
 def _branch_range(args, model: SwitchingModel) -> tuple[float, float]:
     """The --range lo:hi, refused when it meets more than MAX_BRANCH_ROWS branches."""
     lo, hi = _colon_floats(args.range, "lo:hi", "--range")
-    indices = branch_indices(model, lo, hi)
+    try:
+        indices = branch_indices(model, lo, hi)
+    except DomainError as exc:  # an end past 2**53
+        raise DomainError(f"--range {args.range}: {exc}") from None
     count = indices.stop - indices.start  # len() overflows past sys.maxsize
     if count > MAX_BRANCH_ROWS:
         raise DomainError(f"--range {args.range} meets {count} branches, more than the "

@@ -4,7 +4,8 @@ The system is ``x' = 1, y' = -a*y - f(x, lambda)`` with ``lambda = sign(y)``
 off the threshold ``y = 0``.  Two forcing models exist: a convex (linear in
 lambda) combination of two sinusoids, and a single sinusoid whose frequency is
 a (nonlinear) function of lambda.  They agree for y != 0 and differ only in
-threshold semantics, which is what the rest of the library is about.
+threshold semantics, which is what the rest of the library is about.  Every
+threshold rule is built on one tangency test, ``field_direction``.
 
 The sliding branches, where f_i(x, lambda) vanishes for a lambda in (-1, 1),
 are defined here once: ``branch`` builds one and ``branch_indices`` lists, in
@@ -32,8 +33,6 @@ OMEGA_MINUS = 0.5
 
 #: Largest jump allowed where consecutive trajectory segments meet.
 GAP_TOL = 1e-9
-#: |sin(w+- pi x)| below this marks a tangency point of the threshold.
-TANGENCY_TOL = 1e-12
 #: Samples per unit of x when a trajectory segment is tabulated (at least 8 each).
 SAMPLES_PER_UNIT = 120
 
@@ -189,23 +188,42 @@ def vector_field(model: SwitchingModel, params: OscillatorParams,
     return 1.0, -params.a * state.y - forcing(model, state.x, lam)
 
 
+def field_direction(sign: int, x: float) -> int:
+    """Direction of the S_sign field at (x, 0): +1 up, -1 down, 0 tangent.
+
+    The field's y component there is -sin(w pi x), which at a tangency carries
+    the rounding of x, about w pi ulp(x): the band widens with |x| on long runs.
+    """
+    w = omega(sign)
+    dy = -sinpi(w * x)
+    if abs(dy) <= max(1e-12, 8.0 * math.pi * w * math.ulp(x)):
+        return 0
+    return 1 if dy > 0.0 else -1
+
+
+def departure_ok(sign: int, x: float) -> bool:
+    """The field at (x, 0) permits leaving into S_sign, transversally or tangentially."""
+    direction = field_direction(sign, x)
+    if direction == 0:  # the curvature -w pi cos(w pi x) must bend into S_sign
+        return sign * -cospi(omega(sign) * x) > 0.0
+    return direction == sign
+
+
 def classify_threshold_point(x: float) -> Region:
-    """Region of the threshold point (x, 0), from the signs of -sin(w+- pi x).
+    """Region of the threshold point (x, 0), from the two field directions.
 
     The pattern is 4-periodic: attracting on (8/3, 10/3), repelling on
-    (2/3, 4/3), tangent where either field has sin(w pi x) = 0, crossing
-    elsewhere.  Tangency detection uses ``TANGENCY_TOL`` on the sines;
-    points x = 2n are tangent for both fields and report TANGENCY_MINUS.
+    (2/3, 4/3), tangent where either field is, crossing elsewhere.  Points
+    x = 2n are tangent for both fields and report TANGENCY_MINUS.
     """
-    sm = sinpi(x / 2.0)
-    sp = sinpi(3.0 * x / 2.0)
-    if abs(sm) < TANGENCY_TOL:
+    up_plus, up_minus = field_direction(+1, x), field_direction(-1, x)
+    if up_minus == 0:
         return Region.TANGENCY_MINUS
-    if abs(sp) < TANGENCY_TOL:
+    if up_plus == 0:
         return Region.TANGENCY_PLUS
-    if sp > 0.0 and sm < 0.0:
+    if up_plus < 0 < up_minus:
         return Region.ATTRACTING
-    if sp < 0.0 and sm > 0.0:
+    if up_minus < 0 < up_plus:
         return Region.REPELLING
     return Region.CROSSING
 
@@ -266,10 +284,11 @@ def branch_indices(model: SwitchingModel, lo: float, hi: float) -> range:
     (x, x) gives the branches at x.  Both domain ends rise with n, so the
     indices form a range.  Its ends come from a closed-form guess, trimmed by
     the comparisons ``lambda_of`` makes, so every index returned for (x, x)
-    has x inside its float domain.
+    has x inside its float domain.  Ends past +-2**53, where consecutive
+    domain ends collide in floating point, raise DomainError.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"branch range needs finite ends, got ({lo}, {hi})")
+    if not (abs(lo) <= 2.0**53 and abs(hi) <= 2.0**53):  # False for NaN too
+        raise DomainError(f"branch range needs ends within +-2**53, got ({lo}, {hi})")
     linear = model is SwitchingModel.LINEAR
     if linear:
         first, last = math.floor(lo / 2.0 - 2.0 / 3.0) + 1, math.ceil(hi / 2.0 - 1.0 / 3.0) - 1

@@ -10,7 +10,7 @@ the phase of x_i computed once.  ``next_crossing`` takes one departure and
 reports brentq's iterations; ``next_crossing_array`` takes a 1-D array of
 independent departures in passes of at most MAX_POINTS probes, nan where the
 scalar form raises.  The two share the probes and the polish, so their
-crossings are bit-identical.
+crossings are bit-identical; both take departures ``core.departure_ok`` allows.
 
 ``section_fixed_point`` is the one Newton driver for a period-4 fixed point
 P(x) = x + 4 of a section map, in both engines: a run from x reports P(x) and
@@ -34,12 +34,12 @@ from .core import (
     DomainError,
     NoOrbitError,
     OscillatorParams,
-    Region,
     SolverError,
     SwitchingModel,
     branch,
-    classify_threshold_point,
     cospi,
+    departure_ok,
+    field_direction,
     omega,
     sinpi,
 )
@@ -65,20 +65,6 @@ class PoincareResult:
 
     x_next: float
     iterations: int
-
-
-def _departure_ok(sign: int, x_i: float) -> bool:
-    """Field at (x_i, 0) permits leaving into S_sign (transversally or tangentially).
-
-    sin(w pi x_i) at a tangency point carries the rounding of x_i itself, about
-    w pi ulp(x_i), so the tangency test widens with |x_i| on long runs.
-    """
-    w = omega(sign)
-    dy = -sinpi(w * x_i)
-    if abs(dy) <= max(1e-12, 8.0 * math.pi * w * math.ulp(x_i)):
-        # tangent departure: the curvature -w pi cos(w pi x_i) must bend into S_sign
-        return sign * (-w * math.pi * cospi(w * x_i)) > 0.0
-    return sign * dy > 0.0
 
 
 def _probe_count(sign: int, x_i: float, params: OscillatorParams) -> int:
@@ -186,7 +172,7 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
     _check_sign(sign)
     if not math.isfinite(x_i):
         raise DomainError(f"departure must be finite, got x_i={x_i}")
-    if not _departure_ok(sign, x_i):
+    if not departure_ok(sign, x_i):
         raise DomainError(
             f"departure into S_{'+' if sign > 0 else '-'} at x={x_i} is inconsistent "
             "with the field direction"
@@ -216,7 +202,7 @@ def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams) ->
     x_i = _departures(x_i)
     xs = x_i.tolist()
     x_next = np.full(x_i.size, np.nan)
-    rows = np.array([i for i, x in enumerate(xs) if _departure_ok(sign, x)], dtype=int)
+    rows = np.array([i for i, x in enumerate(xs) if departure_ok(sign, x)], dtype=int)
     if not rows.size:
         return x_next
     per_pass = max(1, min(ROWS_PER_PASS, MAX_POINTS // _probe_count(sign, xs[rows[0]], params)))
@@ -336,18 +322,16 @@ def section_fixed_point(run, bracket: tuple[float, float]):
 def _slide_end(x: float, landing: float) -> float | None:
     """The end 10/3 mod 4 of the attracting branch a leg from x lands on, or None.
 
-    That is linear branch 2 floor(landing/4) + 1, whose end the hybrid run
-    slides to as well.  The ends count: from 10/3 the slide has no length, and
-    its departure is the crossing's.  Raises SolverError for any other
-    non-crossing landing.
+    A landing where the S_- field points up and the S_+ field does not is on
+    linear branch 2 floor(landing/4) + 1, ends included; the hybrid run slides
+    to its end as well.  Raises SolverError for any other non-crossing landing.
     """
-    region = classify_threshold_point(landing)
-    if region is Region.ATTRACTING or (region is Region.TANGENCY_PLUS
-                                       and sinpi(landing / 2.0) < 0.0):
+    up_plus, up_minus = field_direction(+1, landing), field_direction(-1, landing)
+    if up_minus > 0 and up_plus <= 0:
         return branch(SwitchingModel.LINEAR, 2 * math.floor(landing / 4.0) + 1).domain[1]
-    if region is not Region.CROSSING:
-        raise SolverError(f"the composite map from x={x!r} lands at x={landing!r} on a "
-                          f"{region.value} point of the threshold")
+    if up_plus != up_minus or up_plus == 0:
+        raise SolverError(f"the composite map from x={x!r} lands at x={landing!r}, not a "
+                          f"crossing: fields S_+ {up_plus:+d}, S_- {up_minus:+d} (0 tangent)")
     return None
 
 

@@ -82,12 +82,7 @@ class RadauSolution:
                            np.array(v_old), np.array(q))
         ts, t_old, h, v_old, q = self._table
         j = np.clip(np.searchsorted(ts, t, "left") - 1, 0, len(h) - 1)
-        # the operations of _dense, in its order, so values agree bit for bit
-        s = (t - t_old[j]) / h[j]
-        s2 = s * s
-        s3 = s2 * s
-        qj = q[j]
-        return v_old[j] + (qj[..., 0] * s + qj[..., 1] * s2 + qj[..., 2] * s3)
+        return _dense(t, t_old[j], h[j], v_old[j], np.moveaxis(q[j], -1, 0))
 
 
 class RadauResult:

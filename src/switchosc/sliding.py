@@ -11,7 +11,8 @@ the motion stops at the largest root of f_i(x, .) in (-1, 1), ascending from
 lambda = -1 at the smallest.  Both models take that rule; the roots rise
 with the branch index, and a linear point lies on one branch at most.  A root
 reached this way is automatically fast-attracting (df/dlambda > 0); the
-regularization module is the validating oracle for this rule.
+regularization module is the validating oracle for this rule.  Tangent
+contacts and departures follow ``core.field_direction`` and ``departure_ok``.
 
 The hybrid simulator stores each arc as a closed-form segment of a
 ``core.Trajectory``: ``flow_from_array`` from the arc's start (y0 = 0 for a
@@ -44,16 +45,15 @@ from .core import (
     SlidingBranch,
     branch,
     branch_indices,
-    forcing,
+    departure_ok,
+    field_direction,
     forcing_dlam,
 )
 # flow_from and flow_solution stay bound here: the benchmark's tracer patches
 # them by name
 from .analytic_flow import flow_from, flow_from_array, flow_solution, next_contact
-from .poincare import _departure_ok, next_crossing, next_crossing_array
+from .poincare import next_crossing, next_crossing_array
 
-Y_ZERO_TOL = 1e-12
-TANGENCY_FIELD_TOL = 1e-11
 #: Loop steps (arcs, contacts and slides) before a hybrid run gives up.
 _EVENT_BUDGET = 100000
 
@@ -69,18 +69,18 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float,
                            from_side: int) -> EntryDecision:
     """Resolve a threshold contact from S_(from_side): cross, or attach to a branch.
 
-    The fast layer flow moving inward from lambda = from_side stops at the
-    first root of f_i(x_entry, .) it meets: the largest root from above, the
-    smallest from below.  No root means the contact is a crossing.  A contact
-    with a vanishing inward field, or a stopping root with df/dlambda ~ 0
-    (root at a branch endpoint), is flagged as a tangency for fold handling.
+    A tangent S_(from_side) field (``core.field_direction``) is a tangency,
+    for fold handling; one pointing away is a DomainError.  Otherwise the fast
+    layer flow moving inward from lambda = from_side stops at the first root
+    of f_i(x_entry, .) it meets: the largest from above, the smallest from
+    below.  No root means the contact is a crossing.
     """
     if from_side not in (-1, 1):
         raise DomainError(f"from_side must be +-1, got {from_side}")
-    f_edge = forcing(model, x_entry, float(from_side))
-    if abs(f_edge) < TANGENCY_FIELD_TOL:
+    direction = field_direction(from_side, x_entry)
+    if direction == 0:
         return EntryDecision(kind="tangency")
-    if from_side * f_edge < 0.0:
+    if direction == from_side:
         raise DomainError(
             f"field at x={x_entry} does not point from S_{'+' if from_side > 0 else '-'} "
             "towards the threshold"
@@ -92,12 +92,10 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float,
         return EntryDecision(kind="crossing")
     found = branch(model, cands[-1] if from_side > 0 else cands[0])
     lam_star = found.lambda_of(x_entry)
-    slope = forcing_dlam(model, x_entry, lam_star)
-    if abs(slope) < TANGENCY_FIELD_TOL:
-        return EntryDecision(kind="tangency", branch=found, lam_star=lam_star)
-    if slope < 0.0:
+    if forcing_dlam(model, x_entry, lam_star) < 0.0:
         # cannot happen for a consistent inward field: the first root met from
-        # either edge of [-1, 1] is attracting for the fast flow
+        # either edge of [-1, 1] is attracting for the fast flow, with
+        # |df/dlambda| at least sqrt(3)/4 (linear) or pi/3 (nonlinear)
         raise SolverError(
             f"first-met root at x={x_entry} is fast-repelling; inconsistent geometry"
         )
@@ -106,8 +104,8 @@ def select_branch_on_entry(model: SwitchingModel, x_entry: float,
 
 def _departure_side(x: float) -> int:
     """Unique half-plane a threshold point can depart into; raises if ambiguous."""
-    ok_p = _departure_ok(+1, x)
-    ok_m = _departure_ok(-1, x)
+    ok_p = departure_ok(+1, x)
+    ok_m = departure_ok(-1, x)
     if ok_p and ok_m:
         raise DomainError(
             f"start (x={x}, y=0) lies in a repelling region: forward evolution is "
@@ -261,8 +259,8 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     from the 4-periodicity of the field.  Periodicity of nonlinear sliding
     runs is only claimed here because the regularized limit confirms it
     (cross-module test); raw threshold concatenations would be unverified.
-    ``landing`` is the slide's entry x_a.  A run that does not slide, or
-    leaves the closure of S_-, raises NoOrbitError.
+    ``landing`` is the slide's entry x_a.  A run that does not slide, or has
+    an arc in S_+ (leaves the closure of S_-), raises NoOrbitError.
     """
     p = OscillatorParams(a=a)
     traj = simulate_discontinuous(
@@ -271,9 +269,9 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     exits = [e for e in traj.events if e.kind == "slide-exit"]
     if not entries or not exits:
         raise NoOrbitError("orbit did not slide")
-    ymax = max(max(seg.ys) for seg in traj.segments)
-    if ymax > Y_ZERO_TOL:
-        raise NoOrbitError(f"orbit left closure of S_- (max y {ymax})")
+    above = [seg.x0 for seg in traj.segments if seg.mode is Mode.FLOW_PLUS]
+    if above:
+        raise NoOrbitError(f"orbit left closure of S_- into S_+ at x={above[0]}")
     return SlidingOrbitResult(trajectory=traj, crossings=[], landing=entries[0].x,
                               closure_error=abs(exits[0].x - 4.0), branch=entries[0].branch)
 

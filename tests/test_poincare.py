@@ -22,6 +22,7 @@ from switchosc.core import (
     Region,
     SolverError,
     classify_threshold_point,
+    departure_ok,
     omega,
     sinpi,
 )
@@ -29,7 +30,6 @@ from switchosc.sliding import find_sliding_period4_linear
 from switchosc.poincare import (
     BRACKET_WIDTH,
     _brackets,
-    _departure_ok,
     composite_map,
     composite_map_array,
     dP_da_at_zero,
@@ -205,7 +205,7 @@ def scalar_scan_crossing(sign, x_i, params):
     floor; the scan stops at the first exact zero or sign change of h and
     polishes a sign change with brentq.
     """
-    if not _departure_ok(sign, x_i):
+    if not departure_ok(sign, x_i):
         raise DomainError("inconsistent departure")
     w = omega(sign)
     horizon = 6.0 / w

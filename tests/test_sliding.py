@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -13,10 +14,13 @@ from switchosc.core import (
     Mode,
     NoOrbitError,
     OscillatorParams,
+    Region,
     SolverError,
     SwitchingModel,
     branch,
     branch_indices,
+    classify_threshold_point,
+    departure_ok,
     forcing,
 )
 from switchosc import poincare, sliding
@@ -345,6 +349,17 @@ def test_sliding_orbit_nonlinear(a):
     assert res.branch == 2
 
 
+def test_sliding_orbit_nonlinear_refuses_a_run_into_s_plus(monkeypatch):
+    # a run with an arc above the threshold has left the closure of S_-
+    run = simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), (0.0, 0.3), 4.5)
+    assert run.segments[0].mode is Mode.FLOW_PLUS
+    assert any(e.kind == "slide-entry" for e in run.events)
+    assert any(e.kind == "slide-exit" for e in run.events)
+    monkeypatch.setattr(sliding, "simulate_discontinuous", lambda *args, **kw: run)
+    with pytest.raises(NoOrbitError, match="left closure of S_- into S_\\+ at x=0.0"):
+        find_sliding_period4_nonlinear(0.5)
+
+
 def test_sliding_orbit_nonlinear_large_a_limit():
     # x_a -> 2+ as a -> infinity (the h^inf lattice zero at xbar = 2)
     res = find_sliding_period4_nonlinear(1e3)
@@ -432,6 +447,46 @@ def test_tangency_contact_flagged():
     # at x = 2/3 the S+ field is tangent to the threshold: fold handling case
     d = select_branch_on_entry(NONLIN, 2.0 / 3.0, +1)
     assert d.kind == "tangency"
+
+
+def near_tangency_points():
+    """x near the tangency lattices 2k/3 and 2k, k near 1, 1e2, 1e4, 1e6, 1e8:
+    1 to 4 ulps away on either side, and 2^j ulps (j = 3 .. 40), which
+    straddle the tangency band at every magnitude."""
+    ks = np.concatenate([k0 + np.arange(12) for k0 in (1, 100, 10**4, 10**6, 10**8)])
+    base = np.concatenate([2.0 * ks / 3.0, 2.0 * ks])
+    ulp = np.spacing(base)
+    pts = [base]
+    for d in (*range(1, 5), *(2.0 ** j for j in range(3, 41))):
+        pts += [base + d * ulp, base - d * ulp]
+    near = np.concatenate(pts)
+    return near[near > 0.0].tolist()
+
+
+def test_regions_and_contacts_follow_the_departure_rule():
+    # one tangency band for every threshold rule: a region allows the
+    # departures its name says, and a contact accepted from S_side is one the
+    # run could not have left into S_side
+    departures = {Region.ATTRACTING: 0, Region.CROSSING: 1, Region.REPELLING: 2}
+    checked = collections.Counter()
+    for x in near_tangency_points():
+        sides = {side for side in (-1, 1) if departure_ok(side, x)}
+        region = classify_threshold_point(x)
+        if region in departures:
+            assert len(sides) == departures[region], (x, region, sides)
+        checked[region] += 1
+        for model in (LIN, NONLIN):
+            for side in (-1, 1):
+                try:
+                    kind = select_branch_on_entry(model, x, side).kind
+                except DomainError:  # the field points away from the threshold
+                    assert side in sides, (model, x, side)
+                    continue
+                if kind != "tangency":
+                    assert side not in sides, (model, x, side, kind)
+                checked[kind] += 1
+    assert all(checked[k] > 100 for k in (*departures, "crossing", "sliding", "tangency")), \
+        checked
 
 
 @pytest.mark.parametrize("model,start,x_end", [
