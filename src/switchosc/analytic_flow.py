@@ -86,15 +86,11 @@ def flow_from_deriv(sign: int, x: float, x0: float, y0: float,
     return -params.a * flow_from(sign, x, x0, y0, params) - sinpi(omega(sign) * x)
 
 
-def flow_solution(sign: int, x: "float | np.ndarray", x_i: float,
-                  params: OscillatorParams) -> "float | np.ndarray":
+def flow_solution(sign: int, x: float, x_i: float, params: OscillatorParams) -> float:
     """Y_+-(x, x_i): the half-plane solution leaving the threshold at (x_i, 0).
 
-    ``flow_from`` with y0 = 0, so exactly h / flow_scale; an array of x is
-    one ``flow_from_array`` call.
+    ``flow_from`` with y0 = 0, so exactly h / flow_scale.
     """
-    if isinstance(x, np.ndarray):
-        return flow_from_array(sign, x, x_i, 0.0, params)
     return flow_from(sign, x, x_i, 0.0, params)
 
 

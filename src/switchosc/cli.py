@@ -39,9 +39,10 @@ from .sliding import (
 from .svgplot import line_plot
 
 CSV_HEADER = "x,y_or_v,mode,branch,event"
-#: Most branch rows ``manifolds`` and ``ageing`` build for one --range; a
-#: nonlinear --range 0:1e5 (150 000 rows) fits.
-MAX_BRANCH_ROWS = 2**18
+#: Most rows a table of the CLI holds: the branches of a ``manifolds`` or
+#: ``ageing`` --range (a nonlinear 0:1e5, 150 000 rows, fits) and the samples
+#: of a ``map`` --grid.
+MAX_ROWS = 2**18
 
 
 def _out_dir(args) -> Path:
@@ -111,16 +112,16 @@ def _model(args, cfg: dict) -> SwitchingModel:
 
 
 def _branch_range(args, model: SwitchingModel) -> tuple[float, float]:
-    """The --range lo:hi, refused when it meets more than MAX_BRANCH_ROWS branches."""
+    """The --range lo:hi, refused when it meets more than MAX_ROWS branches."""
     lo, hi = _colon_floats(args.range, "lo:hi", "--range")
     try:
         indices = branch_indices(model, lo, hi)
     except DomainError as exc:  # an end past 2**53
         raise DomainError(f"--range {args.range}: {exc}") from None
     count = indices.stop - indices.start  # len() overflows past sys.maxsize
-    if count > MAX_BRANCH_ROWS:
+    if count > MAX_ROWS:
         raise DomainError(f"--range {args.range} meets {count} branches, more than the "
-                          f"{MAX_BRANCH_ROWS} rows a table holds")
+                          f"{MAX_ROWS} rows a table holds")
     return lo, hi
 
 
@@ -196,6 +197,9 @@ def cmd_map(args) -> int:
     lo, hi, n = _colon_floats(args.grid, "lo:hi:n", "--grid")
     if not (n >= 1 and n == int(n)):
         raise DomainError(f"--grid sample count must be a positive integer, got {n}")
+    if n > MAX_ROWS:
+        raise DomainError(f"--grid {args.grid} asks for {n:g} samples, more than the "
+                          f"{MAX_ROWS} rows a table holds")
     xs = np.linspace(lo, hi, int(n))
     discontinuous = OscillatorParams(a=params.a)
     # a departure either map rejects leaves both columns nan

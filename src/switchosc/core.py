@@ -163,7 +163,8 @@ def forcing(model: SwitchingModel, x: float, lam: float) -> float:
     Both reduce to sin(w+- pi x) at lambda = +-1.
     """
     if not -1.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [-1, 1], got {lam}")
+        raise DomainError(f"{model.value} forcing at x={x!r} needs lambda in [-1, 1], "
+                          f"got {lam!r}")
     wp, wm = OMEGA_PLUS, OMEGA_MINUS
     if model is SwitchingModel.LINEAR:
         return 0.5 * (1.0 + lam) * sinpi(wp * x) + 0.5 * (1.0 - lam) * sinpi(wm * x)

@@ -305,27 +305,18 @@ def _sliding_orbit(find, a: float):
 def _run_sliding_linear(sc: Scenario) -> dict:
     a_exist = sc.params["a"]
     res = _sliding_orbit(find_sliding_period4_linear, a_exist)
-    out = {
+    return {
         "exists": res is not None,
         "landing": res.landing if res else math.nan,
         "closure_error": res.closure_error if res else math.nan,
         "absent_reported": _sliding_orbit(find_sliding_period4_linear,
                                           sc.spec["a_absent"]) is None,
+        # crossing-map composite landing: the orbit's half-plane legs from
+        # (10/3, +) cross until one lands outside the crossing region (3 legs
+        # in the Theorem-2 structure at large a)
+        "composite_landing": next(e.x for e in res.trajectory.events if e.kind != "cross")
+                             if res else math.nan,
     }
-    # crossing-map composite landing: alternate half-plane legs from (10/3, +)
-    # until the landing leaves the crossing region (3 legs in the Theorem-2
-    # structure at large a, 2 when the slide starts one crossing earlier)
-    from .core import Region, classify_threshold_point
-
-    p = OscillatorParams(a=a_exist)
-    x_cur, side = 10.0 / 3.0, +1
-    for _ in range(4):
-        x_cur = poincare.next_crossing(side, x_cur, p).x_next
-        if classify_threshold_point(x_cur) is not Region.CROSSING:
-            break
-        side = -side
-    out["composite_landing"] = x_cur
-    return out
 
 
 def _run_sliding_nonlinear(sc: Scenario) -> dict:

@@ -104,22 +104,21 @@ def layer_system(model: SwitchingModel, params: OscillatorParams):
     sensitivity, as J' (J accumulates the log-derivative of the flow map
     along the arc).  The closures look ``forcing`` and ``forcing_dlam`` up in
     this module at each call, so a wrapper patched in here (a test, the
-    perfbench tracer) sees every evaluation.
+    perfbench tracer) sees every evaluation.  The field is psi itself: a stage
+    just past the strip sees psi's cubic continuation, and past |v| = 2, where
+    psi leaves [-1, 1], ``core.forcing`` raises DomainError, so a run that
+    leaves the strip without a stop ends there.
     """
     e = params.epsilon
     a = params.a
 
     def rate(x, v):
-        return (-a * e * v - forcing(model, x, _clip(psi(v)))) / e
+        return (-a * e * v - forcing(model, x, psi(v))) / e
 
     def rate_dv(x, v):
-        return (-a * e - forcing_dlam(model, x, _clip(psi(v))) * psi_prime(v)) / e
+        return (-a * e - forcing_dlam(model, x, psi(v)) * psi_prime(v)) / e
 
     return rate, rate_dv
-
-
-def _clip(lam: float) -> float:
-    return -1.0 if lam < -1.0 else (1.0 if lam > 1.0 else lam)
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +134,10 @@ def fold_points(sign: int, n: int, params: OscillatorParams) -> float:
     """x at which the layer boundary v = sign*1 is tangent to the field.
 
     x^+-_(eps,n) = x_n^+- +- (-1)^(n+1) arcsin(a eps) / (pi w+-) with
-    x_n^+ = 2n/3, x_n^- = 2n; requires a*eps < 1.
+    x_n^+ = 2n/3, x_n^- = 2n; ``OscillatorParams`` guarantees a*eps < 1.
     """
     if sign not in (-1, 1):
         raise DomainError("sign must be +-1")
-    if not params.a * params.epsilon < 1.0:
-        raise DomainError("fold points need a*eps < 1")
     w = omega(sign)
     base = 2.0 * n / 3.0 if sign > 0 else 2.0 * n
     shift = ((-1) ** (n + 1)) * math.asin(params.a * params.epsilon) / (math.pi * w)

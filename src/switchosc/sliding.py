@@ -188,7 +188,7 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
                 # tangential contact: graze and continue on the incoming side
                 traj.events.append(TrajectoryEvent(x=x, kind="fold"))
                 state = ("depart", x, side)
-        elif kind == "slide":
+        else:  # "slide"
             b = payload
             x_exit = b.domain[1]
             cut = x_exit > x_end
@@ -202,8 +202,6 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
             # the endpoint is a tangency point; exactly one half-plane field
             # points away from the threshold there and the orbit leaves into it
             state = ("depart", x_exit, _departure_side(x_exit))
-        else:  # pragma: no cover
-            raise SolverError(f"unknown state {kind}")
         if traj.segments and traj.segments[-1].x1 >= x_end:
             break
     else:

@@ -22,10 +22,12 @@ from switchosc.core import (
     OscillatorError,
     OscillatorParams,
     SolverError,
+    departure_ok,
     omega,
     sinpi,
 )
 from switchosc.experiments import ivp_contact
+from switchosc.poincare import next_crossing
 from switchosc.regularization import fold_points
 
 
@@ -254,6 +256,39 @@ def test_next_contact_from_interior_and_off_boundary_starts(sign):
         located += check_contact(sign, x0, sign * e * float(rng.uniform(1.0 + 1e-6, 1.5)),
                                  sign * e, p)
     assert located >= 30
+
+
+def departures(seed, n):
+    """n seeded threshold departures (sign, x_i, a): a log-uniform in [1e-3, 10],
+    x_i on the 2k/3 lattice or uniform in [0, 200], every side it allows."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a = float(10.0 ** rng.uniform(-3.0, 1.0))
+        x = (2.0 * float(rng.integers(0, 301)) / 3.0 if rng.random() < 0.5
+             else float(rng.uniform(0.0, 200.0)))
+        out += [(sign, x, a) for sign in (1, -1) if departure_ok(sign, x)]
+    return out[:n]
+
+
+def test_next_contact_finds_every_departures_first_return():
+    # a departure (x_i, 0) is next_contact's boundary start with y0 = level = 0
+    for sign, x, a in departures(41, 208):
+        got = next_contact(sign, x, 0.0, 0.0, OscillatorParams(a=a), math.inf)
+        want = ivp_contact(sign, x, 0.0, 0.0, a)
+        assert got > x and abs(got - want) <= 1e-13 * max(1.0, abs(x)), (sign, x, a)
+    # next_crossing agrees wherever its arc is not zero-length (its fault near
+    # tangency returns x_i itself; those draws are left to the oracle above)
+    compared = 0
+    for sign, x, a in departures(42, 1515):
+        p = OscillatorParams(a=a)
+        got = next_contact(sign, x, 0.0, 0.0, p, math.inf)
+        old = next_crossing(sign, x, p).x_next
+        assert got > x, (sign, x, a)
+        if old != x:
+            compared += 1
+            assert abs(got - old) <= 1e-13 * max(1.0, abs(x)), (sign, x, a)
+    assert compared >= 1450
 
 
 @pytest.mark.parametrize("a", [1e-300, 1e-9])

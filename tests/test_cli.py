@@ -226,6 +226,19 @@ def test_branch_table_past_the_row_cap_usage_error(command, tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
+def test_map_grid_past_the_row_cap_usage_error(tmp_path, capsys):
+    # 1e15 samples end in numpy's allocation error and 2**18 + 1 would be
+    # tabulated for minutes; both are refused before the grid is built
+    for n in ("1e15", str(2**18 + 1)):
+        t0 = time.perf_counter()
+        code, out, err = run(["map", "--model", "linear", "--a", "0.01",
+                              "--grid", f"0.1:0.6:{n}", "--out-dir", str(tmp_path)], capsys)
+        assert time.perf_counter() - t0 < 1.0, n
+        assert code == 2 and out == ""
+        assert err.startswith("error: --grid") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--model", "linear", "--a", "1e-300", "--x0", "0", "--y0", "1",
      "--x-end", "1e12", "--out-dir", "{dir}"],

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from switchosc.core import OscillatorParams, SwitchingModel
+from switchosc.core import DomainError, OscillatorParams, SwitchingModel
 from switchosc.radau import solve_ivp
 from switchosc.regularization import layer_system
 
@@ -113,14 +113,25 @@ def test_earliest_stop_wins_when_one_step_crosses_two_levels():
 
 
 def test_kernel_reaches_the_end_without_events():
+    # on (2.8, 3.2) the run stays inside the strip (max |v| = 0.143)
     rate, rate_dv = layer_problem(SwitchingModel.LINEAR, 0.5, 1e-2)
-    got = solve_ivp(rate, rate_dv, (1.0, 1.5), 0.0, 1e-10, 1e-12, [], False)
-    ref = scipy_reference(rate, rate_dv, (1.0, 1.5), 0.0, False, [])
-    assert got.status == 0 and got.t[-1] == 1.5 and got.stop is None
+    got = solve_ivp(rate, rate_dv, (2.8, 3.2), 0.0, 1e-10, 1e-12, [], False)
+    ref = scipy_reference(rate, rate_dv, (2.8, 3.2), 0.0, False, [])
+    assert got.status == 0 and got.t[-1] == 3.2 and got.stop is None
     assert got.v_end == pytest.approx(ref.y[0, -1], rel=1e-10)
-    assert got.sol.value(1.5) == got.v_end
+    assert got.sol.value(3.2) == got.v_end
     empty = solve_ivp(rate, rate_dv, (1.0, 1.0), 0.0, 1e-3, 1e-6, [], False)
     assert empty.status == 0 and list(empty.t) == [1.0]
+
+
+@pytest.mark.parametrize("model", list(SwitchingModel))
+def test_kernel_run_leaving_the_strip_without_a_stop_ends(model):
+    # from the upper edge with no stop armed the field drives v down through
+    # the strip; past v = -2 psi(v) leaves [-1, 1] and the forcing refuses it,
+    # where a clipped field would carry the run on to v = -7 and beyond
+    rate, rate_dv = layer_problem(model, 1e-3, 1e-3)
+    with pytest.raises(DomainError, match=f"{model.value} forcing at x="):
+        solve_ivp(rate, rate_dv, (0.3, 0.31), 1.0 - 1e-12, 1e-10, 1e-12, [], False)
 
 
 def test_kernel_rejects_what_it_does_not_implement():

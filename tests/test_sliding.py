@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -323,6 +324,29 @@ def test_explicit_repelling_start_slides_then_exits():
     assert exit_ev and exit_ev[0].x == pytest.approx(2.0, abs=1e-12)
     # odd-branch endpoint: the outward field is the S+ one
     assert traj.segments[1].mode is Mode.FLOW_PLUS
+
+
+def test_sliding_start_without_an_index_takes_its_one_branch():
+    st = HybridState(x=1.0, y=0.0, mode=Mode.SLIDING)
+    traj = simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), st, 3.0)
+    assert [(s.mode, s.branch) for s in traj.segments] == [
+        (Mode.SLIDING, 1), (Mode.FLOW_PLUS, None)]
+    assert [(e.kind, e.branch) for e in traj.events] == [("slide-exit", 1)]
+    assert traj.events[0].x == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x0, count", [(3.0, 3), (4e5 + 0.3, 400000)])
+def test_sliding_start_on_several_branches_needs_an_index(monkeypatch, x0, count):
+    # the refusal counts the branches in O(1) and builds none of them
+    built = []
+    real = sliding.branch
+    monkeypatch.setattr(sliding, "branch", lambda model, n: built.append(n) or real(model, n))
+    st = HybridState(x=x0, y=0.0, mode=Mode.SLIDING)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=f"lies on {count} branches"):
+        simulate_discontinuous(NONLIN, OscillatorParams(a=0.5), st, x0 + 1.0)
+    assert time.perf_counter() - t0 < 1.0
+    assert built == []
 
 
 @pytest.mark.parametrize("a,expect", [(10.0, True), (2.0, True), (1e-3, False)])
