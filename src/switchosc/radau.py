@@ -178,7 +178,8 @@ def _initial_step(rate, t0, y0, f0, t_bound, rtol, atol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     f1 = rate(t0 + h0, y0 + h0 * f0)
-    d2 = abs((f1 - f0) / scale) / h0
+    # a probe where the rate is undefined (NaN) leaves the step to d1 alone
+    d2 = abs((f1 - f0) / scale) / h0 if math.isfinite(f1) else 0.0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

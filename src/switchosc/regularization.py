@@ -106,14 +106,19 @@ def layer_system(model: SwitchingModel, params: OscillatorParams):
     this module at each call, so a wrapper patched in here (a test, the
     perfbench tracer) sees every evaluation.  The field is psi itself: a stage
     just past the strip sees psi's cubic continuation, and past |v| = 2, where
-    psi leaves [-1, 1], ``core.forcing`` raises DomainError, so a run that
-    leaves the strip without a stop ends there.
+    psi leaves [-1, 1] and ``core.forcing`` is undefined, the rate is NaN.  The
+    kernel takes a NaN trial evaluation as a failed step and halves it, so a
+    trial past the strip is recoverable, and a run that leaves the strip
+    without a stop ends with the kernel's step-size failure.
     """
     e = params.epsilon
     a = params.a
 
     def rate(x, v):
-        return (-a * e * v - forcing(model, x, psi(v))) / e
+        lam = psi(v)
+        if not -1.0 <= lam <= 1.0:
+            return math.nan
+        return (-a * e * v - forcing(model, x, lam)) / e
 
     def rate_dv(x, v):
         return (-a * e - forcing_dlam(model, x, psi(v)) * psi_prime(v)) / e

@@ -36,7 +36,7 @@ def test_forcing_linear_midpoint_value():
 
 
 def test_forcing_rejects_lambda_outside_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"linear forcing at x=0\.3 .* got 1\.2"):
         forcing(SwitchingModel.LINEAR, 0.3, 1.2)
 
 

@@ -395,6 +395,16 @@ def test_exterior_return_inside_the_first_probe_step():
     assert traj.events[0].kind == "layer-entry" and traj.events[0].x < 13.96
 
 
+def test_trial_evaluation_past_the_strip_is_recoverable():
+    # from v0 = 0 at eps = 1e-7 the kernel's initial-step probe lands near
+    # v = -7, where psi leaves [-1, 1]; the probe only sizes the first step,
+    # and the run goes on under error control to x_end
+    traj = simulate_regularized(LIN, OscillatorParams(a=1.0, epsilon=1e-7), 0.5, 0.0, 1.0)
+    assert traj.x_end == 1.0
+    rate = layer_system(LIN, OscillatorParams(a=1.0, epsilon=1e-7))[0]
+    assert math.isnan(rate(0.5, -7.0)) and math.isfinite(rate(0.5, -2.0))
+
+
 def test_failed_layer_integration_reports_its_state(monkeypatch):
     real = regularization.forcing
     x_bad = 0.3 + 1e-4  # inside the first layer transit from (0.3, 0)
