@@ -46,36 +46,53 @@ MAX_ROWS = 2**18
 
 
 def _out_dir(args) -> Path:
-    d = Path(getattr(args, "out_dir", None) or os.environ.get("SWITCHOSC_OUT", "out"))
+    d = Path(args.out_dir or os.environ.get("SWITCHOSC_OUT", "out"))
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
-def _load_config(path: str | None) -> dict:
-    return experiments.read_json_object(path, "config file") if path else {}
+def _config_value(action: argparse.Action, value) -> None:
+    """Refuse a config value that the flag of ``action`` could not take."""
+    if action.nargs == 0:
+        ok, want = type(value) is bool, "true or false"
+    elif action.choices:
+        ok, want = value in action.choices, f"one of {', '.join(action.choices)}"
+    elif action.type is None:
+        ok, want = type(value) is str, "a string"
+    else:  # no bool, no float for an int flag, nothing past float range
+        ok = type(value) in {int, action.type} and abs(value) <= sys.float_info.max
+        want = f"a finite {action.type.__name__}"
+    if not ok:
+        raise DomainError(f"config {action.dest} must be {want}, got {value!r}")
 
 
-def _setting(args, cfg: dict, key: str, default=None):
-    """A finite numeric setting: the flag if given, else the config value, else ``default``."""
-    value = getattr(args, key)
-    if value is None:
-        value = cfg.get(key, default)
-    if value is None:
-        return None
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # a string, list or object; an int past float range
-        finite = False
-    if not finite:
+def _with_config(ap: argparse.ArgumentParser, argv, args) -> argparse.Namespace:
+    """``argv`` parsed again with the --config values as defaults of the command's flags."""
+    cfg = experiments.read_json_object(args.config, "config file")
+    flags = {a.dest: a for a in args.parser._actions
+             if a.option_strings and not a.required and a.dest != "help"}
+    for key, value in cfg.items():
+        if key not in flags:
+            raise DomainError(f"config key {key!r} is no optional flag of {args.parser.prog} "
+                              f"(it takes {', '.join(sorted(flags))})")
+        _config_value(flags[key], value)
+    args.parser.set_defaults(**cfg)
+    return ap.parse_args(argv)
+
+
+def _setting(args, key: str, default=None):
+    """A finite numeric setting: its flag or config value, else (or with no flag) ``default``."""
+    value = getattr(args, key, None)
+    if value is not None and not math.isfinite(value):
         raise DomainError(f"{key} must be a finite number, got {value!r}")
-    return value
+    return default if value is None else value
 
 
-def _params(args, cfg: dict) -> OscillatorParams:
-    a = _setting(args, cfg, "a")
+def _params(args) -> OscillatorParams:
+    a = _setting(args, "a")
     if a is None:
         raise DomainError("damping a is required (flag --a or config)")
-    return OscillatorParams(a=a, epsilon=_setting(args, cfg, "epsilon", 0.0))
+    return OscillatorParams(a=a, epsilon=_setting(args, "epsilon", 0.0))
 
 
 def _colon_floats(text: str, form: str, flag: str) -> list[float]:
@@ -101,14 +118,10 @@ def _comma_numbers(text: str, flag: str, integer: bool = False) -> list:
     return vals
 
 
-def _model(args, cfg: dict) -> SwitchingModel:
-    name = args.model or cfg.get("model")
-    if name is None:
-        raise DomainError("model is required (linear|nonlinear)")
-    try:
-        return SwitchingModel(name)
-    except ValueError:
-        raise DomainError(f"model must be linear or nonlinear, got {name!r}") from None
+def _model(args) -> SwitchingModel:
+    if args.model is None:
+        raise DomainError("model is required (flag --model or config: linear|nonlinear)")
+    return SwitchingModel(args.model)
 
 
 def _branch_range(args, model: SwitchingModel) -> tuple[float, float]:
@@ -126,12 +139,11 @@ def _branch_range(args, model: SwitchingModel) -> tuple[float, float]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params(args, cfg)
-    model = _model(args, cfg)
-    x0 = _setting(args, cfg, "x0", 0.0)
-    y0 = _setting(args, cfg, "y0", 0.0)
-    x_end = _setting(args, cfg, "x_end", x0 + 8.0)
+    params = _params(args)
+    model = _model(args)
+    x0 = _setting(args, "x0", 0.0)
+    y0 = _setting(args, "y0", 0.0)
+    x_end = _setting(args, "x_end", x0 + 8.0)
     out = _out_dir(args)
     traj = experiments.simulate(model, params, x0, y0, x_end)
     csv_path = out / "trajectory.csv"
@@ -147,9 +159,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_orbit_find(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params(args, cfg)
-    model = _model(args, cfg)
+    params = _params(args)
+    model = _model(args)
     linear = model is SwitchingModel.LINEAR
     absent = ("no non-sliding period-4 orbit" if linear and not args.sliding else
               "no sliding period-4 orbit" if linear else "orbit construction failed")
@@ -173,16 +184,14 @@ def cmd_orbit_find(args) -> int:
 
 
 def cmd_manifolds(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params(args, cfg)
-    model = _model(args, cfg)
+    model = _model(args)
     lo, hi = _branch_range(args, model)
     branches = [branch(model, n) for n in branch_indices(model, lo, hi)]
     rows = []
     for b in branches:
         xm = 0.5 * (max(b.domain[0], lo) + min(b.domain[1], hi))
-        v0 = critical_branch(model, b.index, xm) if params.epsilon > 0.0 else math.nan
-        rows.append((b.index, *b.domain, b.stability, b.lambda_of(xm), v0))
+        rows.append((b.index, *b.domain, b.stability, b.lambda_of(xm),
+                     critical_branch(model, b.index, xm)))
     path = _out_dir(args) / "manifolds.csv"
     write_csv(path, "n,x_lo,x_hi,stability,lambda_mid,v0_mid", rows)
     print(f"wrote {path} ({len(branches)} branches)")
@@ -192,8 +201,7 @@ def cmd_manifolds(args) -> int:
 
 
 def cmd_map(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params(args, cfg)
+    params = _params(args)
     lo, hi, n = _colon_floats(args.grid, "lo:hi:n", "--grid")
     if not (n >= 1 and n == int(n)):
         raise DomainError(f"--grid sample count must be a positive integer, got {n}")
@@ -221,8 +229,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_ageing(args) -> int:
-    cfg = _load_config(args.config)
-    model = _model(args, cfg)
+    model = _model(args)
     rows = ageing_metrics(model, x_range=_branch_range(args, model))
     path = _out_dir(args) / "ageing.csv"
     write_csv(path, "n,branch_width,slid_length,stability",
@@ -232,8 +239,7 @@ def cmd_ageing(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    cfg = _load_config(args.config)
-    params = _params(args, cfg)
+    params = _params(args)
     eps_grid = _comma_numbers(args.eps_grid, "--eps-grid")
     n_grid = _comma_numbers(args.n_grid, "--n-grid", integer=True)
     fit_eps, fit_n = exit_scaling_fit(params.a, eps_grid, args.n_fixed,
@@ -294,65 +300,56 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="switchosc",
         description="Frequency-switching oscillator: simulation and analysis")
-    ap.add_argument("--config", help="JSON config file; flags override its values")
+    ap.add_argument("--config", help="JSON file of the command's optional flags; flags win")
     sub = ap.add_subparsers(dest="command", required=True)
+    shared = {"model": {"choices": [m.value for m in SwitchingModel]}, "a": {"type": float},
+              "epsilon": {"type": float}, "out_dir": {}}
 
-    def common(p):
-        p.add_argument("--model", choices=["linear", "nonlinear"])
-        p.add_argument("--a", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--out-dir", dest="out_dir")
+    def command(parent, name, func, help, *flags):
+        p = parent.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument("--" + flag.replace("_", "-"), dest=flag, **shared[flag])
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("simulate", help="hybrid or regularized trajectory to CSV/SVG")
-    common(p)
+    p = command(sub, "simulate", cmd_simulate, "hybrid or regularized trajectory to CSV/SVG",
+                "model", "a", "epsilon", "out_dir")
     p.add_argument("--x0", type=float)
     p.add_argument("--y0", "--v0", dest="y0", type=float)
     p.add_argument("--x-end", dest="x_end", type=float)
     p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p_orbit = sub.add_parser("orbit", help="periodic-orbit search")
     orbit_sub = p_orbit.add_subparsers(dest="orbit_command", required=True)
-    p = orbit_sub.add_parser("find", help="locate the period-4 orbit")
-    common(p)
+    p = command(orbit_sub, "find", cmd_orbit_find, "locate the period-4 orbit", "model", "a")
     p.add_argument("--sliding", action="store_true",
                    help="search the sliding orbit (linear model)")
-    p.set_defaults(func=cmd_orbit_find)
 
-    p = sub.add_parser("manifolds", help="sliding/critical branch tables")
-    common(p)
+    p = command(sub, "manifolds", cmd_manifolds, "sliding/critical branch tables",
+                "model", "out_dir")
     p.add_argument("--range", required=True, help="lo:hi")
-    p.set_defaults(func=cmd_manifolds)
 
-    p = sub.add_parser("map", help="tabulate the crossing maps over a grid")
-    common(p)
+    p = command(sub, "map", cmd_map, "tabulate the linear model's crossing maps over a grid",
+                "a", "epsilon", "out_dir")
     p.add_argument("--grid", required=True, help="lo:hi:n")
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("ageing", help="branch width table")
-    common(p)
+    p = command(sub, "ageing", cmd_ageing, "branch width table", "model", "out_dir")
     p.add_argument("--range", required=True, help="lo:hi")
-    p.set_defaults(func=cmd_ageing)
 
-    p = sub.add_parser("scaling", help="exit-point scaling fits")
-    common(p)
+    p = command(sub, "scaling", cmd_scaling, "exit-point scaling fits", "a", "out_dir")
     p.add_argument("--eps-grid", default="1e-2,3e-3,1e-3,3e-4,1e-4")
     p.add_argument("--n-grid", default="4,8,16,32")
     p.add_argument("--n-fixed", type=int, default=10)
     p.add_argument("--eps-fixed", type=float, default=1e-3)
     p.add_argument("--plot", action="store_true")
-    p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("reproduce", help="run a named scenario")
+    p = command(sub, "reproduce", cmd_reproduce, "run a named scenario", "out_dir")
     p.add_argument("scenario")
-    p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--no-plot", dest="plot", action="store_false", default=True)
-    p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("plot-from-csv", help="re-plot a trajectory CSV")
+    p = command(sub, "plot-from-csv", cmd_plot_from_csv, "re-plot a trajectory CSV")
     p.add_argument("csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_plot_from_csv)
     return ap
 
 
@@ -360,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.config:
+            args = _with_config(ap, argv, args)
         return args.func(args)
     except (OscillatorError, OSError, UnicodeDecodeError) as exc:  # bad input or file
         print(f"error: {exc}", file=sys.stderr)

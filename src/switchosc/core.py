@@ -246,12 +246,6 @@ class SlidingBranch:
             return -1.0 - 1.0 / cospi(x)
         return 2.0 * (self.index / x - 1.0)
 
-    def lambda_prime(self, x: float) -> float:
-        if self.model is SwitchingModel.LINEAR:
-            c = cospi(x)
-            return -math.pi * sinpi(x) / (c * c)
-        return -2.0 * self.index / (x * x)
-
     @property
     def width(self) -> float:
         return self.domain[1] - self.domain[0]

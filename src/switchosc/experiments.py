@@ -86,10 +86,26 @@ class Report:
 
 
 class ScenarioValues(dict):
-    """A scenario's ``params``, ``spec`` or run: reading a value it lacks is a usage error."""
+    """A scenario's ``params``, ``spec`` or run: a value it lacks, or never read, is an error."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
     def __missing__(self, key):
         raise DomainError(f"the scenario gives no value {key!r}")
+
+    def check_read(self, where: str) -> None:
+        if self.keys() - self.read:
+            raise DomainError(f"the scenario's {where} gives values that nothing reads: "
+                              f"{sorted(self.keys() - self.read)}")
 
 
 @dataclass
@@ -97,17 +113,12 @@ class Scenario:
     id: str
     kind: str
     description: str = ""
-    model: str = "linear"
     params: dict = field(default_factory=dict)
     spec: dict = field(default_factory=dict)
     expected: list = field(default_factory=list)
 
     def __post_init__(self):
         self.params, self.spec = ScenarioValues(self.params), ScenarioValues(self.spec)
-
-    @property
-    def switching_model(self) -> SwitchingModel:
-        return SwitchingModel(self.model)
 
 
 def _scenario_dir():
@@ -389,12 +400,10 @@ def _run_exit_scaling(sc: Scenario) -> dict:
 
 
 def _run_slow_manifold(sc: Scenario) -> dict:
-    a = sc.params["a"]
-    eps = sc.params["epsilon"]
+    p = OscillatorParams(a=sc.params["a"], epsilon=sc.params["epsilon"])
     out = {}
     all_ok = True
     for n in sc.spec["n_grid"]:
-        p = OscillatorParams(a=a, epsilon=eps)
         xs0, vs0 = capture_start(n)
         traj = simulate_regularized(SwitchingModel.NONLINEAR, p, xs0, vs0,
                                     x_end=3.0 * n + 2.0 + 0.01, rtol=1e-11)
@@ -403,7 +412,7 @@ def _run_slow_manifold(sc: Scenario) -> dict:
         ratios = []
         for x, vx in zip(grid, v):
             sm = slow_manifold_expansion(n, float(x), p)
-            ratios.append(abs(vx - sm["v0"]) / (5.0 * eps * abs(sm["v1"])))
+            ratios.append(abs(vx - sm["v0"]) / (5.0 * p.epsilon * abs(sm["v1"])))
         out[f"n_{n}_max_ratio"] = float(max(ratios))
         all_ok &= max(ratios) <= 1.0
     out["all_within_bound"] = all_ok
@@ -411,10 +420,8 @@ def _run_slow_manifold(sc: Scenario) -> dict:
 
 
 def _run_fig11(sc: Scenario) -> dict:
-    a = sc.params["a"]
-    eps = sc.params["epsilon"]
+    p = OscillatorParams(a=sc.params["a"], epsilon=sc.params["epsilon"])
     x0, v0 = sc.spec["start"]
-    p = OscillatorParams(a=a, epsilon=eps)
     traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0, x_end=sc.spec["x_end"])
     spans = traj.layer_spans()
     entry, exit_x = max(spans, key=lambda s: s[1] - s[0])
@@ -431,16 +438,14 @@ def _run_fig11(sc: Scenario) -> dict:
         "layer_residency": exit_x - entry,
         "slide_extent": exit_x - x0,
         "confined": bool(np.max(v_after) <= 1.0 + 1e-9),
-        "_traj": traj,
+        "_series": [("v(x)", *traj.xy())],
     }
 
 
 def _run_vr_convergence(sc: Scenario) -> dict:
-    a = sc.params["a"]
-    eps = sc.params["epsilon"]
+    p = OscillatorParams(a=sc.params["a"], epsilon=sc.params["epsilon"])
     x0, v0 = sc.spec["start"]
     n_lo, n_hi = sc.spec["windows"]
-    p = OscillatorParams(a=a, epsilon=eps)
     traj = simulate_regularized(SwitchingModel.NONLINEAR, p, x0, v0,
                                 x_end=4.0 * (n_hi + 2) + x0)
     rows = convergence_to_vr(traj, n_lo, n_hi)
@@ -503,14 +508,17 @@ def simulate(model: SwitchingModel, params: OscillatorParams, x0: float, y0: flo
 def _run_trajectory(sc: Scenario) -> dict:
     """Generic figure reproduction: one or more runs, measured summary, plot data."""
     p = OscillatorParams(a=sc.params["a"], epsilon=sc.params.get("epsilon", 0.0))
-    runs = sc.spec["runs"]
-    model = sc.switching_model
+    model = sc.spec["model"]
+    if model not in ("linear", "nonlinear"):
+        raise DomainError(f"the scenario's model must be linear or nonlinear, got {model!r}")
+    runs = [ScenarioValues(run) for run in sc.spec["runs"]]
     series = []
     measured = {"n_runs": len(runs)}
-    for i, run in enumerate(map(ScenarioValues, runs)):
-        traj = simulate(model, p, *run["start"], run["x_end"])
+    for i, run in enumerate(runs):
+        traj = simulate(SwitchingModel(model), p, *run["start"], run["x_end"])
         series.append((run.get("label", f"run{i}"), *traj.xy()))
         measured[f"run{i}_events"] = len(traj.events)
+        run.check_read(f"run {i}")
     measured["_series"] = series
     return measured
 
@@ -542,6 +550,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     t0 = time.perf_counter()
     measured = runner(scenario)
     runtime = time.perf_counter() - t0
+    scenario.params.check_read("params")
+    scenario.spec.check_read("spec")
     report = Report(scenario_id=scenario.id, measured=measured, runtime_s=runtime)
     for check in scenario.expected:
         report.checks.append(_evaluate_check(check, measured))
@@ -556,14 +566,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
             for line in report.lines():
                 fh.write(line + "\n")
             fh.write(f"runtime_s {runtime:.3f}\n")
-        if plot:
-            series = measured.get("_series")
-            if series is None and "_traj" in measured:
-                series = [("v(x)", *measured["_traj"].xy())]
-            if series:
-                line_plot(series, path=str(out / f"{scenario.id}.svg"), title=scenario.id,
-                          xlabel="x", ylabel="y" if scenario.params.get(
-                              "epsilon", 0.0) == 0.0 else "v")
+        if plot and "_series" in measured:
+            line_plot(measured["_series"], path=str(out / f"{scenario.id}.svg"),
+                      title=scenario.id, xlabel="x",
+                      ylabel="y" if scenario.params.get("epsilon", 0.0) == 0.0 else "v")
     return report
 
 

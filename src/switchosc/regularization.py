@@ -280,7 +280,7 @@ def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
     """First-order slow manifold of the attracting branch 2n: v0 + eps*v1.
 
     v1 = (-1)^(2n+1) * 2 (v0' + a v0) / (pi x psi'(v0)) = -2(v0' + a v0)/(pi x psi'),
-    with v0' = lambda'(x)/psi'(v0) computed analytically.  Valid away from the
+    with v0' = lambda'(x)/psi'(v0) and lambda'(x) = -2*2n/x^2.  Valid away from the
     folds: psi'(v0) > 0.1 is enforced.
     """
     guard = 0.1
@@ -290,7 +290,7 @@ def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
     sp = psi_prime(v0)
     if not sp > guard:
         raise DomainError(f"fold proximity: psi'(v0)={sp} <= guard {guard} at x={x}")
-    v0p = b.lambda_prime(x) / sp
+    v0p = -2.0 * nu / (x * x) / sp
     v1 = -2.0 * (v0p + params.a * v0) / (math.pi * x * sp)
     return {"v0": v0, "v1": v1,
             "v_first_order": v0 + params.epsilon * v1,
@@ -389,20 +389,20 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
     """Exit-delay scaling in eps (fixed n) and in n (fixed eps).
 
     Expected exponents 2/3 and -1/3.  The smallest branches (n < 3) and large
-    a*eps (> 0.01) sit outside the asymptotic regime and are excluded.
+    a*eps (> 0.01) sit outside the asymptotic regime: a grid point there
+    raises DomainError.
     """
-    eps_samples = []
-    for eps in sorted(eps_grid):
+    for eps in eps_grid:
         if a * eps > 0.01:
-            continue
-        m = measure_exit_point(n_fixed, OscillatorParams(a=a, epsilon=eps))
-        eps_samples.append((eps, m.delay))
-    n_samples = []
-    for n in sorted(n_grid):
+            raise DomainError(f"eps = {eps} of the eps grid gives a*eps = {a * eps:g} > 0.01, "
+                              f"outside the asymptotic regime")
+    for n in n_grid:
         if n < 3:
-            continue
-        m = measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed))
-        n_samples.append((float(n), m.delay))
+            raise DomainError(f"n = {n} of the n grid is below 3, outside the asymptotic regime")
+    eps_samples = [(eps, measure_exit_point(n_fixed, OscillatorParams(a=a, epsilon=eps)).delay)
+                   for eps in sorted(eps_grid)]
+    n_samples = [(float(n), measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed)).delay)
+                 for n in sorted(n_grid)]
     fit_eps = fit_power_law(eps_samples, min_decades=2.0)
     fit_n = fit_power_law(n_samples)
     return fit_eps, fit_n

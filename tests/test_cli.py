@@ -1,14 +1,22 @@
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from switchosc import experiments
 
 from switchosc.analytic_flow import flow_from
 from switchosc.cli import main
 from switchosc.core import OscillatorError, OscillatorParams
 from switchosc.poincare import composite_map, next_crossing
+from switchosc.regularization import psi_inverse
 
 
 def run(args, capsys):
@@ -76,17 +84,21 @@ def test_plot_from_csv_round_trip(tmp_path, capsys):
 
 
 def test_manifolds_table(tmp_path, capsys):
+    # no --a or --epsilon: the critical branch v0_mid depends on neither
     code, out, _ = run(["manifolds", "--model", "nonlinear", "--range", "0:8",
-                        "--a", "1.0", "--out-dir", str(tmp_path)], capsys)
+                        "--out-dir", str(tmp_path)], capsys)
     assert code == 0
-    body = (tmp_path / "manifolds.csv").read_text()
-    assert "n,x_lo,x_hi,stability,lambda_mid,v0_mid" in body
+    header, *rows = (tmp_path / "manifolds.csv").read_text().splitlines()
+    assert header == "n,x_lo,x_hi,stability,lambda_mid,v0_mid"
+    for row in rows:
+        lam, v0 = map(float, row.split(",")[4:])
+        assert v0 == pytest.approx(psi_inverse(lam), abs=1e-11)
     for n in (1, 2, 3, 4):
         assert f"n={n} domain=({2 * n / 3.0:.12g}, {2.0 * n:.12g})" in out
 
 
 def test_map_table(tmp_path, capsys):
-    code, _, _ = run(["map", "--model", "linear", "--a", "0.01",
+    code, _, _ = run(["map", "--a", "0.01",
                       "--epsilon", "0.0025", "--grid", "0.55:0.65:3",
                       "--out-dir", str(tmp_path)], capsys)
     assert code == 0
@@ -98,7 +110,7 @@ def test_map_table(tmp_path, capsys):
 def test_map_rows_equal_the_scalar_maps(tmp_path, capsys):
     # departures outside (0, 2/3) mod 4, or that either map rejects, leave
     # both map columns nan
-    code, _, _ = run(["map", "--model", "linear", "--a", "0.01", "--grid", "0:4.6:24",
+    code, _, _ = run(["map", "--a", "0.01", "--grid", "0:4.6:24",
                       "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     rows = (tmp_path / "maps.csv").read_text().splitlines()[1:]
@@ -116,7 +128,7 @@ def test_map_rows_equal_the_scalar_maps(tmp_path, capsys):
 
 def test_ageing_table(tmp_path, capsys):
     code, _, _ = run(["ageing", "--model", "nonlinear", "--range", "0:12",
-                      "--a", "1.0", "--out-dir", str(tmp_path)], capsys)
+                      "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     body = (tmp_path / "ageing.csv").read_text()
     assert "3,4," in body  # branch 3 has width 4
@@ -136,9 +148,9 @@ def test_reproduce_unknown_scenario_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["map", "--model", "linear", "--a", "0.01", "--grid", "0:1"],
-    ["map", "--model", "linear", "--a", "0.01", "--grid", "0:1:2.5"],
-    ["manifolds", "--model", "nonlinear", "--a", "1", "--range", "0"],
+    ["map", "--a", "0.01", "--grid", "0:1"],
+    ["map", "--a", "0.01", "--grid", "0:1:2.5"],
+    ["manifolds", "--model", "nonlinear", "--range", "0"],
     ["ageing", "--model", "nonlinear", "--range", "0:inf"],
     ["scaling", "--a", "0.01", "--eps-grid", "1e-2,x"],
     ["scaling", "--a", "0.01", "--eps-grid", "1e-2,-1e-3"],
@@ -169,8 +181,8 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json", '{"a": true}'),
     (["--config", "{file}", "orbit", "find", "--model", "linear"], "cfg.json", '{"a": null}'),
     (["--config", "{file}", "orbit", "find"], "cfg.json", '{"model": 3, "a": 0.01}'),
-    (["--config", "{file}", "orbit", "find", "--model", "linear", "--a", "0.01"],
-     "cfg.json", '{"epsilon": -0.5}'),
+    (["--config", "{file}", "map", "--a", "0.01", "--grid", "0.55:0.65:3",
+      "--out-dir", "{dir}"], "cfg.json", '{"epsilon": -0.5}'),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n1.0,abc\n"),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,1.0\n1.0\n"),
     (["plot-from-csv", "{file}"], "traj.csv", "x,y_or_v,mode,branch,event\n0.0,nan\n"),
@@ -199,6 +211,23 @@ def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
      '{"id": "X", "kind": "trajectory", "params": {"a": 1.0}, '
      '"spec": {"runs": [{"start": [0.3, -0.4]}]}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "trajectory", "params": {"a": 1.0}, '
+     '"spec": {"model": "linear", "runs": [{"start": [0.3, -0.4]}]}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "trajectory", "params": {"a": 1.0}, '
+     '"spec": {"model": "cubic", "runs": [{"start": [0.3, -0.4], "x_end": 1.0}]}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "trajectory", "params": {"a": 1.0}, "spec": {"model": "linear", '
+     '"runs": [{"start": [0.3, -0.4], "x_end": 1.0, "lable": "run"}]}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "params": {"a": 0.01}}'),
+    (["reproduce", "{file}", "--no-plot", "--out-dir", "{dir}"], "scenario.json",
+     '{"id": "X", "kind": "x0_root", "model": "nonlinear"}'),
+    (["--config", "{file}", "scaling", "--a", "0.01", "--out-dir", "{dir}"], "cfg.json",
+     '{"n_fixed": 10.0}'),
+    (["--config", "{file}", "manifolds", "--model", "linear", "--range", "0:8"], "cfg.json",
+     '{"out_dir": 3}'),
 ])
 def test_malformed_input_file_usage_error(args, name, content, tmp_path, capsys):
     path = tmp_path / name
@@ -218,7 +247,7 @@ def test_branch_table_past_the_row_cap_usage_error(command, tmp_path, capsys):
     # in floating point; either range is refused before any row is built
     for x_range in ("0:1e8", "0:1e24"):
         t0 = time.perf_counter()
-        code, out, err = run([command, "--model", "nonlinear", "--a", "1", "--range", x_range,
+        code, out, err = run([command, "--model", "nonlinear", "--range", x_range,
                               "--out-dir", str(tmp_path)], capsys)
         assert time.perf_counter() - t0 < 1.0, x_range
         assert code == 2 and out == ""
@@ -231,7 +260,7 @@ def test_map_grid_past_the_row_cap_usage_error(tmp_path, capsys):
     # tabulated for minutes; both are refused before the grid is built
     for n in ("1e15", str(2**18 + 1)):
         t0 = time.perf_counter()
-        code, out, err = run(["map", "--model", "linear", "--a", "0.01",
+        code, out, err = run(["map", "--a", "0.01",
                               "--grid", f"0.1:0.6:{n}", "--out-dir", str(tmp_path)], capsys)
         assert time.perf_counter() - t0 < 1.0, n
         assert code == 2 and out == ""
@@ -278,3 +307,172 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run(["--config", str(cfg), "orbit", "find", "--a", "0.01"], capsys)
     assert code == 0
     assert "0.626124996" in out  # the flag a=0.01 wins over the config value
+
+
+def exit_code(args, capsys):
+    """(code, stdout, stderr) of ``main``, an argparse usage exit counting as its code."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+CSV_ROWS = "x,y_or_v,mode,branch,event\n0.0,1.0\n1.0,0.5\n"
+
+
+@pytest.mark.parametrize("args, config", [
+    (["orbit", "find", "--model", "linear", "--a", "0.01", "--epsilon", "0.05"], None),
+    (["orbit", "find", "--model", "linear", "--a", "0.01", "--out-dir", "{dir}"], None),
+    (["manifolds", "--model", "nonlinear", "--range", "0:8", "--a", "1", "--out-dir", "{dir}"],
+     None),
+    (["manifolds", "--model", "nonlinear", "--range", "0:8", "--epsilon", "0.5",
+      "--out-dir", "{dir}"], None),
+    (["map", "--model", "nonlinear", "--a", "0.01", "--grid", "0.55:0.65:3",
+      "--out-dir", "{dir}"], None),
+    (["ageing", "--model", "nonlinear", "--range", "0:12", "--a", "1", "--out-dir", "{dir}"],
+     None),
+    (["ageing", "--model", "nonlinear", "--range", "0:12", "--epsilon", "0.5",
+      "--out-dir", "{dir}"], None),
+    (["scaling", "--a", "0.01", "--model", "linear", "--out-dir", "{dir}"], None),
+    (["scaling", "--a", "0.01", "--epsilon", "1e-3", "--out-dir", "{dir}"], None),
+    (["--config", "{dir}/missing.json", "reproduce", "E1", "--no-plot", "--out-dir", "{dir}"],
+     None),
+    (["--config", "{file}", "reproduce", "E1", "--no-plot", "--out-dir", "{dir}"],
+     '{"scenario": "E2"}'),
+    (["--config", "{dir}/missing.json", "plot-from-csv", "{dir}/t.csv"], None),
+    (["--config", "{file}", "plot-from-csv", "{dir}/t.csv"], '{"out_dir": "."}'),
+], ids=["orbit-epsilon", "orbit-out-dir", "manifolds-a", "manifolds-epsilon", "map-model",
+        "ageing-a", "ageing-epsilon", "scaling-model", "scaling-epsilon",
+        "reproduce-missing-config", "reproduce-config-key", "plot-missing-config",
+        "plot-config-key"])
+def test_setting_that_nothing_reads_usage_error(args, config, tmp_path, capsys):
+    # every flag or config key a command accepts is one it reads; these were
+    # accepted and ignored, and now exit 2 before anything is computed or written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config or "{}")
+    (tmp_path / "t.csv").write_text(CSV_ROWS)
+    code, out, err = exit_code([a.format(dir=tmp_path, file=cfg) for a in args], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(("usage: ", "error: "))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "t.csv"]
+
+
+def test_config_fills_the_flags_not_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SWITCHOSC_OUT", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "d"), "model": "nonlinear"}))
+    assert run(["--config", str(cfg), "ageing", "--range", "0:12"], capsys)[0] == 0
+    assert (tmp_path / "d" / "ageing.csv").exists() and not (tmp_path / "out").exists()
+    # a flag on the command line wins over its key
+    code, _, _ = run(["--config", str(cfg), "ageing", "--range", "0:12",
+                      "--out-dir", str(tmp_path / "e")], capsys)
+    assert code == 0 and (tmp_path / "e" / "ageing.csv").exists()
+    # a switch key takes true or false
+    cfg.write_text(json.dumps({"model": "linear", "a": 0.001, "sliding": True}))
+    code, out, _ = run(["--config", str(cfg), "orbit", "find"], capsys)
+    assert code == 1 and "no sliding" in out
+    cfg.write_text(json.dumps({"plot": False}))
+    code, _, _ = run(["--config", str(cfg), "reproduce", "FIG2", "--out-dir", str(tmp_path)],
+                     capsys)
+    assert code == 0 and not (tmp_path / "FIG2" / "FIG2.svg").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scaling", "--a", "2"], "eps = 0.01 of the eps grid gives a*eps = 0.02 > 0.01"),
+    (["scaling", "--a", "0.01", "--n-grid", "2,4,8,16"], "n = 2 of the n grid is below 3"),
+])
+def test_scaling_grid_point_outside_the_regime_usage_error(args, message, tmp_path, capsys):
+    # such a point was once dropped without a word
+    code, out, err = run(args + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("misspelt", "the scenario gives no value 'eps_grid'"),
+    ("unread", "spec gives values that nothing reads: ['eps_gird']"),
+])
+def test_e9_with_a_misspelt_value_usage_error(edit, message, tmp_path, capsys):
+    # E9 with eps_grid misspelt lacks a value its runner reads; with the
+    # misspelt key beside the right one, it gives a value that nothing reads
+    doc = json.loads((experiments._scenario_dir() / "E9.json").read_text())
+    spec = doc["spec"]
+    spec["eps_gird"] = spec.pop("eps_grid") if edit == "misspelt" else spec["eps_grid"]
+    path = tmp_path / "E9.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["reproduce", str(path), "--no-plot", "--out-dir", str(tmp_path)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "E9").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    path = Path(__file__).resolve().parent.parent / "scripts" / "trace_lines.py"
+    spec = importlib.util.spec_from_file_location("trace_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.readme_commands()
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # each command of the README's CLI block, as scripts/trace_lines.py reads
+    # them, exits with the code the README documents
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SWITCHOSC_OUT", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    for cmd in commands:
+        expected = 1 if cmd == ["switchosc", "orbit", "find", "--model", "linear", "--a", "10"] \
+            else 0
+        code, _, err = exit_code(cmd[1:], capsys)
+        assert code == expected, (cmd, err)
+
+
+_FUZZ_COMMANDS = {  # argv after the config, and the command's optional flags
+    "orbit find": (["orbit", "find"], ["model", "a", "sliding"]),
+    "manifolds": (["manifolds", "--range", "0:8"], ["model", "out_dir"]),
+    "ageing": (["ageing", "--range", "0:12"], ["model", "out_dir"]),
+}
+_FLAG_VALUES = {"model": ["linear", "nonlinear"], "a": [0.01, 0.5, 2], "sliding": [True, False],
+                "out_dir": ["o", "o/p"]}
+_JUNK_KEYS = ["epsilon", "out_dir", "range", "help", "config", "func", "parser", "v0", ""]
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, 0, 0.01, 0.5, 10,
+                     -1.0, 1e300, "linear", "nonlinear", "", "x", "0.5"]),
+    st.lists(st.sampled_from([0.01, "linear", None]), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "model"]), st.sampled_from([0.5, "linear"]),
+                    max_size=2))
+
+
+@seed(6)
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_config_fuzz_exits_with_a_code(data, tmp_path_factory):
+    # config documents from the command's own flag names and junk keys, with
+    # values of every JSON kind: each run exits 0, 1 or 2, never with a
+    # traceback, and exit 2 says why on one error line
+    name = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv, flags = _FUZZ_COMMANDS[name]
+    # a config that sets each flag to one of its values, then up to three
+    # edits: a key (a flag's or a junk one) dropped or given any value
+    config = {key: data.draw(st.sampled_from(_FLAG_VALUES[key])) for key in flags}
+    keys = st.sampled_from(flags + [k for k in _JUNK_KEYS if k not in flags])
+    for key, drop in data.draw(st.lists(st.tuples(keys, st.booleans()), max_size=3)):
+        if drop:
+            config.pop(key, None)
+        else:
+            config[key] = data.draw(_FUZZ_VALUES)
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "cfg.json").write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(work), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(["--config", "cfg.json", *argv])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

@@ -41,6 +41,13 @@ def test_write_csv_formats_cells_as_the_table_writers_did(tmp_path):
                                  b"0.3,0.666666666667,-1.5e-20,1.23456789012e+14,22,sliding,,nan,-inf\n")
 
 
+@pytest.mark.parametrize("sid", [s for s in list_scenarios() if s.startswith("FIG")])
+def test_figure_scenario_passes(sid, tmp_path):
+    # the acceptance suite runs E1-E13; this runs the figure scenarios, each
+    # of whose values is read (run_scenario refuses one that is not)
+    assert run_scenario(load_scenario(sid), out_dir=tmp_path).passed
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(DomainError):
         load_scenario("E99")
