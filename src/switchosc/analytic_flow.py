@@ -12,8 +12,7 @@ on a float, ``flow_from_array`` on an array of x; ``flow_solution`` is the
 case y0 = 0.  The zeros of h, the threshold returns, cannot be written down,
 but are sandwiched between the zeros of two explicit comparison functions,
 h0 (drop the decay) and hinf (drop the transient); the Poincare module
-probes the h0 lattice, and ``h_array`` also takes an array of departures,
-one row each.
+probes one departure's h0 lattice (``h0_zeros``) with one ``h_array`` call.
 
 ``next_contact`` locates the first contact of the general flow from any
 start with a level y = c (the threshold c = 0 from an interior start, the
@@ -40,7 +39,7 @@ from .core import (
 )
 
 #: Most points a contact search evaluates in one array: a lattice of
-#: ``next_contact``, one departure's probes or one pass of departures.
+#: ``next_contact`` or one departure's probes.
 MAX_POINTS = 1 << 20
 
 
@@ -153,41 +152,28 @@ def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
     return math.exp(-params.a * xbar) * sinpi(vq) - sinpi(w * xbar + vq)
 
 
-def h_array(sign: int, xbar: np.ndarray, x_i: "float | np.ndarray",
-            params: OscillatorParams) -> np.ndarray:
-    """``h`` on an array of xbar, in the same operation order.
-
-    An array of departures x_i takes one row of xbar each.
-    """
+def h_array(sign: int, xbar: np.ndarray, x_i: float, params: OscillatorParams) -> np.ndarray:
+    """``h`` on an array of xbar from one departure x_i, in the same operation order."""
     if (xbar < 0.0).any():
         raise DomainError(f"xbar must be >= 0, got min {np.min(xbar)}")
     w = omega(sign)
-    if isinstance(x_i, np.ndarray):
-        vq = np.array([[varphi_over_pi(sign, x, params)] for x in x_i.tolist()])
-        s = np.array([[sinpi(v)] for v in vq[:, 0].tolist()])
-    else:
-        vq = varphi_over_pi(sign, x_i, params)
-        s = sinpi(vq)
-    return np.exp(-params.a * xbar) * s - sinpi_array(w * xbar + vq)
+    vq = varphi_over_pi(sign, x_i, params)
+    return np.exp(-params.a * xbar) * sinpi(vq) - sinpi_array(w * xbar + vq)
 
 
-def h0_zeros(sign: int, x_i: np.ndarray, params: OscillatorParams,
-             horizon: float) -> np.ndarray:
-    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi), one row per departure.
+def h0_zeros(sign: int, x_i: float, params: OscillatorParams, horizon: float) -> np.ndarray:
+    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi) from the departure x_i.
 
     Two interleaved lattices: xbar = 2k/w, and xbar = start + 2k/w with
-    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  Each row holds the two
+    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  The array holds the two
     lattices for k = 0, 1, ... until both pass the horizon, unsorted; the
-    caller cuts them to its range.  A 0-d x_i gives one row.
+    caller cuts them to its range.
     """
     w = omega(sign)
     period = 2.0 / w
-    start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * np.fmod(x_i, period)
-    k = np.arange(math.floor((horizon - min(0.0, start.min())) / period) + 2) * period
-    zs = np.empty(start.shape + (2 * k.size,))
-    zs[..., :k.size] = k
-    zs[..., k.size:] = start[..., None] + k
-    return zs
+    start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * math.fmod(x_i, period)
+    k = np.arange(math.floor((horizon - min(0.0, start)) / period) + 2) * period
+    return np.concatenate((k, start + k))
 
 
 def p0_map(sign: int, x_i: float) -> float:

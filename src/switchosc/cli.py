@@ -208,13 +208,16 @@ def cmd_map(args) -> int:
     if n > MAX_ROWS:
         raise DomainError(f"--grid {args.grid} asks for {n:g} samples, more than the "
                           f"{MAX_ROWS} rows a table holds")
-    xs = np.linspace(lo, hi, int(n))
     discontinuous = OscillatorParams(a=params.a)
-    # a departure either map rejects leaves both columns nan
-    pc = poincare.composite_map_array(xs, params.a)
-    pm = np.where(np.isnan(pc), np.nan, poincare.next_crossing_array(-1, xs, discontinuous))
+    # probes past MAX_POINTS would stop every row alike: refuse the command
+    poincare._probe_count(-1, lo, discontinuous)
     rows = []
-    for x, x_minus, x_comp in zip(xs.tolist(), pm.tolist(), pc.tolist()):
+    for x in np.linspace(lo, hi, int(n)).tolist():
+        try:
+            x_comp = poincare.composite_map(x, params.a)
+            x_minus = poincare.next_crossing(-1, x, discontinuous).x_next
+        except OscillatorError:  # a departure either map rejects leaves both nan
+            x_minus = x_comp = math.nan
         pe = math.nan
         if params.epsilon > 0.0:
             try:

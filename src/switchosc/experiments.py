@@ -25,11 +25,14 @@ from .core import (
     DomainError,
     NoOrbitError,
     OscillatorParams,
+    Region,
     SolverError,
     SwitchingModel,
     Trajectory,
     branch,
     branch_indices,
+    classify_threshold_point,
+    field_direction,
     forcing,
     omega,
     sinpi,
@@ -284,11 +287,9 @@ def _run_nonsliding_fixed_point(sc: Scenario) -> dict:
 def _run_a0_limit(sc: Scenario) -> dict:
     a = sc.params["a"]
     n = sc.spec["samples"]
-    xs = np.linspace(0.02, 2.0 / 3.0 - 0.02, n)
-    lands = poincare.composite_map_array(xs, a)
-    for x in xs[np.isnan(lands)].tolist():
-        poincare.composite_map(x, a)  # raises the error the array form turned into nan
-    return {"max_deviation": float(np.max(np.abs(lands - (xs + 4.0)))), "samples": n}
+    xs = np.linspace(0.02, 2.0 / 3.0 - 0.02, n).tolist()
+    return {"max_deviation": max(abs(poincare.composite_map(x, a) - (x + 4.0)) for x in xs),
+            "samples": n}
 
 
 def _run_interval_confinement(sc: Scenario) -> dict:
@@ -322,12 +323,29 @@ def _run_sliding_linear(sc: Scenario) -> dict:
         "closure_error": res.closure_error if res else math.nan,
         "absent_reported": _sliding_orbit(find_sliding_period4_linear,
                                           sc.spec["a_absent"]) is None,
-        # crossing-map composite landing: the orbit's half-plane legs from
-        # (10/3, +) cross until one lands outside the crossing region (3 legs
-        # in the Theorem-2 structure at large a)
-        "composite_landing": next(e.x for e in res.trajectory.events if e.kind != "cross")
-                             if res else math.nan,
+        "composite_landing": _composite_landing(a_exist),
     }
+
+
+#: Legs the composite landing follows from (10/3, +) before it gives up.
+_LANDING_LEGS = 16
+
+
+def _composite_landing(a: float) -> float:
+    """The first landing off the crossing region of the legs from (10/3, +), or nan.
+
+    Leg by leg with ``poincare.next_crossing``, apart from the hybrid run: a
+    crossing departs into the side both fields point to (3 legs in the
+    Theorem-2 structure at large a).
+    """
+    p = OscillatorParams(a=a)
+    x, sign = 10.0 / 3.0, +1
+    for _ in range(_LANDING_LEGS):
+        x = poincare.next_crossing(sign, x, p).x_next
+        if classify_threshold_point(x) is not Region.CROSSING:
+            return x
+        sign = field_direction(+1, x)
+    return math.nan
 
 
 def _run_sliding_nonlinear(sc: Scenario) -> dict:
@@ -548,7 +566,10 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
     if runner is None:
         raise DomainError(f"no runner for scenario kind {scenario.kind!r}")
     t0 = time.perf_counter()
-    measured = runner(scenario)
+    try:
+        measured = runner(scenario)
+    except TypeError as exc:  # a scenario value of the wrong JSON type
+        raise DomainError(f"scenario {scenario.id}: a value of the wrong type: {exc}") from None
     runtime = time.perf_counter() - t0
     scenario.params.check_read("params")
     scenario.spec.check_read("spec")

@@ -6,11 +6,8 @@ probes, a grid whose step resolves both the oscillation (1/(8w)) and the
 decay (1/(4a)) plus the zeros of the comparison function h0, take one array
 evaluation of h.  The smallest probe at which h has left the sign of y and the
 largest probe below it (or 0) bracket the zero, and brentq polishes it with
-the phase of x_i computed once.  ``next_crossing`` takes one departure and
-reports brentq's iterations; ``next_crossing_array`` takes a 1-D array of
-independent departures in passes of at most MAX_POINTS probes, nan where the
-scalar form raises.  The two share the probes and the polish, so their
-crossings are bit-identical; both take departures ``core.departure_ok`` allows.
+the phase of x_i computed once.  ``next_crossing`` takes one departure, one
+that ``core.departure_ok`` allows, and reports brentq's iterations.
 
 ``section_fixed_point`` is the one Newton driver for a period-4 fixed point
 P(x) = x + 4 of a section map, in both engines: a run from x reports P(x) and
@@ -52,8 +49,6 @@ BRACKET_WIDTH = 1e-13
 RESIDUAL_TOL = 1e-12
 #: Scan horizon of a departure, in units of 1/w.
 HORIZON = 6.0
-#: Most departures bracketed in one pass of ``next_crossing_array``.
-ROWS_PER_PASS = 1024
 
 #: Window of crossing departures into S_- for the composite map (mod 4).
 I_MINUS = (0.0, 2.0 / 3.0)
@@ -81,42 +76,37 @@ def _probe_count(sign: int, x_i: float, params: OscillatorParams) -> int:
     return int(count)
 
 
-def _probes(sign: int, x_i: "float | np.ndarray",
-            params: OscillatorParams) -> np.ndarray:
+def _probes(sign: int, x_i: float, params: OscillatorParams) -> np.ndarray:
     """Scan abscissae xbar, unsorted, nan outside (floor, horizon].
 
     The uniform grid, whose step resolves both the oscillation (1/(8w)) and the
-    decay (1/(4a)), then the zeros of the comparison function h0.  An array of
-    departures gives one row each.  Callers size it by ``_probe_count`` first.
+    decay (1/(4a)), then the zeros of the comparison function h0.  Callers
+    size it by ``_probe_count`` first.
     """
     w = omega(sign)
     horizon = HORIZON / w
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
     uniform = np.arange(1, math.floor(horizon / step) + 2) * step
-    zeros = h0_zeros(sign, np.asarray(x_i), params, horizon)
-    t = np.empty(zeros.shape[:-1] + (uniform.size + zeros.shape[-1],))
-    t[..., :uniform.size] = uniform
-    t[..., uniform.size:] = zeros
+    t = np.concatenate((uniform, h0_zeros(sign, x_i, params, horizon)))
     t[(t <= min(step * 1e-3, 1e-4)) | (t > horizon)] = np.nan
     return t
 
 
-def _brackets(sign: int, x_i: "float | np.ndarray", params: OscillatorParams):
-    """The probe bracket (lo, hi] of the first zero of h from each departure.
+def _brackets(sign: int, x_i: float, params: OscillatorParams) -> tuple[float, float, bool]:
+    """The probe bracket (lo, hi] of the first zero of h from the departure.
 
     hi is the smallest probe at which h has left the sign of y (inf when there
     is none) and lo the largest probe below it, or 0.0; the third value says
-    whether h(hi) == 0 where hi is finite.  All departures take one
-    ``h_array`` evaluation, in which the nan probes never hit.
+    whether h(hi) == 0 where hi is finite.  The probes take one ``h_array``
+    evaluation, in which the nan probes never hit.
     """
     t = _probes(sign, x_i, params)
     vals = h_array(sign, t, x_i, params)
     # h carries the sign of y, which is `sign` until the first zero
     hit = vals <= 0.0 if sign > 0 else vals >= 0.0
-    hi = np.minimum.reduce(t, axis=-1, where=hit, initial=np.inf)
-    lo = np.maximum.reduce(t, axis=-1, where=t < hi[..., None], initial=0.0)
-    exact = np.minimum.reduce(t, axis=-1, where=vals == 0.0, initial=np.inf) == hi
-    return lo, hi, exact
+    hi = float(np.min(t, where=hit, initial=np.inf))
+    lo = float(np.max(t, where=t < hi, initial=0.0))
+    return lo, hi, float(np.min(t, where=vals == 0.0, initial=np.inf)) == hi
 
 
 def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: float,
@@ -145,31 +135,16 @@ def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: floa
     return root, iters
 
 
-def _check_sign(sign: int) -> None:
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be +-1, got {sign}")
-
-
-def _departures(x_i) -> np.ndarray:
-    """x_i as a 1-D float array; DomainError unless every entry is finite."""
-    x_i = np.asarray(x_i, dtype=float)
-    if x_i.ndim != 1:
-        raise DomainError(f"departures must form a 1-D array, got shape {x_i.shape}")
-    bad = np.flatnonzero(~np.isfinite(x_i))
-    if bad.size:
-        raise DomainError(f"departures must be finite, got x_i[{bad[0]}] = {x_i[bad[0]]}")
-    return x_i
-
-
 def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareResult:
     """First return to y = 0 of the flow leaving (x_i, 0) into S_sign.
 
     Raises DomainError for a non-finite x_i or when the field at x_i does not
     allow that departure, and SolverError when no sign change appears within
     the horizon 6/w (which cannot happen for a > 0) or the probes would pass
-    MAX_POINTS.  ``next_crossing_array`` takes many departures.
+    MAX_POINTS.
     """
-    _check_sign(sign)
+    if sign not in (-1, 1):
+        raise DomainError(f"sign must be +-1, got {sign}")
     if not math.isfinite(x_i):
         raise DomainError(f"departure must be finite, got x_i={x_i}")
     if not departure_ok(sign, x_i):
@@ -184,39 +159,8 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
             f"no crossing located within horizon {HORIZON / omega(sign)} from x_i={x_i} "
             f"(sign={sign}, a={params.a})"
         )
-    root, iters = _polish(sign, x_i, params, float(lo), float(hi), exact)
+    root, iters = _polish(sign, x_i, params, lo, hi, exact)
     return PoincareResult(x_next=x_i + root, iterations=iters)
-
-
-def next_crossing_array(sign: int, x_i: np.ndarray, params: OscillatorParams) -> np.ndarray:
-    """``next_crossing``'s x_next for a 1-D array of independent departures.
-
-    A row is nan where ``next_crossing`` raises.  The rows are bracketed
-    together in one h evaluation per pass, at most ROWS_PER_PASS rows and
-    MAX_POINTS probes, and each is polished by the scalar form's brentq, so
-    every crossing is bit-identical to it.  Raises DomainError for a sign
-    other than +-1 or a non-finite x_i, and SolverError when one departure's
-    probes would pass MAX_POINTS.
-    """
-    _check_sign(sign)
-    x_i = _departures(x_i)
-    xs = x_i.tolist()
-    x_next = np.full(x_i.size, np.nan)
-    rows = np.array([i for i, x in enumerate(xs) if departure_ok(sign, x)], dtype=int)
-    if not rows.size:
-        return x_next
-    per_pass = max(1, min(ROWS_PER_PASS, MAX_POINTS // _probe_count(sign, xs[rows[0]], params)))
-    for start in range(0, rows.size, per_pass):
-        chunk = rows[start:start + per_pass]
-        brackets = _brackets(sign, x_i[chunk], params)
-        for r, lo, hi, exact in zip(chunk.tolist(), *(v.tolist() for v in brackets)):
-            if hi == math.inf:
-                continue
-            try:
-                x_next[r] = xs[r] + _polish(sign, xs[r], params, lo, hi, exact)[0]
-            except SolverError:
-                pass
-    return x_next
 
 
 def composite_map(x: float, a: float) -> float:
@@ -226,23 +170,6 @@ def composite_map(x: float, a: float) -> float:
         raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
     x1 = next_crossing(-1, x, p).x_next
     return next_crossing(+1, x1, p).x_next
-
-
-def composite_map_array(x: np.ndarray, a: float) -> np.ndarray:
-    """``composite_map`` for a 1-D array of departures: nan where it raises.
-
-    Each leg is one ``next_crossing_array`` call.  Raises DomainError for a
-    non-finite x.
-    """
-    p = OscillatorParams(a=a)
-    x = _departures(x)
-    frac = np.fmod(x, 4.0)
-    inside = np.flatnonzero((I_MINUS[0] < frac) & (frac < I_MINUS[1]))
-    x1 = next_crossing_array(-1, x[inside], p)
-    landed = ~np.isnan(x1)
-    x2 = np.full(x.shape, np.nan)
-    x2[inside[landed]] = next_crossing_array(+1, x1[landed], p)
-    return x2
 
 
 def dP_da_at_zero(x0: float) -> float:

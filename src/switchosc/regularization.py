@@ -389,16 +389,18 @@ def exit_scaling_fit(a: float, eps_grid: list[float], n_fixed: int,
     """Exit-delay scaling in eps (fixed n) and in n (fixed eps).
 
     Expected exponents 2/3 and -1/3.  The smallest branches (n < 3) and large
-    a*eps (> 0.01) sit outside the asymptotic regime: a grid point there
-    raises DomainError.
+    a*eps (> 0.01) sit outside the asymptotic regime: a grid point or a fixed
+    value there raises DomainError.
     """
-    for eps in eps_grid:
+    for what, eps in [*((f"eps = {e} of the eps grid", e) for e in eps_grid),
+                      (f"eps_fixed = {eps_fixed}", eps_fixed)]:
         if a * eps > 0.01:
-            raise DomainError(f"eps = {eps} of the eps grid gives a*eps = {a * eps:g} > 0.01, "
+            raise DomainError(f"{what} gives a*eps = {a * eps:g} > 0.01, "
                               f"outside the asymptotic regime")
-    for n in n_grid:
+    for what, n in [*((f"n = {m} of the n grid", m) for m in n_grid),
+                    (f"n_fixed = {n_fixed}", n_fixed)]:
         if n < 3:
-            raise DomainError(f"n = {n} of the n grid is below 3, outside the asymptotic regime")
+            raise DomainError(f"{what} is below 3, outside the asymptotic regime")
     eps_samples = [(eps, measure_exit_point(n_fixed, OscillatorParams(a=a, epsilon=eps)).delay)
                    for eps in sorted(eps_grid)]
     n_samples = [(float(n), measure_exit_point(n, OscillatorParams(a=a, epsilon=eps_fixed)).delay)

@@ -19,7 +19,9 @@ The hybrid simulator stores each arc as a closed-form segment of a
 departure from the threshold), or zero on a slide.  Samples are tabulated
 only when read.  Arcs from the threshold end at ``poincare.next_crossing``;
 an arc from an interior start ends at ``analytic_flow.next_contact`` with the
-level y = 0.
+level y = 0.  The nonlinear margins over the contact lattice x = 2n take one
+``next_crossing`` per side: both fields are 4-periodic in x, so every row is
+the n = 1 landing shifted by 4(n - 1).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (
     DomainError,
     Mode,
     NoOrbitError,
-    OscillatorError,
     OscillatorParams,
     SolverError,
     SwitchingModel,
@@ -52,7 +53,7 @@ from .core import (
 # flow_from and flow_solution stay bound here: the benchmark's tracer patches
 # them by name
 from .analytic_flow import flow_from, flow_from_array, flow_solution, next_contact
-from .poincare import next_crossing, next_crossing_array
+from .poincare import next_crossing
 
 #: Loop steps (arcs, contacts and slides) before a hybrid run gives up.
 _EVENT_BUDGET = 100000
@@ -279,13 +280,16 @@ def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
 
     P_+^a(4n-2) must land strictly inside (4n-4/3, 4n-2/3) and P_-^a(4n)
     strictly inside (4n+2, 4n+4); positive margins rule out non-sliding
-    periodic orbits through the x = 2n contact lattice.  Each side's n_max
-    departures take one ``next_crossing_array`` call.
+    periodic orbits through the x = 2n contact lattice.  Both fields are
+    4-periodic in x, so P_+-(x + 4k) = P_+-(x) + 4k: each side takes one
+    ``next_crossing`` call, from 2 and from 4, and row n adds the exact step
+    of that landing to its own start.
     """
     p = OscillatorParams(a=a)
-    ns = np.arange(1, n_max + 1)
-    landings = zip(ns.tolist(), _margin_landings(+1, 4.0 * ns - 2.0, p),
-                   _margin_landings(-1, 4.0 * ns, p))
+    step_plus = next_crossing(+1, 2.0, p).x_next - 2.0
+    step_minus = next_crossing(-1, 4.0, p).x_next - 4.0
+    landings = ((n, (4.0 * n - 2.0) + step_plus, 4.0 * n + step_minus)
+                for n in range(1, n_max + 1))
     return [{
         "n": n,
         "p_plus": xp,
@@ -293,21 +297,6 @@ def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
         "p_minus": xm,
         "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
     } for n, xp, xm in landings]
-
-
-def _margin_landings(sign: int, starts: np.ndarray, p: OscillatorParams) -> list[float]:
-    """Landings from the margin starts 4n - 2 or 4n, n = 1, 2, ...
-
-    A departure that ``next_crossing_array`` rejects is retried by the scalar
-    ``next_crossing``, whose error is raised with its n.
-    """
-    lands = next_crossing_array(sign, starts, p)
-    for i in np.flatnonzero(np.isnan(lands)).tolist():
-        try:
-            lands[i] = next_crossing(sign, starts[i].item(), p).x_next
-        except OscillatorError as exc:
-            raise type(exc)(f"margin row n={i + 1}: {exc}") from exc
-    return lands.tolist()
 
 
 def ageing_metrics(model: SwitchingModel,

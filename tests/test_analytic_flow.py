@@ -148,7 +148,7 @@ def test_h_is_scaled_flow():
 
 def h0_zeros_up_to(sign, x_i, p, horizon):
     """The zeros of h0 from one departure in [0, horizon], sorted."""
-    zs = np.sort(h0_zeros(sign, np.array(x_i), p, horizon))
+    zs = np.sort(h0_zeros(sign, x_i, p, horizon))
     return zs[(zs >= 0.0) & (zs <= horizon)].tolist()
 
 
@@ -165,17 +165,16 @@ def test_h0_zeros_contain_period_lattice_and_are_roots():
 
 
 def test_zero_lattices_are_sorted():
-    # each row holds two lattices of step 2/w, the first from 0, both past the horizon
+    # two lattices of step 2/w, the first from 0, both past the horizon
     p = OscillatorParams(a=0.5)
-    x_i = np.array([7.7, -3.1, 0.0, 401.9])
-    zs = h0_zeros(-1, x_i, p, 400.0)
-    half = zs.shape[1] // 2
-    assert zs.shape == (4, 2 * half)
-    for lattice in (zs[:, :half], zs[:, half:]):
-        np.testing.assert_allclose(np.diff(lattice, axis=1), 4.0, rtol=0.0, atol=1e-12)
-        assert np.all(lattice[:, -1] > 400.0)
-    assert np.all(zs[:, 0] == 0.0)
-    np.testing.assert_array_equal(zs[0], h0_zeros(-1, np.array(7.7), p, 400.0))
+    for x_i in (7.7, -3.1, 0.0, 401.9):
+        zs = h0_zeros(-1, x_i, p, 400.0)
+        half = zs.size // 2
+        assert zs.size == 2 * half
+        for lattice in (zs[:half], zs[half:]):
+            np.testing.assert_allclose(np.diff(lattice), 4.0, rtol=0.0, atol=1e-12)
+            assert lattice[-1] > 400.0
+        assert zs[0] == 0.0
 
 
 def test_sandwich_property():

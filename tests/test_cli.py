@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -272,6 +273,7 @@ def test_map_grid_past_the_row_cap_usage_error(tmp_path, capsys):
     ["simulate", "--model", "linear", "--a", "1e-300", "--x0", "0", "--y0", "1",
      "--x-end", "1e12", "--out-dir", "{dir}"],
     ["orbit", "find", "--model", "linear", "--a", "1e300"],
+    ["map", "--a", "3e4", "--grid", "0.1:0.6:3", "--out-dir", "{dir}"],
 ])
 def test_contact_search_past_the_array_cap_usage_error(args, tmp_path, capsys):
     # a contact lattice (tiny a) or a departure's probes (huge a) would need
@@ -390,6 +392,53 @@ def test_scaling_grid_point_outside_the_regime_usage_error(args, message, tmp_pa
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scaling", "--a", "0.01", "--n-fixed", "2"],
+     "n_fixed = 2 is below 3, outside the asymptotic regime"),
+    (["scaling", "--a", "2", "--eps-fixed", "0.1", "--eps-grid", "1e-3,3e-4,1e-4,3e-5,1e-5"],
+     "eps_fixed = 0.1 gives a*eps = 0.2 > 0.01, outside the asymptotic regime"),
+])
+def test_scaling_fixed_value_outside_the_regime_usage_error(args, message, tmp_path, capsys):
+    # the eps sweep's branch and the n sweep's width meet the grid points' bounds
+    code, out, err = run(args + ["--out-dir", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scaling_plot_is_deterministic_on_log_axes(tmp_path, capsys):
+    svgs = []
+    for name in ("r1", "r2"):
+        code, out, _ = run(["scaling", "--a", "0.01", "--plot",
+                            "--out-dir", str(tmp_path / name)], capsys)
+        svg = tmp_path / name / "scaling.svg"
+        assert code == 0 and f"wrote {svg}" in out
+        svgs.append(svg.read_bytes())
+    assert svgs[0] == svgs[1]
+    # tick labels on both log axes: x ticks centred, y ticks right-aligned
+    ticks = re.findall(rb'text-anchor="(middle|end)"[^>]*>(1e[^<]*)<', svgs[0])
+    assert {anchor for anchor, _ in ticks} == {b"middle", b"end"}
+
+
+@pytest.mark.parametrize("sid, where, key, value", [
+    ("FIG2", "spec", "runs", 3),
+    ("E2", "params", "a", "x"),
+    ("E3", "spec", "samples", "5"),
+    ("E7", "spec", "a_eps_grid", 1e-5),
+])
+def test_scenario_value_of_the_wrong_type_usage_error(sid, where, key, value, tmp_path, capsys):
+    # each once ended in a TypeError traceback inside its runner, exit 1
+    doc = json.loads((experiments._scenario_dir() / f"{sid}.json").read_text())
+    doc[where][key] = value
+    path = tmp_path / f"{sid}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["reproduce", str(path), "--no-plot", "--out-dir", str(tmp_path)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario {sid}: ") and err.count("\n") == 1
+    assert not (tmp_path / sid).exists()
 
 
 @pytest.mark.parametrize("edit, message", [

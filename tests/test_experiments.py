@@ -55,7 +55,7 @@ def test_unknown_scenario_rejected():
 
 def test_a0_limit_raises_a_rejected_departure_s_error(monkeypatch):
     # a bracket width of 1e-2 leaves every polished crossing with a residual
-    # far above RESIDUAL_TOL: the array form turns that into nan, the runner re-raises it
+    # far above RESIDUAL_TOL, and the runner raises that error
     monkeypatch.setattr(poincare, "BRACKET_WIDTH", 1e-2)
     with pytest.raises(SolverError, match="crossing residual"):
         experiments._run_a0_limit(load_scenario("E3"))
@@ -101,6 +101,18 @@ def test_e8_paper_contraction_check_can_fail():
         verdicts = [experiments._evaluate_check(c, {"log_decrease_10x": shown})
                     for c in paper]
         assert all(v.passed for v in verdicts) is shown
+
+
+def test_e5_composite_landing_check_can_fail(monkeypatch):
+    # the landing follows next_crossing leg by leg, apart from the orbit
+    # solver: legs that return 0.7 late fail its check while the orbit exists
+    rep = run_scenario(load_scenario("E5"))
+    assert rep.passed and rep.measured["composite_landing"] == 6.760109440113624
+    real = poincare.next_crossing
+    monkeypatch.setattr(poincare, "next_crossing", lambda sign, x, p: poincare.PoincareResult(
+        real(sign, x, p).x_next + 0.7, 0))
+    verdicts = {c.name: c.passed for c in run_scenario(load_scenario("E5")).checks}
+    assert verdicts["exists"] and not verdicts["composite_landing"]
 
 
 def test_scenario_csv_is_deterministic(tmp_path):

@@ -31,11 +31,9 @@ from switchosc.poincare import (
     BRACKET_WIDTH,
     _brackets,
     composite_map,
-    composite_map_array,
     dP_da_at_zero,
     find_nonsliding_period4,
     next_crossing,
-    next_crossing_array,
     solve_x0,
 )
 
@@ -268,65 +266,10 @@ def test_array_probe_matches_scalar_scan_bit_for_bit():
     assert accepted > 200
 
 
-def scalar_or_nan(sign, x_i, params):
-    try:
-        return next_crossing(sign, x_i, params).x_next
-    except (DomainError, SolverError):
-        return math.nan
-
-
-def assert_same_floats(got, expected):
-    """Bit for bit, nan exactly where expected is nan."""
-    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
-    assert np.array_equal(np.isnan(got), np.isnan(expected))
-    assert np.array_equal(got.view(np.int64)[~np.isnan(got)],
-                          expected.view(np.int64)[~np.isnan(expected)])
-
-
-def test_next_crossing_array_matches_scalar_bit_for_bit():
-    # seeded draws of the departures the callers make: contact-lattice points
-    # 2n/3 (many rejected), arbitrary points out to x = 2000, short-run
-    # points and the margin starts 4n - 2 / 4n, plus the a = 1.068 start
-    rng = np.random.default_rng(13)
-    draws = [(+1, 1.068, np.array([6.642139527593896, 10.0 / 3.0]))]
-    for _ in range(60):
-        sign = 1 if rng.uniform() < 0.5 else -1
-        a = float(10.0 ** rng.uniform(-3.0, 1.0))
-        n = rng.integers(1, 500, size=8)
-        x_i = np.concatenate((2.0 * rng.integers(0, 3000, size=10) / 3.0,
-                              rng.uniform(0.0, 2000.0, size=10),
-                              rng.uniform(0.0, 20.0, size=10),
-                              4.0 * n - 2.0 if sign > 0 else 4.0 * n))
-        draws.append((sign, a, x_i))
-    accepted = rejected = 0
-    for sign, a, x_i in draws:
-        p = OscillatorParams(a=a)
-        expected = [scalar_or_nan(sign, x, p) for x in x_i.tolist()]
-        assert_same_floats(next_crossing_array(sign, x_i, p), expected)
-        accepted += int(np.sum(~np.isnan(expected)))
-        rejected += int(np.sum(np.isnan(expected)))
-    assert accepted > 1000 and rejected > 100
-
-
-def test_next_crossing_array_passes_in_several_rounds(monkeypatch):
-    p = OscillatorParams(a=0.3)
-    x_i = np.linspace(0.0, 40.0, 23)
-    whole = next_crossing_array(-1, x_i, p)
-    monkeypatch.setattr(poincare, "ROWS_PER_PASS", 4)
-    assert_same_floats(next_crossing_array(-1, x_i, p), whole)
-    assert next_crossing_array(+1, np.array([]), p).shape == (0,)
-
-
-@pytest.mark.parametrize("sign, x_i", [
-    (0, [0.5]), (2, [0.5]), (-1, [0.5, math.nan]), (+1, [math.inf]),
-    (-1, [[0.5]]),
-])
-def test_next_crossing_array_rejects_bad_input_at_entry(sign, x_i):
-    with pytest.raises(DomainError):
-        next_crossing_array(sign, np.array(x_i), OscillatorParams(a=0.5))
-    if sign in (-1, 1):
-        with pytest.raises(DomainError):
-            composite_map_array(np.array(x_i), 0.5)
+@pytest.mark.parametrize("sign", [0, 2])
+def test_next_crossing_rejects_a_sign_other_than_one(sign):
+    with pytest.raises(DomainError, match="sign must be"):
+        next_crossing(sign, 0.5, OscillatorParams(a=0.5))
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -437,16 +380,11 @@ def test_both_period4_families_meet_at_one_grazing_point():
         find_nonsliding_period4(above)
 
 
-def test_composite_map_array_matches_scalar():
-    x = np.concatenate((np.linspace(-1.0, 9.0, 41), [0.01, 4.3, 0.6655]))
-    for a in (0.01, 1.068, 3.0):
-        expected = []
-        for v in x.tolist():
-            try:
-                expected.append(composite_map(v, a))
-            except (DomainError, SolverError):
-                expected.append(math.nan)
-        assert_same_floats(composite_map_array(x, a), expected)
+def composite_or_nan(x, a):
+    try:
+        return composite_map(x, a)
+    except (DomainError, SolverError):
+        return math.nan
 
 
 def test_composite_map_is_strictly_increasing_where_defined():
@@ -456,7 +394,7 @@ def test_composite_map_is_strictly_increasing_where_defined():
     x = np.sort(rng.uniform(0.0, 2.0 / 3.0, size=1500))
     pairs = 0
     for a in (10.0 ** rng.uniform(-3.0, math.log10(0.5), size=25)).tolist():
-        px = composite_map_array(x, a)
+        px = np.array([composite_or_nan(v, a) for v in x.tolist()])
         both = ~np.isnan(px[:-1]) & ~np.isnan(px[1:])
         assert np.all(np.diff(px)[both] > 0.0), a
         pairs += int(both.sum())
@@ -471,26 +409,4 @@ def test_departure_probes_past_the_cap_raise(a):
         next_crossing(-1, 0.5, p)
     assert f"(0.5, 0.0) into S_-1 at a={a!r}" in str(exc.value)
     with pytest.raises(SolverError, match="probes"):
-        next_crossing_array(-1, np.array([0.5, 0.6]), p)
-    with pytest.raises(SolverError, match="probes"):
         find_nonsliding_period4(a)
-
-
-def test_next_crossing_array_passes_fit_under_the_cap(monkeypatch):
-    # at a = 100 a departure into S_- takes about 4 800 probes, so a pass
-    # holds about 200 departures, not ROWS_PER_PASS
-    p = OscillatorParams(a=100.0)
-    x_i = np.linspace(0.01, 1.99, 500)
-    expected = [scalar_or_nan(-1, x, p) for x in x_i.tolist()]
-    sizes = []
-    real = poincare._probes
-
-    def probes(sign, x, params):
-        t = real(sign, x, params)
-        sizes.append(t.shape)
-        return t
-
-    monkeypatch.setattr(poincare, "_probes", probes)
-    assert_same_floats(next_crossing_array(-1, x_i, p), expected)
-    assert len(sizes) == 3 and sum(rows for rows, _ in sizes) == 500
-    assert all(rows * width <= MAX_POINTS for rows, width in sizes)

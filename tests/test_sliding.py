@@ -400,34 +400,44 @@ def test_no_nonsliding_periodic_nonlinear_margins(a):
         assert 4.0 * n + 2.0 < r["p_minus"] < 4.0 * n + 4.0
 
 
-@pytest.mark.parametrize("a", np.geomspace(1e-3, 10.0, 7).tolist())
-def test_margin_rows_equal_scalar_rows(a):
-    # oracle: the rows built one scalar next_crossing per departure
-    p = OscillatorParams(a=a)
-    expected = []
-    for n in range(1, 13):
-        xp = next_crossing(+1, 4.0 * n - 2.0, p).x_next
-        xm = next_crossing(-1, 4.0 * n, p).x_next
-        expected.append({
-            "n": n,
-            "p_plus": xp,
-            "margin_plus": min(xp - (4.0 * n - 4.0 / 3.0), (4.0 * n - 2.0 / 3.0) - xp),
-            "p_minus": xm,
-            "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
-        })
-    assert check_no_nonsliding_periodic_nonlinear(a, 12) == expected
+def test_margin_rows_are_one_landing_per_side_shifted_by_4n(monkeypatch):
+    # both fields are 4-periodic in x, so P_+-(x + 4k) = P_+-(x) + 4k: a
+    # per-n landing is the n = 1 landing shifted, to rounding in ulp(4n)
+    # (measured worst: 1 ulp), and the rows take one crossing per side
+    rng = np.random.default_rng(37)
+    for a in (10.0 ** rng.uniform(-3.0, 1.0, size=20)).tolist():
+        p = OscillatorParams(a=a)
+        first = (next_crossing(+1, 2.0, p).x_next, next_crossing(-1, 4.0, p).x_next)
+        for n in (2, 10, 10**3, 10**6, 25 * 10**6):
+            bound = 2.0 * math.ulp(4.0 * n)
+            assert abs(next_crossing(+1, 4.0 * n - 2.0, p).x_next
+                       - (first[0] + 4.0 * (n - 1))) <= bound, (a, n)
+            assert abs(next_crossing(-1, 4.0 * n, p).x_next
+                       - (first[1] + 4.0 * (n - 1))) <= bound, (a, n)
+        rows = check_no_nonsliding_periodic_nonlinear(a, 12)
+        assert [r["n"] for r in rows] == list(range(1, 13))
+        for r in rows:
+            n, bound = r["n"], 2.0 * math.ulp(4.0 * r["n"])
+            assert abs(r["p_plus"] - next_crossing(+1, 4.0 * n - 2.0, p).x_next) <= bound
+            assert abs(r["p_minus"] - next_crossing(-1, 4.0 * n, p).x_next) <= bound
+    calls = []
+    real = sliding.next_crossing
+    monkeypatch.setattr(sliding, "next_crossing",
+                        lambda *args: calls.append(args) or real(*args))
+    check_no_nonsliding_periodic_nonlinear(0.5, 12)
+    assert len(calls) == 2
 
 
 def test_margin_row_failure_raises_the_scalar_error_with_its_n(monkeypatch):
     # a bracket width of 1e-2 leaves every polished crossing with a residual
-    # far above tol, so both forms reject every departure
+    # far above tol; the rows raise the error of their first crossing, n = 1
     p = OscillatorParams(a=0.5)
     monkeypatch.setattr(poincare, "BRACKET_WIDTH", 1e-2)
     with pytest.raises(SolverError) as scalar:
         next_crossing(+1, 2.0, p)
     with pytest.raises(SolverError) as rows:
         check_no_nonsliding_periodic_nonlinear(0.5, 3)
-    assert str(rows.value) == f"margin row n=1: {scalar.value}"
+    assert str(rows.value) == str(scalar.value)
 
 
 def _max_y_after(traj, x_t):
