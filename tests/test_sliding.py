@@ -400,6 +400,31 @@ def test_no_nonsliding_periodic_nonlinear_margins(a):
         assert 4.0 * n + 2.0 < r["p_minus"] < 4.0 * n + 4.0
 
 
+@pytest.mark.parametrize("a", np.geomspace(1e-3, 10.0, 7).tolist())
+def test_margin_rows_equal_scalar_rows(a):
+    # oracle: the n = 1 scalar landings shifted by 4(n - 1), which the rows
+    # must equal bit for bit (one rounding of x_1 + 4(n - 1) either way),
+    # and which lie within 2 ulp(4n) of one scalar next_crossing per n
+    p = OscillatorParams(a=a)
+    xp1 = next_crossing(+1, 2.0, p).x_next
+    xm1 = next_crossing(-1, 4.0, p).x_next
+    expected = []
+    for n in range(1, 13):
+        xp = xp1 + 4.0 * (n - 1)
+        xm = xm1 + 4.0 * (n - 1)
+        bound = 2.0 * math.ulp(4.0 * n)
+        assert abs(xp - next_crossing(+1, 4.0 * n - 2.0, p).x_next) <= bound, n
+        assert abs(xm - next_crossing(-1, 4.0 * n, p).x_next) <= bound, n
+        expected.append({
+            "n": n,
+            "p_plus": xp,
+            "margin_plus": min(xp - (4.0 * n - 4.0 / 3.0), (4.0 * n - 2.0 / 3.0) - xp),
+            "p_minus": xm,
+            "margin_minus": min(xm - (4.0 * n + 2.0), (4.0 * n + 4.0) - xm),
+        })
+    assert check_no_nonsliding_periodic_nonlinear(a, 12) == expected
+
+
 def test_margin_rows_are_one_landing_per_side_shifted_by_4n(monkeypatch):
     # both fields are 4-periodic in x, so P_+-(x + 4k) = P_+-(x) + 4k: a
     # per-n landing is the n = 1 landing shifted, to rounding in ulp(4n)
