@@ -12,18 +12,20 @@ on a float, ``flow_from_array`` on an array of x; ``flow_solution`` is the
 case y0 = 0.  The zeros of h, the threshold returns, cannot be written down,
 but are sandwiched between the zeros of two explicit comparison functions,
 h0 (drop the decay) and hinf (drop the transient); the Poincare module
-probes one departure's h0 lattice (``h0_zeros``) with one ``h_array`` call.
+walks one departure's h0 zeros merged with a uniform grid.
 
 ``next_contact`` locates the first contact of the general flow from any
 start with a level y = c (the threshold c = 0 from an interior start, the
 layer boundary c = +-eps for an exterior arc).  There no probing is needed:
 the zeros of a c + sin(w pi x) separate the contacts, so that lattice
-brackets the first one.  No contact search builds an array of more than
-MAX_POINTS points.
+brackets the first one.  Both searches walk their points in ascending order
+and stop at the first one where the flow has reached the level; neither walks
+more than MAX_POINTS points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,8 +40,8 @@ from .core import (
     sinpi_array,
 )
 
-#: Most points a contact search evaluates in one array: a lattice of
-#: ``next_contact`` or one departure's probes.
+#: Most points one contact search may walk, a lattice of ``next_contact`` or
+#: one departure's probes: a bound on how long a search can take.
 MAX_POINTS = 1 << 20
 
 
@@ -99,14 +101,15 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
 
     d/dx (e^(a x) (y - level)) = -e^(a x) (a level + sin(w pi x)), so the
     zeros of a level + sin(w pi x) separate the contacts: each cell of that
-    lattice holds at most one.  One ``flow_from_array`` call on the lattice
-    brackets the first contact and ``brentq`` polishes it.  The lattice runs
-    to the horizon x0 + 8/w + max(0, ln(|y0|/amp)/a); a contact past it, which
-    a transient y0 - y_p(x0) larger than |y0| can cause, raises SolverError,
-    as does a lattice of more than MAX_POINTS points (a tiny a).  A run that
-    ends at x_end needs no contact past it: the lattice stops at its first
-    point at or past x_end, which keeps every bracket before x_end, and no
-    contact before that point returns inf.
+    lattice holds at most one.  The lattice is walked in ascending order with
+    ``flow_from``; the first point where the flow has reached the level and the
+    point before it bracket the first contact, and ``brentq`` polishes it.  The
+    lattice runs to the horizon x0 + 8/w + max(0, ln(|y0|/amp)/a); a contact
+    past it, which a transient y0 - y_p(x0) larger than |y0| can cause, raises
+    SolverError, as does a lattice of more than MAX_POINTS points (a tiny a),
+    before the walk starts.  A run that ends at x_end needs no contact past
+    it: the walk stops at the first point at or past x_end, which keeps every
+    bracket before x_end, and no contact before that point returns inf.
     A start on the level (a layer exit, a fold) skips the cell that begins at
     x0, which holds no other contact; a flow that crosses the level in that
     cell enters the other side at once and is rejected.
@@ -123,24 +126,27 @@ def next_contact(sign: int, x0: float, y0: float, level: float,
                           f"a={a!r} needs {size:.3g} lattice points up to x = {reach!r}, "
                           f"more than {MAX_POINTS}")
     s = math.asin(-a * level) / math.pi  # |a level| <= a eps < 1
-    k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * reach / 2.0) + 1)
-    lattice = np.sort(np.concatenate(((s + k) / w, (1.0 - s + k) / w)))
+    lattice = (x for m in range(math.floor(w * x0 / 2.0) - 1, math.ceil(w * reach / 2.0) + 1)
+               for x in ((s + 2.0 * m) / w, (1.0 - s + 2.0 * m) / w))
     # a lattice point within rounding of x0 is x0 itself (a fold start)
-    lattice = lattice[(lattice > x0 + 1e-12 * max(1.0, abs(x0))) & (lattice < horizon)]
-    past = np.flatnonzero(lattice >= x_end)
-    xs = lattice[:past[0] + 1] if past.size else np.append(lattice, horizon)
-    inside = np.flatnonzero(sign * (flow_from_array(sign, xs, x0, y0, params) - level) <= 0.0)
-    if not inside.size:
-        if past.size:
+    cut = x0 + 1e-12 * max(1.0, abs(x0))
+    lattice = itertools.takewhile(lambda x: x < horizon,
+                                  itertools.dropwhile(lambda x: x <= cut, lattice))
+    g = lambda x: flow_from(sign, x, x0, y0, params) - level
+    lo = x0
+    for x in itertools.chain(lattice, (horizon,)):  # the horizon ends a walk short of x_end
+        if sign * g(x) <= 0.0:
+            break
+        if x_end <= x < horizon:
             return math.inf
+        lo = x
+    else:
         raise SolverError(f"no contact with y = {level!r} from ({x0!r}, {y0!r}) "
                           f"before x = {horizon!r}")
-    j = inside[0]
-    g = lambda x: flow_from(sign, x, x0, y0, params) - level
-    if j == 0 and (y0 == level or not sign * g(x0) > 0.0):
+    if lo == x0 and (y0 == level or not sign * g(x0) > 0.0):
         raise DomainError(f"the flow from ({x0!r}, {y0!r}) on y = {level!r} leaves "
                           f"S_{sign:+d} at once")
-    return brentq(g, xs[j - 1] if j else x0, xs[j], xtol=1e-14)
+    return brentq(g, lo, x, xtol=1e-14)
 
 
 def h(sign: int, xbar: float, x_i: float, params: OscillatorParams) -> float:
@@ -159,21 +165,6 @@ def h_array(sign: int, xbar: np.ndarray, x_i: float, params: OscillatorParams) -
     w = omega(sign)
     vq = varphi_over_pi(sign, x_i, params)
     return np.exp(-params.a * xbar) * sinpi(vq) - sinpi_array(w * xbar + vq)
-
-
-def h0_zeros(sign: int, x_i: float, params: OscillatorParams, horizon: float) -> np.ndarray:
-    """Zeros of h0 = sin(varphi) - sin(w pi xbar + varphi) from the departure x_i.
-
-    Two interleaved lattices: xbar = 2k/w, and xbar = start + 2k/w with
-    start = 1/w + 2 phi/(w pi) - 2 fmod(x_i, 2/w).  The array holds the two
-    lattices for k = 0, 1, ... until both pass the horizon, unsorted; the
-    caller cuts them to its range.
-    """
-    w = omega(sign)
-    period = 2.0 / w
-    start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * math.fmod(x_i, period)
-    k = np.arange(math.floor((horizon - min(0.0, start)) / period) + 2) * period
-    return np.concatenate((k, start + k))
 
 
 def p0_map(sign: int, x_i: float) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from . import experiments, poincare
 from .experiments import fmt, write_csv
 from .core import (
+    SAMPLES_PER_UNIT,
     DomainError,
     NoOrbitError,
     OscillatorParams,
@@ -40,8 +41,8 @@ from .svgplot import line_plot
 
 CSV_HEADER = "x,y_or_v,mode,branch,event"
 #: Most rows a table of the CLI holds: the branches of a ``manifolds`` or
-#: ``ageing`` --range (a nonlinear 0:1e5, 150 000 rows, fits) and the samples
-#: of a ``map`` --grid.
+#: ``ageing`` --range (a nonlinear 0:1e5, 150 000 rows, fits), the samples
+#: of a ``map`` --grid and a ``simulate`` span at SAMPLES_PER_UNIT per unit.
 MAX_ROWS = 2**18
 
 
@@ -144,6 +145,10 @@ def cmd_simulate(args) -> int:
     x0 = _setting(args, "x0", 0.0)
     y0 = _setting(args, "y0", 0.0)
     x_end = _setting(args, "x_end", x0 + 8.0)
+    rows = (x_end - x0) * SAMPLES_PER_UNIT  # the least the run's segments tabulate
+    if rows > MAX_ROWS:
+        raise DomainError(f"--x-end {x_end!r} from --x0 {x0!r} needs {rows:.3g} rows, more "
+                          f"than the {MAX_ROWS} rows a table holds")
     out = _out_dir(args)
     traj = experiments.simulate(model, params, x0, y0, x_end)
     csv_path = out / "trajectory.csv"
@@ -214,8 +219,7 @@ def cmd_map(args) -> int:
     rows = []
     for x in np.linspace(lo, hi, int(n)).tolist():
         try:
-            x_comp = poincare.composite_map(x, params.a)
-            x_minus = poincare.next_crossing(-1, x, discontinuous).x_next
+            x_minus, x_comp = poincare._legs(x, discontinuous)
         except OscillatorError:  # a departure either map rejects leaves both nan
             x_minus = x_comp = math.nan
         pe = math.nan

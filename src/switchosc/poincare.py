@@ -3,11 +3,12 @@
 The next threshold contact after a departure at (x_i, 0) is the first positive
 zero of the crossing function h; its trivial zero at 0 is never probed.  The
 probes, a grid whose step resolves both the oscillation (1/(8w)) and the
-decay (1/(4a)) plus the zeros of the comparison function h0, take one array
-evaluation of h.  The smallest probe at which h has left the sign of y and the
-largest probe below it (or 0) bracket the zero, and brentq polishes it with
-the phase of x_i computed once.  ``next_crossing`` takes one departure, one
-that ``core.departure_ok`` allows, and reports brentq's iterations.
+decay (1/(4a)) merged with the zeros of the comparison function h0, are
+walked in ascending order with the phase of x_i computed once.  The first
+probe at which h has left the sign of y and the probe before it (or 0)
+bracket the zero, and brentq polishes it.  ``next_crossing`` takes one
+departure, one that ``core.departure_ok`` allows, and reports brentq's
+iterations.
 
 ``section_fixed_point`` is the one Newton driver for a period-4 fixed point
 P(x) = x + 4 of a section map, in both engines: a run from x reports P(x) and
@@ -20,11 +21,13 @@ The non-sliding orbit is the fixed point whose legs both cross.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .core import (
@@ -40,7 +43,7 @@ from .core import (
     omega,
     sinpi,
 )
-from .analytic_flow import MAX_POINTS, h0_zeros, h_array, varphi_over_pi
+from .analytic_flow import MAX_POINTS, phase_lag, varphi_over_pi
 # h stays bound here, unused: the benchmark's tracer patches it by name
 from .analytic_flow import h  # noqa: F401
 
@@ -76,63 +79,25 @@ def _probe_count(sign: int, x_i: float, params: OscillatorParams) -> int:
     return int(count)
 
 
-def _probes(sign: int, x_i: float, params: OscillatorParams) -> np.ndarray:
-    """Scan abscissae xbar, unsorted, nan outside (floor, horizon].
+def _probes(sign: int, x_i: float, params: OscillatorParams) -> Iterator[float]:
+    """Scan abscissae xbar in (floor, horizon], ascending (a point on two lattices twice).
 
-    The uniform grid, whose step resolves both the oscillation (1/(8w)) and the
-    decay (1/(4a)), then the zeros of the comparison function h0.  Callers
-    size it by ``_probe_count`` first.
+    The uniform grid k*step, whose step resolves both the oscillation (1/(8w))
+    and the decay (1/(4a)), merged with the zeros of the comparison function
+    h0 = sin(varphi) - sin(w pi xbar + varphi): xbar = 2k/w and xbar = start +
+    2k/w.  Callers bound the walk by ``_probe_count`` first.
     """
     w = omega(sign)
     horizon = HORIZON / w
     step = min(1.0 / (8.0 * w), 1.0 / (4.0 * params.a))
-    uniform = np.arange(1, math.floor(horizon / step) + 2) * step
-    t = np.concatenate((uniform, h0_zeros(sign, x_i, params, horizon)))
-    t[(t <= min(step * 1e-3, 1e-4)) | (t > horizon)] = np.nan
-    return t
-
-
-def _brackets(sign: int, x_i: float, params: OscillatorParams) -> tuple[float, float, bool]:
-    """The probe bracket (lo, hi] of the first zero of h from the departure.
-
-    hi is the smallest probe at which h has left the sign of y (inf when there
-    is none) and lo the largest probe below it, or 0.0; the third value says
-    whether h(hi) == 0 where hi is finite.  The probes take one ``h_array``
-    evaluation, in which the nan probes never hit.
-    """
-    t = _probes(sign, x_i, params)
-    vals = h_array(sign, t, x_i, params)
-    # h carries the sign of y, which is `sign` until the first zero
-    hit = vals <= 0.0 if sign > 0 else vals >= 0.0
-    hi = float(np.min(t, where=hit, initial=np.inf))
-    lo = float(np.max(t, where=t < hi, initial=0.0))
-    return lo, hi, float(np.min(t, where=vals == 0.0, initial=np.inf)) == hi
-
-
-def _polish(sign: int, x_i: float, params: OscillatorParams, lo: float, hi: float,
-            exact: bool) -> tuple[float, int]:
-    """The root of h(., x_i) in [lo, hi] and brentq's iterations.
-
-    The callback is h with the phase of x_i computed once.  Raises SolverError
-    when the residual exceeds RESIDUAL_TOL.
-    """
-    w, a = omega(sign), params.a
-    vq = varphi_over_pi(sign, x_i, params)
-    s = sinpi(vq)
-    f = lambda u: math.exp(-a * u) * s - sinpi(w * u + vq)
-    if exact:
-        root, iters = hi, 0
-    else:
-        root, info = brentq(f, lo, hi, xtol=BRACKET_WIDTH / 2, full_output=True)
-        # h(0) = 0 exactly, and brentq returns such a bracket end at once
-        # without setting its iteration count
-        iters = info.iterations if lo != 0.0 else 0
-    residual = abs(f(root))
-    if residual > RESIDUAL_TOL:
-        # bracket has collapsed below 1e-13; a residual above the bound means
-        # the slope is enormous, not that the root is wrong, but report it anyway
-        raise SolverError(f"crossing residual {residual} exceeds {RESIDUAL_TOL}")
-    return root, iters
+    period = 2.0 / w
+    start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * math.fmod(x_i, period)
+    floor = min(step * 1e-3, 1e-4)
+    lattices = ((k * step for k in itertools.count(1)),
+                (k * period for k in itertools.count()),
+                (start + k * period for k in itertools.count()))
+    probes = heapq.merge(*(itertools.dropwhile(lambda t: t <= floor, lat) for lat in lattices))
+    return itertools.takewhile(lambda t: t <= horizon, probes)
 
 
 def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareResult:
@@ -140,8 +105,8 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
 
     Raises DomainError for a non-finite x_i or when the field at x_i does not
     allow that departure, and SolverError when no sign change appears within
-    the horizon 6/w (which cannot happen for a > 0) or the probes would pass
-    MAX_POINTS.
+    the horizon 6/w (which cannot happen for a > 0), the probes would pass
+    MAX_POINTS or the residual at the root exceeds RESIDUAL_TOL.
     """
     if sign not in (-1, 1):
         raise DomainError(f"sign must be +-1, got {sign}")
@@ -153,23 +118,46 @@ def next_crossing(sign: int, x_i: float, params: OscillatorParams) -> PoincareRe
             "with the field direction"
         )
     _probe_count(sign, x_i, params)  # SolverError past MAX_POINTS
-    lo, hi, exact = _brackets(sign, x_i, params)
-    if hi == math.inf:
-        raise SolverError(
-            f"no crossing located within horizon {HORIZON / omega(sign)} from x_i={x_i} "
-            f"(sign={sign}, a={params.a})"
-        )
-    root, iters = _polish(sign, x_i, params, lo, hi, exact)
+    w, a = omega(sign), params.a
+    vq = varphi_over_pi(sign, x_i, params)
+    s = sinpi(vq)
+    f = lambda u: math.exp(-a * u) * s - sinpi(w * u + vq)  # h with the phase computed once
+    lo = 0.0
+    for hi in _probes(sign, x_i, params):
+        # h carries the sign of y, which is `sign` until the first zero
+        val = f(hi)
+        if sign * val <= 0.0:
+            break
+        lo = hi
+    else:
+        raise SolverError(f"no crossing located within horizon {HORIZON / w} from "
+                          f"x_i={x_i} (sign={sign}, a={a})")
+    if val == 0.0:
+        root, iters = hi, 0
+    else:
+        root, info = brentq(f, lo, hi, xtol=BRACKET_WIDTH / 2, full_output=True)
+        # h(0) = 0 exactly, and brentq returns such a bracket end at once
+        # without setting its iteration count
+        iters = info.iterations if lo != 0.0 else 0
+    residual = abs(f(root))
+    if residual > RESIDUAL_TOL:
+        # bracket has collapsed below 1e-13; a residual above the bound means
+        # the slope is enormous, not that the root is wrong, but report it anyway
+        raise SolverError(f"crossing residual {residual} exceeds {RESIDUAL_TOL}")
     return PoincareResult(x_next=x_i + root, iterations=iters)
+
+
+def _legs(x: float, params: OscillatorParams) -> tuple[float, float]:
+    """The landings P_-(x) and P(x) = P_+(P_-(x)) of a departure x in I_- mod 4."""
+    if not (math.isfinite(x) and I_MINUS[0] < math.fmod(x, 4.0) < I_MINUS[1]):
+        raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
+    x1 = next_crossing(-1, x, params).x_next
+    return x1, next_crossing(+1, x1, params).x_next
 
 
 def composite_map(x: float, a: float) -> float:
     """P(x, a) = P_+^a(P_-^a(x)) for departures x in I_- = (0, 2/3) mod 4."""
-    p = OscillatorParams(a=a)
-    if not (math.isfinite(x) and I_MINUS[0] < math.fmod(x, 4.0) < I_MINUS[1]):
-        raise DomainError(f"composite map needs x in (0, 2/3) mod 4, got {x}")
-    x1 = next_crossing(-1, x, p).x_next
-    return next_crossing(+1, x1, p).x_next
+    return _legs(x, OscillatorParams(a=a))[1]
 
 
 def dP_da_at_zero(x0: float) -> float:

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from switchosc.analytic_flow import (
     MAX_POINTS,
@@ -11,7 +13,6 @@ from switchosc.analytic_flow import (
     flow_scale,
     flow_solution,
     h,
-    h0_zeros,
     next_contact,
     p0_map,
     phase_lag,
@@ -27,7 +28,7 @@ from switchosc.core import (
     sinpi,
 )
 from switchosc.experiments import ivp_contact
-from switchosc.poincare import next_crossing
+from switchosc.poincare import _probes, next_crossing
 from switchosc.regularization import fold_points
 
 
@@ -146,35 +147,41 @@ def test_h_is_scaled_flow():
             flow_solution(-1, 0.7 + xbar, 0.7, p) * flow_scale(-1, p), abs=1e-12)
 
 
-def h0_zeros_up_to(sign, x_i, p, horizon):
-    """The zeros of h0 from one departure in [0, horizon], sorted."""
-    zs = np.sort(h0_zeros(sign, x_i, p, horizon))
-    return zs[(zs >= 0.0) & (zs <= horizon)].tolist()
+def off_grid_probes(sign, x_i, p):
+    """The probes of a departure off the uniform grid and off 2k/w: the shifted h0 zeros."""
+    w = omega(sign)
+    step = min(1.0 / (8.0 * w), 1.0 / (4.0 * p.a))
+    off = lambda u, unit: abs(u / unit - round(u / unit)) > 1e-9
+    return [u for u in _probes(sign, x_i, p) if off(u, step) and off(u, 2.0 / w)]
 
 
 def test_h0_zeros_contain_period_lattice_and_are_roots():
+    # the probes of a departure hold the zeros 2k/w of h0 = sin(varphi) -
+    # sin(w pi xbar + varphi) (0, the departure itself, is never probed), and
+    # each of the other probes off the uniform grid is a zero of h0 too
     p = OscillatorParams(a=1.0)
-    zs = h0_zeros_up_to(+1, 10.0 / 3.0, p, 12.0)[:8]
-    # the 2n/w family is always present
-    for k in (0.0, 4.0 / 3.0, 8.0 / 3.0):
-        assert any(abs(z - k) < 1e-12 for z in zs)
-    # and every reported zero is a genuine root of h0
+    t = list(_probes(+1, 10.0 / 3.0, p))
+    for k in (4.0 / 3.0, 8.0 / 3.0, 4.0):
+        assert any(abs(z - k) < 1e-12 for z in t)
+    shifted = off_grid_probes(+1, 10.0 / 3.0, p)
+    assert shifted
     vq = varphi_over_pi(+1, 10.0 / 3.0, p)
-    for z in zs:
+    for z in shifted:
         assert sinpi(vq) - sinpi(1.5 * z + vq) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_zero_lattices_are_sorted():
-    # two lattices of step 2/w, the first from 0, both past the horizon
+    # the probes ascend through (floor, horizon] = (1e-4, 12], the uniform
+    # grid merged with two zero lattices of step 2/w = 4
     p = OscillatorParams(a=0.5)
     for x_i in (7.7, -3.1, 0.0, 401.9):
-        zs = h0_zeros(-1, x_i, p, 400.0)
-        half = zs.size // 2
-        assert zs.size == 2 * half
-        for lattice in (zs[:half], zs[half:]):
-            np.testing.assert_allclose(np.diff(lattice), 4.0, rtol=0.0, atol=1e-12)
-            assert lattice[-1] > 400.0
-        assert zs[0] == 0.0
+        t = list(_probes(-1, x_i, p))
+        assert 1e-4 < t[0] and t[-1] <= 12.0
+        assert all(u <= v for u, v in zip(t, t[1:]))
+        assert all(any(abs(z - u) < 1e-12 for u in t) for z in (4.0, 8.0, 12.0))
+        shifted = off_grid_probes(-1, x_i, p)
+        assert shifted
+        np.testing.assert_allclose(np.diff(shifted), 4.0, rtol=0.0, atol=1e-12)
 
 
 def test_sandwich_property():
@@ -288,6 +295,67 @@ def test_next_contact_finds_every_departures_first_return():
             compared += 1
             assert abs(got - old) <= 1e-13 * max(1.0, abs(x)), (sign, x, a)
     assert compared >= 1450
+
+
+def array_lattice_contact(sign, x0, y0, level, params, x_end):
+    """Oracle: the lattice search on arrays that ``next_contact``'s walk replaces.
+
+    Both lattices are built up to the horizon, sorted and cut at x0; one
+    ``flow_from_array`` call evaluates them up to the first point at or past
+    x_end (or, with none, at the horizon), and the first point where the flow
+    has reached the level brackets the contact for brentq.
+    """
+    w, a = omega(sign), params.a
+    amp = 1.0 / math.hypot(w * math.pi, a)
+    horizon = x0 + 8.0 / w + math.log(max(abs(y0) / amp, 1.0)) / a
+    reach = min(horizon, x_end + 3.0 / w)
+    s = math.asin(-a * level) / math.pi
+    k = 2.0 * np.arange(math.floor(w * x0 / 2.0) - 1, math.ceil(w * reach / 2.0) + 1)
+    lattice = np.sort(np.concatenate(((s + k) / w, (1.0 - s + k) / w)))
+    lattice = lattice[(lattice > x0 + 1e-12 * max(1.0, abs(x0))) & (lattice < horizon)]
+    past = np.flatnonzero(lattice >= x_end)
+    xs = lattice[:past[0] + 1] if past.size else np.append(lattice, horizon)
+    inside = np.flatnonzero(sign * (flow_from_array(sign, xs, x0, y0, params) - level) <= 0.0)
+    if not inside.size:
+        if past.size:
+            return math.inf
+        raise SolverError("no contact before the horizon")
+    j = inside[0]
+    g = lambda x: flow_from(sign, x, x0, y0, params) - level
+    if j == 0 and (y0 == level or not sign * g(x0) > 0.0):
+        raise DomainError("the flow leaves at once")
+    return brentq(g, xs[j - 1] if j else x0, xs[j], xtol=1e-14)
+
+
+def test_next_contact_walk_matches_the_array_search_bit_for_bit():
+    # interior starts on the threshold level, starts on and off y = +-eps and
+    # departures, each with x_end infinite or a few periods on; every other
+    # start, and every other finite x_end, lies on the level's lattice
+    rng = np.random.default_rng(38)
+    outcomes = Counter()
+    for k in range(2000):
+        sign = 1 if rng.random() < 0.5 else -1
+        p, x0 = _draw(rng)
+        level = 0.0 if k % 4 in (0, 3) else sign * p.epsilon
+        y0 = (sign * float(rng.uniform(1e-3, 1.0)) if k % 4 == 0
+              else level * float(rng.uniform(1.0 + 1e-6, 1.5)) if k % 4 == 2 else level)
+        w, s = omega(sign), math.asin(-p.a * level) / math.pi
+        on_lattice = lambda m: ((s if rng.random() < 0.5 else 1.0 - s) + 2.0 * m) / w
+        if k % 8 >= 4:
+            x0 = on_lattice(int(x0))
+        x_end = math.inf if rng.random() < 0.5 else x0 + float(rng.uniform(0.0, 20.0))
+        if x_end < math.inf and rng.random() < 0.5:
+            x_end = on_lattice(math.floor(w * x_end / 2.0))
+        try:
+            want = array_lattice_contact(sign, x0, y0, level, p, x_end)
+        except (DomainError, SolverError) as exc:
+            with pytest.raises(type(exc)):
+                next_contact(sign, x0, y0, level, p, x_end)
+            outcomes[type(exc).__name__] += 1
+            continue
+        assert next_contact(sign, x0, y0, level, p, x_end) == want, (sign, x0, y0, level, p)
+        outcomes["inf" if want == math.inf else "contact"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 
 
 @pytest.mark.parametrize("a", [1e-300, 1e-9])

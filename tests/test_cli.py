@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from switchosc import experiments
+from switchosc import experiments, poincare
 
 from switchosc.analytic_flow import flow_from
 from switchosc.cli import main
@@ -125,6 +125,20 @@ def test_map_rows_equal_the_scalar_maps(tmp_path, capsys):
             nan_rows += 1
         assert row == f"{x:.12g},{expected[0]:.12g},{expected[1]:.12g},nan"
     assert 0 < nan_rows < len(rows) == 24
+
+
+def test_map_row_takes_one_crossing_per_leg(tmp_path, capsys, monkeypatch):
+    # the S_- landing of a row is both its p_minus column and the first leg
+    # of its composite map
+    calls = []
+    crossing = poincare.next_crossing
+    monkeypatch.setattr(poincare, "next_crossing",
+                        lambda *args: calls.append(args) or crossing(*args))
+    code, _, _ = run(["map", "--a", "0.01", "--grid", "0.1:0.6:7",
+                      "--out-dir", str(tmp_path)], capsys)
+    rows = (tmp_path / "maps.csv").read_text().splitlines()[1:]
+    assert code == 0 and all(row.count("nan") == 1 for row in rows)  # p_eps alone
+    assert len(calls) == 2 * len(rows) == 14
 
 
 def test_ageing_table(tmp_path, capsys):
@@ -274,13 +288,21 @@ def test_map_grid_past_the_row_cap_usage_error(tmp_path, capsys):
      "--x-end", "1e12", "--out-dir", "{dir}"],
     ["orbit", "find", "--model", "linear", "--a", "1e300"],
     ["map", "--a", "3e4", "--grid", "0.1:0.6:3", "--out-dir", "{dir}"],
+    ["simulate", "--model", "nonlinear", "--a", "0.5", "--x0", "0.3", "--y0", "0.2",
+     "--x-end", "1e5", "--out-dir", "{dir}"],
+    ["simulate", "--model", "nonlinear", "--a", "0.5", "--epsilon", "0.01", "--x0", "0.3",
+     "--y0", "0.2", "--x-end", "2.5e7", "--out-dir", "{dir}"],
 ])
-def test_contact_search_past_the_array_cap_usage_error(args, tmp_path, capsys):
-    # a contact lattice (tiny a) or a departure's probes (huge a) would need
-    # more points than memory holds; both stop before building the array
+def test_probes_or_rows_past_the_cap_usage_error(args, tmp_path, capsys):
+    # a departure's probes (huge a) would take longer to walk than any run
+    # should, and a simulate span tabulates at least 120 rows per unit of x
+    # (12 million to x = 1e5); each is refused before anything runs
+    t0 = time.perf_counter()
     code, out, err = run([a.format(dir=tmp_path) for a in args], capsys)
-    assert code == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "more than" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("model,epsilon,y0", [("linear", 0.0, 1.0),
@@ -480,6 +502,36 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
             else 0
         code, _, err = exit_code(cmd[1:], capsys)
         assert code == expected, (cmd, err)
+
+
+_NUMERIC_RUNS = {  # a run that exits 0, and its numeric flags
+    "simulate": (["simulate", "--model", "linear", "--a", "0.5", "--x0", "0.3", "--y0", "0.2",
+                  "--x-end", "4", "--out-dir", "{dir}"], ["a", "x0", "y0", "x-end"]),
+    "simulate-regularized": (["simulate", "--model", "nonlinear", "--a", "0.5", "--epsilon",
+                              "0.01", "--x0", "0.3", "--v0", "20", "--x-end", "4",
+                              "--out-dir", "{dir}"], ["a", "epsilon", "x0", "v0", "x-end"]),
+    "orbit find": (["orbit", "find", "--model", "linear", "--a", "0.01"], ["a"]),
+    "map": (["map", "--a", "0.01", "--epsilon", "0.0025", "--grid", "0.55:0.65:3",
+             "--out-dir", "{dir}"], ["a", "epsilon"]),
+    "scaling": (["scaling", "--a", "0.01", "--out-dir", "{dir}"],
+                ["a", "n-fixed", "eps-fixed", "eps-grid", "n-grid"]),
+}
+
+
+@pytest.mark.parametrize("name,flag", [(name, flag) for name, (_, flags) in _NUMERIC_RUNS.items()
+                                       for flag in flags])
+def test_numeric_flag_fuzz_exits_with_a_code(name, flag, tmp_path, capsys):
+    # each numeric flag of a run that exits 0, set to each value below (the
+    # later flag wins): every run exits 0, 1 or 2, never with a traceback,
+    # and a usage error says why on stderr
+    argv, _ = _NUMERIC_RUNS[name]
+    for value in ("nan", "inf", "-inf", "1e400", "-1", "0"):
+        args = [a.format(dir=tmp_path) for a in argv] + [f"--{flag}={value}"]
+        code, out, err = exit_code(args, capsys)
+        assert code in (0, 1, 2), (args, code)
+        assert "Traceback" not in err, args
+        if code == 2:
+            assert err.startswith(("error: ", "usage: ")), (args, err)
 
 
 _FUZZ_COMMANDS = {  # argv after the config, and the command's optional flags

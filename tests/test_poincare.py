@@ -29,7 +29,7 @@ from switchosc.core import (
 from switchosc.sliding import find_sliding_period4_linear
 from switchosc.poincare import (
     BRACKET_WIDTH,
-    _brackets,
+    _probes,
     composite_map,
     dP_da_at_zero,
     find_nonsliding_period4,
@@ -69,8 +69,11 @@ def test_flow_map_consistency_and_bracket():
     for sign, x_i in ((+1, 10.0 / 3.0), (-1, 0.21), (-1, 8.0)):
         res = next_crossing(sign, x_i, p)
         assert abs(flow_solution(sign, res.x_next, x_i, p)) < 1e-10
-        lo, hi, exact = _brackets(sign, x_i, p)
-        assert lo < res.x_next - x_i < hi or (exact and res.x_next - x_i == hi)
+        # the first probe where h has left the sign of y, and the one before it
+        t = [0.0, *_probes(sign, x_i, p)]
+        j = next(j for j in range(1, len(t)) if sign * h(sign, t[j], x_i, p) <= 0.0)
+        exact = h(sign, t[j], x_i, p) == 0.0
+        assert t[j - 1] < res.x_next - x_i < t[j] or (exact and res.x_next - x_i == t[j])
 
 
 def test_departure_consistency_enforced():
@@ -189,14 +192,14 @@ def test_zero_bracket_end_reports_no_iterations():
     # with h(0) = 0 exactly: brentq returns 0 at once (the zero-length arc of
     # the open contact-finder fault) and leaves its own count unset
     x_i, p = 6.642139527593896, OscillatorParams(a=1.068)
-    assert _brackets(+1, x_i, p)[0] == 0.0
+    assert h(+1, next(_probes(+1, x_i, p)), x_i, p) < 0.0
     res = next_crossing(+1, x_i, p)
     assert res.x_next == x_i
     assert res.iterations == 0
 
 
 def scalar_scan_crossing(sign, x_i, params):
-    """Oracle: the probe-by-probe scan that the array probe replaces.
+    """Oracle: the probe-by-probe scan, with its probes built apart from ``_probes``.
 
     Probes are the uniform grid k*step and the two h0 zero lattices, built
     term by term up to the horizon, deduplicated, sorted and cut at the
@@ -239,7 +242,7 @@ def scalar_scan_crossing(sign, x_i, params):
     return x_i + root
 
 
-def test_array_probe_matches_scalar_scan_bit_for_bit():
+def test_probe_walk_matches_scalar_scan_bit_for_bit():
     rng = np.random.default_rng(11)
     cases = [(+1, 1.068, 6.642139527593896)]
     for k in range(600):
