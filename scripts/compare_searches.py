@@ -2,7 +2,6 @@
 
     git archive <rev> src | tar -x -C /tmp/base
     python3 scripts/compare_searches.py /tmp/base/src
-    python3 scripts/compare_searches.py /tmp/base/src --departures 3000 --contacts 2000
 
 One subprocess per tree (this repository's ``src`` and the one given) runs
 the same seeded draws and prints one outcome per draw: the repr of the result
@@ -27,6 +26,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+DEPARTURES = 30001
+CONTACTS = 20000
 
 
 def departure_draws(n: int):
@@ -65,7 +66,7 @@ def contact_draws(n: int):
         yield sign, x0, y0, level, a, eps, x_end
 
 
-def worker(departures: int, contacts: int) -> None:
+def worker() -> None:
     from switchosc.analytic_flow import next_contact
     from switchosc.core import OscillatorParams
     from switchosc.poincare import next_crossing
@@ -76,31 +77,29 @@ def worker(departures: int, contacts: int) -> None:
         except Exception as exc:  # the outcome compared is the exception's type
             return type(exc).__name__
 
-    for sign, x_i, a in departure_draws(departures):
+    for sign, x_i, a in departure_draws(DEPARTURES):
         print("D", outcome(next_crossing, sign, x_i, OscillatorParams(a=a)))
-    for sign, x0, y0, level, a, eps, x_end in contact_draws(contacts):
+    for sign, x0, y0, level, a, eps, x_end in contact_draws(CONTACTS):
         p = OscillatorParams(a=a, epsilon=eps)
         print("C", outcome(next_contact, sign, x0, y0, level, p, x_end))
 
 
-def run(src: Path, departures: int, contacts: int) -> list[str]:
+def run(src: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    res = subprocess.run([sys.executable, __file__, "--worker", str(departures), str(contacts)],
+    res = subprocess.run([sys.executable, __file__, "--worker"],
                          env=env, capture_output=True, text=True, check=True)
     return res.stdout.splitlines()
 
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--worker"]:
-        worker(int(argv[1]), int(argv[2]))
+        worker()
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("other_src", type=Path, help="the src directory of the other tree")
-    ap.add_argument("--departures", type=int, default=30001)
-    ap.add_argument("--contacts", type=int, default=20000)
     args = ap.parse_args(argv)
-    ours = run(ROOT / "src", args.departures, args.contacts)
-    theirs = run(args.other_src.resolve(), args.departures, args.contacts)
+    ours = run(ROOT / "src")
+    theirs = run(args.other_src.resolve())
     differ = [(i, a, b) for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
     for kind, name in (("D", "departures"), ("C", "contact starts")):
         n = sum(line[0] == kind for line in ours)
