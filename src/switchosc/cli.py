@@ -149,8 +149,12 @@ def cmd_simulate(args) -> int:
     if rows > MAX_ROWS:
         raise DomainError(f"--x-end {x_end!r} from --x0 {x0!r} needs {rows:.3g} rows, more "
                           f"than the {MAX_ROWS} rows a table holds")
-    out = _out_dir(args)
     traj = experiments.simulate(model, params, x0, y0, x_end)
+    built = sum(len(seg.xs) for seg in traj.segments)  # each segment holds >= 9 rows
+    if built > MAX_ROWS:
+        raise DomainError(f"the run from --x0 {x0!r} to --x-end {x_end!r} builds {built} "
+                          f"rows, more than the {MAX_ROWS} rows a table holds")
+    out = _out_dir(args)
     csv_path = out / "trajectory.csv"
     write_csv(csv_path, CSV_HEADER, traj.rows())
     print(f"wrote {csv_path}")

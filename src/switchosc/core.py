@@ -180,6 +180,16 @@ def forcing_dlam(model: SwitchingModel, x: float, lam: float) -> float:
     return math.pi * x * (wp - wm) / 2.0 * cospi(u)
 
 
+def forcing_dx(model: SwitchingModel, x: float, lam: float) -> float:
+    """d f_i / d x at fixed lambda, used by layer transits run with x as the state."""
+    wp, wm = OMEGA_PLUS, OMEGA_MINUS
+    if model is SwitchingModel.LINEAR:
+        return 0.5 * math.pi * ((1.0 + lam) * wp * cospi(wp * x)
+                                + (1.0 - lam) * wm * cospi(wm * x))
+    w = ((1.0 + lam) * wp + (1.0 - lam) * wm) / 2.0
+    return math.pi * w * cospi(w * x)
+
+
 def vector_field(model: SwitchingModel, params: OscillatorParams,
                  state: HybridState) -> tuple[float, float]:
     """(dx, dy) off the threshold; rejects y = 0 where lambda is set-valued."""

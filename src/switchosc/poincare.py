@@ -93,6 +93,9 @@ def _probes(sign: int, x_i: float, params: OscillatorParams) -> Iterator[float]:
     period = 2.0 / w
     start = 1.0 / w + 2.0 * phase_lag(sign, params) / (w * math.pi) - 2.0 * math.fmod(x_i, period)
     floor = min(step * 1e-3, 1e-4)
+    # the shifted lattice from its first point above the floor: fmod < 0 for
+    # x_i < 0 puts start up to two periods past it
+    start -= period * max(0, math.floor((start - floor) / period))
     lattices = ((k * step for k in itertools.count(1)),
                 (k * period for k in itertools.count()),
                 (start + k * period for k in itertools.count()))

@@ -13,20 +13,32 @@ half-plane system and no numerical integration is used there: an exterior arc
 ends where ``analytic_flow.next_contact`` finds it back on y = +-eps.  scipy's
 Radau serves only as a test oracle for the kernel.
 
-A run is a ``core.Trajectory`` in (x, v): each layer arc keeps the kernel's
-dense output (the step's cubic in numpy) as its evaluator and each exterior
-arc the closed form ``flow_from_array``, so ``Trajectory.eval`` serves v on
-arrays; ``v_r`` is evaluated the same way.
+A layer transit, an arc that crosses the strip in O(eps) of x, is run in the
+v form: u = sigma v is the independent variable and x the state,
+dx/du = sigma / rate (``transit_system``), which is not stiff, so it takes
+about a fifth of the kernel steps.  A capture has no monotone x(u), so the
+guard ``_may_capture`` keeps an arc in the x form where an attracting branch
+at its start reaches past ``capture_threshold(eps)`` beyond it.  A v-form
+arc that meets the capture stop at x_start + ``capture_threshold(eps)``, or
+whose kernel run fails, is rerun in the x form from its start.
+
+A run is a ``core.Trajectory`` in (x, v): each x-form layer arc keeps the
+kernel's dense output (the step's cubic in numpy) as its evaluator, each
+v-form arc a ``TransitDense`` (v(x) by inverting a quintic Hermite x(u) per
+step) and each exterior arc the closed form ``flow_from_array``, so
+``Trajectory.eval`` serves v on arrays; ``v_r`` is evaluated the same way.
 
 Fixed points of the regularized return map P_eps are found by
 ``poincare.section_fixed_point``, the Newton driver of the discontinuous map
 too: a run with a ``section_after`` yields P_eps(x) and log P_eps'(x) in the
-steps of a plain run (the kernel carries J' = d/dv (dv/dx) as a quadrature),
-so each iterate costs one run.
+steps of a plain run (the kernel carries J' = d/dv (dv/dx) as a quadrature,
+or d/dx (dx/du) on a v-form arc, whose integral is log(dx_out/dx_in)
+itself), so each iterate costs one run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -44,9 +56,11 @@ from .core import (
     TrajectorySegment,
     Mode,
     branch,
+    branch_indices,
     capture_threshold,
     forcing,
     forcing_dlam,
+    forcing_dx,
     omega,
 )
 # flow_from stays bound here: the benchmark's tracer patches it by name
@@ -57,6 +71,9 @@ from .radau import solve_ivp
 _NUDGE = 1e-12
 #: Layer solves and exterior arcs before a regularized run gives up.
 _EVENT_BUDGET = 6000
+#: Slope evaluations a layer transit in the v form may take before it is
+#: rerun in the x form.
+_TRANSIT_EVALUATIONS = 10000
 
 
 class CaptureError(SolverError):
@@ -126,6 +143,111 @@ def layer_system(model: SwitchingModel, params: OscillatorParams):
     return rate, rate_dv
 
 
+def transit_system(model: SwitchingModel, params: OscillatorParams, sigma: float):
+    """The layer ODE with u = sigma v as the independent variable and x as the
+    state: dx/du = sigma / rate(x, sigma u), sigma = +-1 the sign of the rate.
+
+    Returns ``(slope, slope_dx)`` in ``radau.solve_ivp``'s (t, y) order: the
+    slope dx/du and its derivative d slope / dx = sigma f_x / (eps rate^2),
+    the Jacobian and, with a sensitivity, the J' whose quadrature is
+    log(dx_out/dx_in).  Across a transit the rate keeps its sign and is
+    O(1/eps), so x(u) is smooth and the problem is not stiff.  The kernel
+    takes a NaN as a failed step, and the slope is NaN where the rate is zero
+    or has the other sign (x(u) turns vertical there, or a Newton iterate
+    went to the mirror branch of a start on a zero of the rate, where x
+    falls) and past ``_TRANSIT_EVALUATIONS`` evaluations (where x stalls
+    below a point where the field is undefined, steps too short to move x
+    would go on); its derivative is NaN where it overflows.  Like
+    ``layer_system``, the closures look up ``forcing`` and ``forcing_dx`` in
+    this module at each call.
+    """
+    e = params.epsilon
+    rate = layer_system(model, params)[0]
+    calls = itertools.count()
+
+    def slope(u, x):
+        r = rate(x, sigma * u)
+        return sigma / r if sigma * r > 0.0 and next(calls) < _TRANSIT_EVALUATIONS else math.nan
+
+    def slope_dx(u, x):
+        r = rate(x, sigma * u)
+        d = sigma * forcing_dx(model, x, psi(sigma * u)) / e / r / r if r else math.nan
+        # an infinite Jacobian would zero the Newton increments: a false convergence
+        return d if abs(d) < math.inf else math.nan
+
+    return slope, slope_dx
+
+
+class TransitDense:
+    """v(x) on a layer arc run in the v form: the inverse of x(u).
+
+    Between two step ends x(u) is the quintic Hermite polynomial of the end
+    states and of dx/du and d2x/du2 there, both from the layer ODE.  The
+    kernel's own dense output, a cubic, is only as good as the tolerance on
+    x, which the rate, O(1/eps), magnifies into v (to about 1e-9 at rtol
+    1e-11); the step ends are far better, and the quintic keeps that between
+    them.  Each point's step is found among the step ends' x; a safeguarded
+    Newton iteration on the step's quintic, started from the chord and kept
+    inside a bracket that bisects whenever the Newton point leaves it, solves
+    x(u) = x_q, vectorised over the points.  The ends give the arc's start
+    and end levels exactly.  The derivatives are evaluated on the first call.
+    """
+
+    _ITERATIONS = 60
+
+    def __init__(self, model: SwitchingModel, params: OscillatorParams, sigma: float,
+                 sol, x1: float, v1: float):
+        self.model, self.params, self.sigma, self.sol = model, params, sigma, sol
+        self.x1, self.v1 = x1, v1
+        self._table = None  # (u and x at the step ends, step sizes, coefficients)
+
+    def _tabulate(self):
+        us = np.array(self.sol.ts)
+        xs = np.array([step[2] for step in self.sol.steps] + [self.x1])
+        rate_dv = layer_system(self.model, self.params)[1]
+        slope, slope_dx = transit_system(self.model, self.params, self.sigma)
+        d1, d2 = [], []
+        for u, x in zip(us.tolist(), xs.tolist()):
+            s = slope(u, x)
+            d1.append(s)
+            # d/du slope(u, x(u)) = -rate_dv / rate^2 + slope_dx * slope
+            d2.append(s * (slope_dx(u, x) - rate_dv(x, self.sigma * u) * s))
+        h = np.diff(us)
+        d1, d2 = np.array(d1), np.array(d2)
+        a, b, c, d = h * d1[:-1], h * h * d2[:-1], h * d1[1:], h * h * d2[1:]
+        gap = np.diff(xs)
+        coefficients = (a, 0.5 * b,
+                        10.0 * gap - 6.0 * a - 1.5 * b - 4.0 * c + 0.5 * d,
+                        -15.0 * gap + 8.0 * a + 1.5 * b + 7.0 * c - d,
+                        6.0 * gap - 3.0 * a - 0.5 * b - 3.0 * c + 0.5 * d)
+        return us, xs, h, np.array(coefficients)
+
+    def __call__(self, xq):
+        xq = np.asarray(xq, dtype=float)
+        if self._table is None:
+            self._table = self._tabulate()
+        us, xs, h, coefficients = self._table
+        j = np.clip(np.searchsorted(xs, xq, "left") - 1, 0, len(h) - 1)
+        c1, c2, c3, c4, c5 = coefficients[:, j]
+        offset = xs[j] - xq
+        lo, hi = np.zeros(xq.shape), np.ones(xq.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(-offset / (xs[j + 1] - xs[j]), 0.0, 1.0)
+            for _ in range(self._ITERATIONS):
+                f = offset + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))))
+                lo = np.where(f < 0.0, t, lo)
+                hi = np.where(f > 0.0, t, hi)
+                newton = t - f / (c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4
+                                                                          + 5.0 * t * c5))))
+                step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+                step = np.where(f == 0.0, t, step)
+                if np.array_equal(step, t):
+                    break
+                t = step
+        v = self.sigma * (us[j] + t * h[j])
+        return np.where(xq == self.x1, self.v1, v)  # u + t h can miss the span's end
+
+
 # ---------------------------------------------------------------------------
 # layer geometry
 
@@ -178,15 +300,83 @@ def _ext_return(side: int, x0: float, v0: float, params: OscillatorParams,
     return next_contact(side, x0, e * v0, side * e, params, x_end)
 
 
+def _may_capture(model: SwitchingModel, x: float, epsilon: float) -> bool:
+    """An attracting branch at x reaches past x + capture_threshold(eps).
+
+    A layer arc from x can then be captured, so it keeps the x form.  Domain
+    ends rise with the index, so the last attracting index at x has the
+    largest end.
+    """
+    if abs(x) > 2.0**53:  # past branch_indices' range: keep the x form
+        return True
+    attracting = [n for n in branch_indices(model, x, x)[-2:]
+                  if branch(model, n).stability == "attracting"]
+    return bool(attracting) and (branch(model, attracting[-1]).domain[1]
+                                 > x + capture_threshold(epsilon))
+
+
+def _x_arc(model: SwitchingModel, params: OscillatorParams, x: float, v_in: float,
+           x_end: float, rtol: float, section: bool):
+    """A layer arc with x as the independent variable: any arc, captures too.
+
+    Returns (x1, v1, evaluator, exited, log dx_out/dx_in).  ``exited`` is
+    False where the arc reached x_end inside the layer (x1 = x_end, v1 the v
+    there); the log-derivative is None then and outside a section run.
+    """
+    rate, rate_dv = layer_system(model, params)
+    # v leaves the layer through +-1; the section is the downward v = 0
+    stops = [(1.0, +1), (-1.0, -1)] + ([(0.0, -1)] if section else [])
+    sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, rtol / 100.0, stops, section)
+    if sol.status < 0:
+        raise LayerIntegrationError(f"layer integration failed: {sol.message}",
+                                    sol.t[-1], sol.v_end, sol.h_last)
+    x1 = sol.t[-1]
+    if sol.stop is None:
+        return x1, sol.v_end, sol.sol.value, False, None
+    level = stops[sol.stop][0]
+    # the section-map log-derivative: the integrated dF/dv along the arc and
+    # the rate-in/rate-out factors
+    log_slope = (sol.j_end + math.log(abs(rate(x, v_in))) - math.log(abs(rate(x1, level)))
+                 if section else None)
+    return x1, level, sol.sol.value, True, log_slope
+
+
+def _v_arc(model: SwitchingModel, params: OscillatorParams, x: float, v_in: float,
+           x_end: float, rtol: float, section: bool):
+    """A transit with u = sigma v as the independent variable and x as the state,
+    returned as ``_x_arc`` returns an arc, or None where the x form must run.
+
+    sigma is the sign of the rate at the start.  The u-span ends at the level
+    where the transit leaves: v = sigma, or v = 0 for a falling arc from
+    above the section of a section run.  Rising stops on x at x_end and at
+    x + ``capture_threshold(eps)`` end it early: the first cuts the run, the
+    second (a transit turning into a capture) gives None, as does a kernel
+    failure.  The kernel's sensitivity is log(dx_out/dx_in) itself.
+    """
+    sigma = 1.0 if layer_system(model, params)[0](x, v_in) > 0.0 else -1.0
+    level = 0.0 if section and sigma < 0.0 and v_in > 0.0 else sigma
+    slope, slope_dx = transit_system(model, params, sigma)
+    stops = [(x_end, +1), (x + capture_threshold(params.epsilon), +1)]
+    sol = solve_ivp(slope, slope_dx, (sigma * v_in, sigma * level), x, rtol, rtol / 100.0,
+                    stops, section)
+    if sol.status < 0 or sol.stop == 1:
+        return None
+    exited = sol.stop is None
+    x1, v1 = (sol.v_end, level) if exited else (x_end, sigma * sol.t[-1])
+    return (x1, v1, TransitDense(model, params, sigma, sol.sol, x1, v1), exited,
+            sol.j_end if exited else None)
+
+
 def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          x0: float, v0: float, x_end: float,
                          rtol: float = 1e-10,
                          section_after: float | None = None) -> Trajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
-    Alternates stiff layer integration (``radau.solve_ivp`` at rtol and atol
-    = rtol/100, analytic Jacobian, stop levels v = +-1 where v leaves the
-    layer) with closed-form exterior arcs.  With ``section_after`` set the run
+    Alternates layer integration (``radau.solve_ivp`` at rtol and atol
+    = rtol/100, analytic Jacobian; stop levels v = +-1 where v leaves the
+    layer, or in the v form the level as the span's end) with closed-form
+    exterior arcs.  With ``section_after`` set the run
     is a section run of the regularized return map: a downward v = 0 stop is
     added, the run terminates at the first such crossing past that abscissa
     (``section_x``), and ``log_sensitivity`` accumulates J = d/dv (dv/dx)
@@ -203,13 +393,9 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
         raise DomainError(f"regularized simulation runs forward: x_end={x_end} < x0={x0}")
     e = params.epsilon
     a = params.a
-    atol = rtol / 100.0
     traj = Trajectory(params=params, model=model)
     log_sens = 0.0
-    rate, rate_dv = layer_system(model, params)
     section = section_after is not None
-    # v leaves the layer through +-1; the section is the downward v = 0
-    stops = [(1.0, +1), (-1.0, -1)] + ([(0.0, -1)] if section else [])
 
     x, v = x0, v0
     mode = "layer" if abs(v) <= 1.0 else "ext"
@@ -219,22 +405,17 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
             break
         if mode == "layer":
             v_in = min(max(v, -1.0 + _NUDGE), 1.0 - _NUDGE)
-            sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, atol, stops, section)
-            if sol.status < 0:
-                raise LayerIntegrationError(f"layer integration failed: {sol.message}",
-                                            sol.t[-1], sol.v_end, sol.h_last)
-            x1 = sol.t[-1]
-            level = sol.v_end if sol.stop is None else stops[sol.stop][0]
-            traj.segments.append(TrajectorySegment(Mode.LAYER, x, x1, v_in, level,
-                                                   sol.sol.value))
-            if sol.stop is None:
+            arc = (None if _may_capture(model, x, e)
+                   else _v_arc(model, params, x, v_in, x_end, rtol, section))
+            if arc is None:
+                arc = _x_arc(model, params, x, v_in, x_end, rtol, section)
+            x1, level, evaluator, exited, log_slope = arc
+            traj.segments.append(TrajectorySegment(Mode.LAYER, x, x1, v_in, level, evaluator))
+            if not exited:
                 x = x1
                 continue
             if section:
-                # section-map log-derivative: rate-in/rate-out factors plus
-                # the integrated dF/dv along the arc
-                log_sens += (sol.j_end + math.log(abs(rate(x, v_in)))
-                             - math.log(abs(rate(x1, level))))
+                log_sens += log_slope
             if level == 0.0:
                 if x1 > section_after:
                     traj.section_x = x1

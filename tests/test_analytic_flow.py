@@ -28,6 +28,7 @@ from switchosc.core import (
     sinpi,
 )
 from switchosc.experiments import ivp_contact
+from switchosc import poincare
 from switchosc.poincare import _probes, next_crossing
 from switchosc.regularization import fold_points
 
@@ -182,6 +183,29 @@ def test_zero_lattices_are_sorted():
         shifted = off_grid_probes(-1, x_i, p)
         assert shifted
         np.testing.assert_allclose(np.diff(shifted), 4.0, rtol=0.0, atol=1e-12)
+
+
+def test_negative_departures_probe_every_h0_zero():
+    # the zeros of h0 = sin(varphi) - sin(w pi xbar + varphi) are 2k/w and
+    # (1 - 2 varphi/pi)/w + 2k/w; for x_i < 0 every one in (floor, horizon]
+    # is a probe, the shifted lattice's first ones included
+    rng = np.random.default_rng(40)
+    checked = 0
+    while checked < 200:
+        sign = int(rng.choice([-1, 1]))
+        p = OscillatorParams(a=float(10.0 ** rng.uniform(-3.0, 1.0)))
+        x_i = -float(rng.uniform(0.0, 50.0))
+        if not departure_ok(sign, x_i):
+            continue
+        w = omega(sign)
+        step = min(1.0 / (8.0 * w), 1.0 / (4.0 * p.a))
+        floor, horizon = min(step * 1e-3, 1e-4), poincare.HORIZON / w
+        start = (1.0 - 2.0 * varphi_over_pi(sign, x_i, p)) / w
+        zeros = [z for k in range(-8, 8) for z in (2.0 * k / w, start + 2.0 * k / w)
+                 if floor + 1e-9 < z < horizon - 1e-9]
+        probes = np.array(list(_probes(sign, x_i, p)))
+        assert zeros and all(np.min(np.abs(probes - z)) <= 1e-12 for z in zeros), (sign, x_i)
+        checked += 1
 
 
 def test_sandwich_property():

@@ -305,6 +305,25 @@ def test_probes_or_rows_past_the_cap_usage_error(args, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_refuses_the_rows_it_built_past_the_cap(tmp_path, capsys):
+    # the span tabulates 262 080 rows at 120 per unit, under the cap, but each
+    # of the run's 1 639 segments holds at least 9, so it builds 263 719
+    t0 = time.perf_counter()
+    code, out, err = run(["simulate", "--model", "linear", "--a", "0.5", "--x0", "0",
+                          "--y0", "0.2", "--x-end", "2184", "--out-dir", str(tmp_path)],
+                         capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "builds 263719 rows, more than the 262144" in err
+    assert not list(tmp_path.iterdir())
+    # a shorter run of the same start writes its table
+    code, _, _ = run(["simulate", "--model", "linear", "--a", "0.5", "--x0", "0",
+                      "--y0", "0.2", "--x-end", "2100", "--out-dir", str(tmp_path)], capsys)
+    rows = (tmp_path / "trajectory.csv").read_text().count("\n") - 1
+    assert code == 0 and 2100 * 120 < rows <= 2**18
+
+
 @pytest.mark.parametrize("model,epsilon,y0", [("linear", 0.0, 1.0),
                                              ("nonlinear", 1e-3, 2.0)])
 def test_contact_search_stops_at_the_run_end(model, epsilon, y0, tmp_path, capsys):

@@ -12,6 +12,7 @@ from switchosc import poincare, radau, regularization
 from switchosc.core import (
     DomainError,
     Mode,
+    capture_threshold,
     OscillatorParams,
     SolverError,
     SwitchingModel,
@@ -593,3 +594,129 @@ def test_trajectory_eval_rejects_points_outside_the_run():
     empty = simulate_regularized(NONLIN, p, 14.1, 1.1, 14.1)  # a run of length zero
     with pytest.raises(DomainError, match="outside the simulated range"):
         empty.eval([14.1])
+
+
+# ---------------------------------------------------------------------------
+# layer transits in the v form, against the x form as the oracle
+
+
+def _seeded_transits(n: int, seed: int) -> list:
+    """(model, params, x, v_in, section) of seeded layer arcs the v form takes.
+
+    Linear a log-uniform in [1e-3, 10] with x in [0, 4), nonlinear a in the
+    same range with x < 4/3 (no attracting branch there); eps log-uniform in
+    [1e-4, 1e-2].  An entry at +-1 points into the layer; a section start
+    sits at v = -1e-12 with either rate sign.
+    """
+    rng = np.random.default_rng(seed)
+    arcs = []
+    while len(arcs) < n:
+        model = LIN if rng.uniform() < 0.75 else NONLIN
+        p = OscillatorParams(a=10.0 ** rng.uniform(-3.0, 1.0),
+                             epsilon=10.0 ** rng.uniform(-4.0, -2.0))
+        x = float(rng.uniform(0.0, 4.0 if model is LIN else 4.0 / 3.0))
+        v_in = float(rng.choice([1.0 - 1e-12, -1.0 + 1e-12, -1e-12]))
+        section = v_in == -1e-12 or bool(rng.uniform() < 0.5)
+        entering = v_in == -1e-12 or layer_system(model, p)[0](x, v_in) * v_in < 0.0
+        if entering and not regularization._may_capture(model, x, p.epsilon):
+            arcs.append((model, p, x, v_in, section))
+    return arcs
+
+
+def test_v_form_transits_match_the_x_form():
+    # exit x within 1e-12 max(1, |x|), the same exit level, and the section
+    # log-derivative log(dx_out/dx_in) within 1e-9, at the P_eps tolerance;
+    # the v form gives up only on an arc that is no transit in the x form:
+    # one longer than capture_threshold (a capture near a branch end) or one
+    # that turns back inside the layer
+    rtol = regularization._PMAP_RTOL
+    transits = logs = 0
+    for model, p, x, v_in, section in _seeded_transits(150, 40):
+        arc = regularization._v_arc(model, p, x, v_in, x + 12.0, rtol, section)
+        ox1, olevel, _, oexited, olog = regularization._x_arc(model, p, x, v_in, x + 12.0,
+                                                              rtol, section)
+        if arc is None:
+            sigma = 1.0 if layer_system(model, p)[0](x, v_in) > 0.0 else -1.0
+            turned = olevel != (0.0 if section and sigma < 0.0 < v_in else sigma)
+            assert ox1 - x > capture_threshold(p.epsilon) or turned, (model, p, x, v_in)
+            continue
+        x1, level, evaluator, exited, log_slope = arc
+        assert exited and oexited and level == olevel, (model, p, x, v_in)
+        assert abs(x1 - ox1) <= 1e-12 * max(1.0, abs(ox1)), (model, p, x, v_in, x1 - ox1)
+        assert isinstance(evaluator, regularization.TransitDense)
+        transits += 1
+        if section:
+            assert abs(log_slope - olog) <= 1e-9, (model, p, x, v_in, log_slope - olog)
+            logs += 1
+    assert transits >= 140 and logs >= 60
+
+
+def test_transit_guard_keeps_captures_in_the_x_form():
+    may = regularization._may_capture
+    assert may(LIN, 3.0, 1e-3)             # inside the attracting (8/3, 10/3)
+    assert not may(LIN, 10.0 / 3.0 - 0.01, 1e-3)  # its end within 0.025
+    assert not may(LIN, 1.0, 1e-3)         # a repelling branch only
+    assert not may(LIN, 2.0, 1e-3)         # no branch
+    assert not may(NONLIN, 1.0, 1e-2)      # branch 1, repelling
+    assert may(NONLIN, 14.1, 1e-2)         # overlapping branches past 4/3
+    assert may(LIN, 2.0**60, 1e-3)         # past branch_indices' range
+
+
+def _spy_kernel(monkeypatch) -> list:
+    """Wrap the kernel; the list collects (v form, stop, status) of each solve."""
+    solves = []
+    real = regularization.solve_ivp
+
+    def spied(rate, rate_dv, span, y0, rtol, atol, stops, sensitivity):
+        sol = real(rate, rate_dv, span, y0, rtol, atol, stops, sensitivity)
+        solves.append((stops[0][0] != 1.0, sol.stop, sol.status))
+        return sol
+
+    monkeypatch.setattr(regularization, "solve_ivp", spied)
+    return solves
+
+
+def _x_form_run(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(regularization, "_v_arc", lambda *a: None)
+        return simulate_regularized(*args, **kwargs)
+
+
+def _same_run(got, want):
+    assert [(s.mode, s.x0, s.x1, s.y0, s.y1) for s in got.segments] == [
+        (s.mode, s.x0, s.x1, s.y0, s.y1) for s in want.segments]
+    assert got.events == want.events
+    xq = np.linspace(got.x_start, got.x_end, 301)
+    assert np.array_equal(got.eval(xq), want.eval(xq))
+
+
+@pytest.mark.parametrize("v0, stop, status", [(0.0, 1, 1), (0.9, None, -1)],
+                         ids=["capture-stop", "kernel-failure"])
+def test_v_form_fallback_gives_the_x_form_run(monkeypatch, v0, stop, status):
+    # a start within capture_threshold of the end of the attracting linear
+    # branch (8/3, 10/3) takes the v form; below the branch the arc slides
+    # to the capture stop, above it the rate changes sign and the kernel fails
+    p = OscillatorParams(a=0.01, epsilon=1e-3)
+    x0 = 10.0 / 3.0 - 0.9 * 0.025
+    want = _x_form_run(monkeypatch, LIN, p, x0, v0, x0 + 1.0)
+    solves = _spy_kernel(monkeypatch)
+    got = simulate_regularized(LIN, p, x0, v0, x0 + 1.0)
+    assert solves[0] == (True, stop, status) and solves[1][0] is False
+    _same_run(got, want)
+    assert got.captured_spans()
+
+
+def test_v_form_kernel_failure_reruns_the_x_form(monkeypatch):
+    # with forcing_dx NaN every v-form step fails: each transit of a P_eps
+    # run falls back, and the run is the x form's, bit for bit
+    p = OscillatorParams(a=0.01, epsilon=1e-2)
+    args = (LIN, p, 0.62, -1e-12, 12.62)
+    want = _x_form_run(monkeypatch, *args, rtol=1e-11, section_after=1.12)
+    monkeypatch.setattr(regularization, "forcing_dx", lambda model, x, lam: math.nan)
+    solves = _spy_kernel(monkeypatch)
+    got = simulate_regularized(*args, rtol=1e-11, section_after=1.12)
+    v_form = [s for s in solves if s[0]]
+    assert v_form and all(status == -1 for _, _, status in v_form)
+    assert len(solves) == 2 * len(v_form)
+    _same_run(got, want)
+    assert (got.section_x, got.log_sensitivity) == (want.section_x, want.log_sensitivity)

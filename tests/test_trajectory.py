@@ -167,3 +167,29 @@ def test_regularized_budget_failure_names_the_state(monkeypatch):
     msg = str(info.value)
     assert "budget of 3 arcs exhausted" in msg and "arc next at x=" in msg
     assert msg.count("TrajectoryEvent(") == 3
+
+
+def test_v_form_transits_invert_their_dense_output(monkeypatch):
+    # every layer arc of a non-sliding P_eps run is a transit in the v form:
+    # its evaluator gives the end levels exactly, is monotone, and agrees with
+    # the x form's dense output within 1e-10 at 50 points per transit
+    p = OscillatorParams(a=0.01, epsilon=2.5e-3)
+    args = (LIN, p, 0.62, -1e-12, 12.62)
+    traj = simulate_regularized(*args, rtol=1e-11, section_after=1.12)
+    monkeypatch.setattr(regularization, "_v_arc", lambda *a: None)
+    ref = simulate_regularized(*args, rtol=1e-11, section_after=1.12)
+    assert [s.mode for s in traj.segments] == [s.mode for s in ref.segments]
+    transits = 0
+    for seg, want in zip(traj.segments, ref.segments):
+        if seg.mode is not Mode.LAYER:
+            continue
+        assert isinstance(seg.eval, regularization.TransitDense)
+        transits += 1
+        assert seg.eval(np.array([seg.x0, seg.x1])).tolist() == [seg.y0, seg.y1]
+        assert traj.eval(seg.x0)[0] == seg.y0
+        xs = np.linspace(seg.x0, seg.x1, 50)
+        v = seg.eval(xs)
+        assert np.all(np.sign(seg.y1 - seg.y0) * np.diff(v) >= 0.0)
+        assert np.array_equal(traj.eval(xs[:-1]), v[:-1])
+        assert np.max(np.abs(v - want.eval(xs))) <= 1e-10
+    assert transits == 3  # down to -1, up to +1, down to the section
