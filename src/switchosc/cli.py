@@ -212,6 +212,8 @@ def cmd_manifolds(args) -> int:
 def cmd_map(args) -> int:
     params = _params(args)
     lo, hi, n = _colon_floats(args.grid, "lo:hi:n", "--grid")
+    if not math.isfinite(hi - lo):  # the grid's samples would overflow to inf and nan
+        raise DomainError(f"--grid {args.grid}: the span hi - lo overflows")
     if not (n >= 1 and n == int(n)):
         raise DomainError(f"--grid sample count must be a positive integer, got {n}")
     if n > MAX_ROWS:
@@ -243,8 +245,8 @@ def cmd_ageing(args) -> int:
     model = _model(args)
     rows = ageing_metrics(model, x_range=_branch_range(args, model))
     path = _out_dir(args) / "ageing.csv"
-    write_csv(path, "n,branch_width,slid_length,stability",
-              ((r["n"], r["branch_width"], r["slid_length"], r["stability"]) for r in rows))
+    write_csv(path, "n,branch_width,stability",
+              ((r["n"], r["branch_width"], r["stability"]) for r in rows))
     print(f"wrote {path}")
     return 0
 

@@ -58,15 +58,10 @@ from .sliding import (
 )
 from .svgplot import line_plot
 
-#: criterion number -> scenario id realizing it (emitted as the traceability matrix)
-TRACEABILITY = {i: f"E{i}" for i in range(1, 14)}
-
-
 @dataclass
 class CheckResult:
     name: str
     passed: bool
-    measured: object
     detail: str
     provenance: str
 
@@ -186,11 +181,9 @@ _CHECK_OPS = {
                 "{val!r} vs {target!r} +- {tol}"),
     "interval": (("lo", "hi"), lambda v, c: c["lo"] < v < c["hi"], "{val!r} in ({lo}, {hi})"),
     "le": (("target",), lambda v, c: v <= c["target"], "{val!r} <= {target}"),
-    "ge": (("target",), lambda v, c: v >= c["target"], "{val!r} >= {target}"),
     "lt": (("target",), lambda v, c: v < c["target"], "{val!r} < {target}"),
     "gt": (("target",), lambda v, c: v > c["target"], "{val!r} > {target}"),
     "is_true": ((), lambda v, c: bool(v), "{val!r} is true"),
-    "is_false": ((), lambda v, c: not bool(v), "{val!r} is false"),
 }
 
 
@@ -219,7 +212,7 @@ def _evaluate_check(check: dict, measured: dict) -> CheckResult:
     _, verdict, template = _CHECK_OPS[check["op"]]
     ok = verdict(val, check)
     detail = template.format(**check, val=val)
-    return CheckResult(name=name, passed=bool(ok), measured=val, detail=detail,
+    return CheckResult(name=name, passed=bool(ok), detail=detail,
                        provenance=check["provenance"])
 
 
@@ -593,11 +586,3 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None,
                       ylabel="y" if scenario.params.get("epsilon", 0.0) == 0.0 else "v")
     return report
 
-
-def write_traceability(out_dir: str | Path) -> Path:
-    """Criterion -> scenario matrix, one row per acceptance criterion."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "traceability.csv"
-    write_csv(path, "criterion,scenario", sorted(TRACEABILITY.items()))
-    return path

@@ -187,8 +187,7 @@ def _initial_step(rate, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
-              sensitivity) -> RadauResult:
+def solve_ivp(rate, rate_dv, x_span, v0, rtol, stops, sensitivity) -> RadauResult:
     """Integrate the layer ODE v' = rate(x, v) forward over x_span with Radau IIA.
 
     ``rate_dv(x, v)`` is d rate / dv, the Jacobian.  With ``sensitivity``
@@ -199,13 +198,17 @@ def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
     falling), at the smallest such root; ``stop`` is then that pair's index,
     and ``t[-1]``, ``v_end`` and ``j_end`` hold the stop point (J there from
     the last step's collocation polynomial).  ``t`` is a list; rtol below
-    100 EPS is raised to it, as scipy does.
+    100 EPS is raised to it, as scipy does, and atol is rtol / 100.
+
+    A run that needs a step below the float spacing, or would factor a
+    Jacobian that is not finite, ends with status -1 at the last accepted
+    state, where that Jacobian was evaluated.
     """
     t0, t_bound = float(x_span[0]), float(x_span[1])
     if not t_bound >= t0:
         raise ValueError("only forward integration (x_span[1] >= x_span[0]) is supported")
     rtol = max(float(rtol), 100 * EPS)
-    atol = float(atol)
+    atol = rtol / 100
     y = float(v0)
     j = j_old = 0.0 if sensitivity else None  # J at t and at the last step start
 
@@ -217,7 +220,7 @@ def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
     ts, steps = [t0], []
     v_end, j_end = y, j  # the state at ts[-1]
     h_abs = h_last = math.nan
-    status = stop = None
+    status = stop = message = None
     if t == t_bound:
         status = 0
     else:
@@ -258,6 +261,8 @@ def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
             converged = False
             while not converged:
                 if lu is None:
+                    if not math.isfinite(jac):
+                        break
                     lu = (MU_REAL / h - jac, 1 / (MU_COMPLEX / h - jac))
                     nlu += 2
                 converged, n_iter, z, newton_rate, calls = _solve_collocation(
@@ -270,6 +275,9 @@ def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
                     njev += 1
                     current_jac = True
                     lu = None
+            if lu is None:  # a Jacobian with nothing finite to factor
+                status, message = -1, f"The Jacobian is not finite: {jac!r}."
+                break
             if not converged:
                 h_abs *= 0.5
                 lu = None
@@ -347,4 +355,4 @@ def solve_ivp(rate, rate_dv, x_span, v0, rtol, atol, stops,
     return RadauResult(
         t=ts, v_end=v_end, j_end=j_end, sol=RadauSolution(ts, steps), stop=stop,
         nfev=nfev, njev=njev, nlu=nlu,
-        status=status, message=MESSAGES[status], h_last=h_last)
+        status=status, message=message or MESSAGES[status], h_last=h_last)

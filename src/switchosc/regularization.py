@@ -65,7 +65,9 @@ from .core import (
 )
 # flow_from stays bound here: the benchmark's tracer patches it by name
 from .analytic_flow import flow_from, flow_from_array, flow_from_deriv, next_contact
-from .poincare import section_fixed_point
+# next_crossing is looked up in poincare at each call: the benchmark's tracer
+# patches it there
+from . import poincare
 from .radau import solve_ivp
 
 _NUDGE = 1e-12
@@ -157,9 +159,9 @@ def transit_system(model: SwitchingModel, params: OscillatorParams, sigma: float
     went to the mirror branch of a start on a zero of the rate, where x
     falls) and past ``_TRANSIT_EVALUATIONS`` evaluations (where x stalls
     below a point where the field is undefined, steps too short to move x
-    would go on); its derivative is NaN where it overflows.  Like
-    ``layer_system``, the closures look up ``forcing`` and ``forcing_dx`` in
-    this module at each call.
+    would go on).  Where its derivative overflows, the kernel ends the run on
+    the non-finite Jacobian.  Like ``layer_system``, the closures look up
+    ``forcing`` and ``forcing_dx`` in this module at each call.
     """
     e = params.epsilon
     rate = layer_system(model, params)[0]
@@ -171,9 +173,7 @@ def transit_system(model: SwitchingModel, params: OscillatorParams, sigma: float
 
     def slope_dx(u, x):
         r = rate(x, sigma * u)
-        d = sigma * forcing_dx(model, x, psi(sigma * u)) / e / r / r if r else math.nan
-        # an infinite Jacobian would zero the Newton increments: a false convergence
-        return d if abs(d) < math.inf else math.nan
+        return sigma * forcing_dx(model, x, psi(sigma * u)) / e / r / r if r else math.nan
 
     return slope, slope_dx
 
@@ -326,7 +326,7 @@ def _x_arc(model: SwitchingModel, params: OscillatorParams, x: float, v_in: floa
     rate, rate_dv = layer_system(model, params)
     # v leaves the layer through +-1; the section is the downward v = 0
     stops = [(1.0, +1), (-1.0, -1)] + ([(0.0, -1)] if section else [])
-    sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, rtol / 100.0, stops, section)
+    sol = solve_ivp(rate, rate_dv, (x, x_end), v_in, rtol, stops, section)
     if sol.status < 0:
         raise LayerIntegrationError(f"layer integration failed: {sol.message}",
                                     sol.t[-1], sol.v_end, sol.h_last)
@@ -357,8 +357,7 @@ def _v_arc(model: SwitchingModel, params: OscillatorParams, x: float, v_in: floa
     level = 0.0 if section and sigma < 0.0 and v_in > 0.0 else sigma
     slope, slope_dx = transit_system(model, params, sigma)
     stops = [(x_end, +1), (x + capture_threshold(params.epsilon), +1)]
-    sol = solve_ivp(slope, slope_dx, (sigma * v_in, sigma * level), x, rtol, rtol / 100.0,
-                    stops, section)
+    sol = solve_ivp(slope, slope_dx, (sigma * v_in, sigma * level), x, rtol, stops, section)
     if sol.status < 0 or sol.stop == 1:
         return None
     exited = sol.stop is None
@@ -373,15 +372,15 @@ def simulate_regularized(model: SwitchingModel, params: OscillatorParams,
                          section_after: float | None = None) -> Trajectory:
     """Full regularized trajectory from (x0, v0) to x_end.
 
-    Alternates layer integration (``radau.solve_ivp`` at rtol and atol
-    = rtol/100, analytic Jacobian; stop levels v = +-1 where v leaves the
-    layer, or in the v form the level as the span's end) with closed-form
-    exterior arcs.  With ``section_after`` set the run
-    is a section run of the regularized return map: a downward v = 0 stop is
-    added, the run terminates at the first such crossing past that abscissa
-    (``section_x``), and ``log_sensitivity`` accumulates J = d/dv (dv/dx)
-    along the path (a quadrature in the kernel, which leaves the steps
-    unchanged), the log-derivative of the flow map for contraction estimates.
+    Alternates layer integration (``radau.solve_ivp`` at rtol, analytic
+    Jacobian; stop levels v = +-1 where v leaves the layer, or in the v form
+    the level as the span's end) with closed-form exterior arcs.  With
+    ``section_after`` set the run is a section run of the regularized return
+    map: a downward v = 0 stop is added, the run terminates at the first
+    such crossing past that abscissa (``section_x``), and ``log_sensitivity``
+    accumulates J = d/dv (dv/dx) along the path (a quadrature in the kernel,
+    which leaves the steps unchanged), the log-derivative of the flow map for
+    contraction estimates.
     The returned trajectory has passed ``Trajectory.validate``.
     """
     if params.epsilon <= 0.0:
@@ -480,7 +479,6 @@ def slow_manifold_expansion(n: int, x: float, params: OscillatorParams) -> dict:
 
 @dataclass
 class ExitMeasurement:
-    n: int
     x_e: float
     fold_x: float
     delay: float
@@ -523,7 +521,7 @@ def measure_exit_point(n: int, params: OscillatorParams) -> ExitMeasurement:
     fold = fold_points(-1, nu, params)
     if not exits[0] > fold:
         raise SolverError(f"exit {exits[0]} not past the fold {fold}; not captured")
-    return ExitMeasurement(n=n, x_e=exits[0], fold_x=fold,
+    return ExitMeasurement(x_e=exits[0], fold_x=fold,
                            delay=exits[0] - fold, trajectory=traj)
 
 
@@ -535,11 +533,6 @@ class ScalingFit:
     intercept: float
     r_squared: float
     samples: list[tuple[float, float]]
-
-    @property
-    def decades(self) -> float:
-        xs = [s[0] for s in self.samples]
-        return math.log10(max(xs) / min(xs))
 
 
 #: Fewest samples ``fit_power_law`` fits.
@@ -641,9 +634,14 @@ def regularized_fixed_point(params: OscillatorParams,
     bracket without a fixed point raises DomainError, an iteration that does
     not converge SolverError with its last iterate, g and bracket.
     """
-    x, _, orbit = section_fixed_point(partial(_section_return, params=params), bracket)
+    x, _, orbit = poincare.section_fixed_point(partial(_section_return, params=params),
+                                               bracket)
     _require_no_capture(orbit)
     return x
+
+
+#: Largest half-width of the sliding solve's bracket about its discontinuous orbit.
+_SLIDING_BRACKET = 0.08
 
 
 @dataclass
@@ -658,16 +656,21 @@ def find_regularized_sliding_orbit_linear(a: float,
                                           params: OscillatorParams) -> RegSlidingOrbit:
     """Regularized sliding period-4 orbit of the linear model (large-a regime).
 
-    Locates the fixed point of P_eps in (0.02, 0.64) as
-    ``regularized_fixed_point`` does, and requires a captured layer segment on
-    the orbit from it (the slide along the attracting critical branch).  Its
-    contraction is log P_eps' of that same run, which resolves the
-    exponential smallness; so the solve makes only its Newton runs.
+    Locates the fixed point of P_eps as ``regularized_fixed_point`` does, in
+    a bracket centred on the discontinuous sliding orbit's section point
+    c = P_+(10/3) - 4, which lies in (0, 2/3), with half-width
+    min(0.08, c/2); the first Newton run starts at c.  It requires a
+    captured layer segment on the orbit from the fixed point (the slide along
+    the attracting critical branch).  Its contraction is log P_eps' of that
+    same run, which resolves the exponential smallness; so the solve makes
+    only its Newton runs and one ``next_crossing``.
     """
     if params.a != a:
         raise DomainError("params.a must equal a")
-    fp, _, orbit = section_fixed_point(partial(_section_return, params=params),
-                                       (0.02, 0.64))
+    c = poincare.next_crossing(+1, 10.0 / 3.0, OscillatorParams(a=a)).x_next - 4.0
+    half = min(_SLIDING_BRACKET, c / 2.0)
+    fp, _, orbit = poincare.section_fixed_point(partial(_section_return, params=params),
+                                                (c - half, c + half))
     captured = orbit.captured_spans()
     if not captured:
         raise NoOrbitError(
@@ -689,7 +692,6 @@ class VrReference:
     piece 2 clamps to -1 until the window ends at x^-_(eps,2n+2).
     """
 
-    n: int
     x_start: float
     x_reentry: float
     x_eps_a: float
@@ -710,7 +712,7 @@ def v_r_reference(n: int, params: OscillatorParams) -> VrReference:
     lo = 2.0 - 2.0 * math.asin(params.a * params.epsilon)
     if not lo < x_eps_a < 4.0:
         raise SolverError(f"x_eps_a={x_eps_a} outside ({lo}, 4)")
-    return VrReference(n=n, x_start=xs, x_reentry=xr, x_eps_a=x_eps_a, params=params)
+    return VrReference(x_start=xs, x_reentry=xr, x_eps_a=x_eps_a, params=params)
 
 
 def convergence_to_vr(traj: Trajectory, n_lo: int, n_hi: int) -> list[dict]:

@@ -216,11 +216,10 @@ def simulate_discontinuous(model: SwitchingModel, params: OscillatorParams,
 
 @dataclass
 class SlidingOrbitResult:
-    """A sliding period-4 orbit: one period's run, its crossings, the slide's
-    entry (``landing``), the slide exit's distance from closure and its branch."""
+    """A sliding period-4 orbit: one period's run, the slide's entry
+    (``landing``), the slide exit's distance from closure and its branch."""
 
     trajectory: Trajectory
-    crossings: list[float]
     landing: float
     closure_error: float
     branch: int
@@ -239,14 +238,14 @@ def find_sliding_period4_linear(a: float) -> SlidingOrbitResult:
     # consistent departure is a tangent one into S_+
     traj = simulate_discontinuous(
         SwitchingModel.LINEAR, p, (10.0 / 3.0, 0.0), x_end=10.0 / 3.0 + 4.0 + 0.75)
-    crossings = [e.x for e in traj.events if e.kind == "cross"]
     target = 10.0 / 3.0 + 4.0
     for seg in traj.segments:
         if seg.mode is Mode.SLIDING and seg.x0 < target <= seg.x1 + 1e-9:
             exit_x = next(e.x for e in traj.events
                           if e.kind == "slide-exit" and e.x >= target - 1e-9)
-            return SlidingOrbitResult(trajectory=traj, crossings=crossings, landing=seg.x0,
+            return SlidingOrbitResult(trajectory=traj, landing=seg.x0,
                                       closure_error=abs(exit_x - target), branch=seg.branch)
+    crossings = [e.x for e in traj.events if e.kind == "cross"]
     raise NoOrbitError(f"no sliding segment reaches x = 22/3 at a={a}; crossings={crossings}")
 
 
@@ -257,7 +256,8 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     the attracting branch n = 2 and slides to x = 4; periodicity then follows
     from the 4-periodicity of the field.  Periodicity of nonlinear sliding
     runs is only claimed here because the regularized limit confirms it
-    (cross-module test); raw threshold concatenations would be unverified.
+    (``tests/test_regularization.py::test_vr_eps_limit_is_discontinuous_orbit``);
+    raw threshold concatenations would be unverified.
     ``landing`` is the slide's entry x_a.  A run that does not slide, or has
     an arc in S_+ (leaves the closure of S_-), raises NoOrbitError.
     """
@@ -271,7 +271,7 @@ def find_sliding_period4_nonlinear(a: float) -> SlidingOrbitResult:
     above = [seg.x0 for seg in traj.segments if seg.mode is Mode.FLOW_PLUS]
     if above:
         raise NoOrbitError(f"orbit left closure of S_- into S_+ at x={above[0]}")
-    return SlidingOrbitResult(trajectory=traj, crossings=[], landing=entries[0].x,
+    return SlidingOrbitResult(trajectory=traj, landing=entries[0].x,
                               closure_error=abs(exits[0].x - 4.0), branch=entries[0].branch)
 
 
@@ -299,28 +299,10 @@ def check_no_nonsliding_periodic_nonlinear(a: float, n_max: int):
     } for n, xp, xm in landings]
 
 
-def ageing_metrics(model: SwitchingModel,
-                   x_range: tuple[float, float] | None = None,
-                   trajectory: Trajectory | None = None):
-    """Branch-width table (ageing law) plus per-trajectory slid lengths.
+def ageing_metrics(model: SwitchingModel, x_range: tuple[float, float]) -> list[dict]:
+    """Branch-width table (the ageing law) of the branches meeting x_range.
 
-    Nonlinear branch n spans 4n/3; linear branches all span 2/3.  When a
-    trajectory is given, each sliding segment contributes its length keyed by
-    the branch it ran on.
+    Nonlinear branch n spans 4n/3; linear branches all span 2/3.
     """
-    rows = {}
-    if x_range is not None:
-        for n in branch_indices(model, *x_range):
-            rows[n] = _ageing_row(branch(model, n))
-    if trajectory is not None:
-        for seg in trajectory.segments:
-            if seg.mode is Mode.SLIDING:
-                if seg.branch not in rows:
-                    rows[seg.branch] = _ageing_row(branch(model, seg.branch))
-                rows[seg.branch]["slid_length"] += seg.x1 - seg.x0
-    return list(rows.values())
-
-
-def _ageing_row(b: SlidingBranch) -> dict:
-    return {"n": b.index, "branch_width": b.width, "slid_length": 0.0,
-            "stability": b.stability}
+    branches = (branch(model, n) for n in branch_indices(model, *x_range))
+    return [{"n": b.index, "branch_width": b.width, "stability": b.stability} for b in branches]

@@ -7,7 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import math
 
-from switchosc.experiments import load_scenario, run_scenario, write_traceability
+from switchosc.experiments import load_scenario, run_scenario
 
 _BUDGETS = {  # wall-clock seconds where the criterion states one
     "E1": 1.0, "E2": 1.0, "E8": 60.0, "E9": 120.0, "E11": 30.0,
@@ -84,8 +84,3 @@ def test_criterion_12_asymptotics_toward_vr(tmp_path):
 
 def test_criterion_13_property_suites(tmp_path):
     _run("E13", tmp_path)
-
-
-def test_traceability_matrix_emitted(tmp_path):
-    path = write_traceability(tmp_path)
-    assert path.exists()

@@ -4,7 +4,9 @@ import io
 import json
 import math
 import re
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,7 @@ def test_ageing_table(tmp_path, capsys):
                       "--out-dir", str(tmp_path)], capsys)
     assert code == 0
     body = (tmp_path / "ageing.csv").read_text()
+    assert body.startswith("n,branch_width,stability\n")
     assert "3,4," in body  # branch 3 has width 4
 
 
@@ -171,6 +174,7 @@ def test_reproduce_unknown_scenario_usage_error(tmp_path, capsys):
     ["scaling", "--a", "0.01", "--eps-grid", "1e-2,-1e-3"],
     ["scaling", "--a", "0.01", "--n-grid", "4,8.5"],
     ["scaling", "--a", "0.01", "--n-grid", ""],
+    ["map", "--a", "0.01", "--grid", "1e308:-1e308:3"],  # the span overflows
 ])
 def test_malformed_colon_flag_usage_error(args, tmp_path, capsys):
     code, _, err = run(args + ["--out-dir", str(tmp_path)], capsys)
@@ -281,6 +285,43 @@ def test_map_grid_past_the_row_cap_usage_error(tmp_path, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error: --grid") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+
+#: finite ends, with the extremes of the float range drawn as often as the rest
+_ENDS = st.one_of(st.sampled_from([-sys.float_info.max, -1e300, 0.0, 1e300, sys.float_info.max]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+#: command -> (table, its x columns)
+_END_TABLES = {"map": ("maps.csv", [0]), "manifolds": ("manifolds.csv", [1, 2]),
+               "ageing": ("ageing.csv", [])}
+
+
+@seed(7)
+@settings(max_examples=80, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_END_TABLES)), lo=_ENDS, hi=_ENDS,
+       n=st.integers(1, 3), model=st.sampled_from(["linear", "nonlinear"]))
+def test_grid_and_range_ends_fuzz(command, lo, hi, n, model, tmp_path_factory):
+    # finite ends anywhere in the float range: each run exits 0 or 2, with
+    # no traceback (an escaping exception) or warning, and every row it
+    # writes has a finite x
+    work = tmp_path_factory.mktemp("ends")
+    if command == "map":
+        argv = ["map", "--a", "0.01", f"--grid={lo!r}:{hi!r}:{n}"]
+    else:
+        argv = [command, "--model", model, f"--range={lo!r}:{hi!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv + ["--out-dir", str(work)])
+    assert code in (0, 2), argv
+    table, x_columns = _END_TABLES[command]
+    if code == 2:
+        assert err.getvalue().startswith("error: --") and err.getvalue().count("\n") == 1
+        assert not (work / table).exists()
+        return
+    for row in (work / table).read_text().splitlines()[1:]:
+        cells = row.split(",")
+        assert all(math.isfinite(float(cells[k])) for k in x_columns), (argv, row)
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +6,12 @@ import pytest
 from switchosc import experiments, poincare
 from switchosc.core import DomainError, SolverError
 from switchosc.experiments import (
-    TRACEABILITY,
     ivp_contact,
     ivp_fixed_point,
     list_scenarios,
     load_scenario,
     run_scenario,
     write_csv,
-    write_traceability,
 )
 from switchosc.poincare import find_nonsliding_period4, next_crossing
 from switchosc.core import OscillatorParams
@@ -134,11 +131,3 @@ def test_property_suite_fails_on_a_broken_psi(monkeypatch, name, broken):
     monkeypatch.setattr(experiments, name, broken)
     rep = run_scenario(load_scenario("E13"))
     assert rep.measured["psi_valid"] is False and not rep.passed
-
-
-def test_traceability_matrix(tmp_path):
-    path = write_traceability(tmp_path)
-    rows = Path(path).read_text().strip().splitlines()
-    assert rows[0] == "criterion,scenario"
-    assert len(rows) == 1 + 13
-    assert len(TRACEABILITY) == 13

@@ -61,7 +61,7 @@ def test_kernel_matches_scipy_radau(k):
     x0, v0 = STARTS[(k // 2) % len(STARTS)]
     rate, rate_dv = layer_problem(model, a, eps)
     ref = scipy_reference(rate, rate_dv, (x0, x0 + 2.5), v0, False, STOPS)
-    got = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, 1e-12, STOPS, sens)
+    got = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, STOPS, sens)
 
     assert got.status == ref.status >= 0
     assert got.t[0] == x0 and got.t[-1] == pytest.approx(ref.t[-1], abs=1e-10)
@@ -84,7 +84,7 @@ def test_kernel_matches_scipy_radau(k):
         assert got.j_end is None
         return
     # J is not error-controlled: the run takes the plain run's steps exactly
-    plain = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, 1e-12, STOPS, False)
+    plain = solve_ivp(rate, rate_dv, (x0, x0 + 2.5), v0, 1e-10, STOPS, False)
     assert got.t == plain.t
     assert (got.nfev, got.njev, got.nlu) == (plain.nfev, plain.njev, plain.nlu)
     assert (got.stop, got.v_end) == (plain.stop, plain.v_end)
@@ -101,7 +101,7 @@ def test_earliest_stop_wins_when_one_step_crosses_two_levels():
     # both inside one step; the run stops at the earlier root
     stops = [(-0.1, -1), (0.0, -1)]
     rate, rate_dv = (lambda x, v: -1.0), (lambda x, v: 0.0)
-    got = solve_ivp(rate, rate_dv, (0.0, 10.0), 0.9, 1e-10, 1e-12, stops, False)
+    got = solve_ivp(rate, rate_dv, (0.0, 10.0), 0.9, 1e-10, stops, False)
     t_old, h = got.sol.steps[-1][:2]
     assert t_old < 0.9 and t_old + h > 1.0  # the last step crosses both levels
     assert got.status == 1 and got.stop == 1
@@ -115,12 +115,12 @@ def test_earliest_stop_wins_when_one_step_crosses_two_levels():
 def test_kernel_reaches_the_end_without_events():
     # on (2.8, 3.2) the run stays inside the strip (max |v| = 0.143)
     rate, rate_dv = layer_problem(SwitchingModel.LINEAR, 0.5, 1e-2)
-    got = solve_ivp(rate, rate_dv, (2.8, 3.2), 0.0, 1e-10, 1e-12, [], False)
+    got = solve_ivp(rate, rate_dv, (2.8, 3.2), 0.0, 1e-10, [], False)
     ref = scipy_reference(rate, rate_dv, (2.8, 3.2), 0.0, False, [])
     assert got.status == 0 and got.t[-1] == 3.2 and got.stop is None
     assert got.v_end == pytest.approx(ref.y[0, -1], rel=1e-10)
     assert got.sol.value(3.2) == got.v_end
-    empty = solve_ivp(rate, rate_dv, (1.0, 1.0), 0.0, 1e-3, 1e-6, [], False)
+    empty = solve_ivp(rate, rate_dv, (1.0, 1.0), 0.0, 1e-3, [], False)
     assert empty.status == 0 and list(empty.t) == [1.0]
 
 
@@ -131,7 +131,7 @@ def test_kernel_run_leaving_the_strip_without_a_stop_ends(model):
     # trial step there fails, so the run ends short of the span at v = -2,
     # where a clipped field would carry the run on to v = -7 and beyond
     rate, rate_dv = layer_problem(model, 1e-3, 1e-3)
-    got = solve_ivp(rate, rate_dv, (0.3, 0.31), 1.0 - 1e-12, 1e-10, 1e-12, [], False)
+    got = solve_ivp(rate, rate_dv, (0.3, 0.31), 1.0 - 1e-12, 1e-10, [], False)
     assert got.status == -1 and got.t[-1] < 0.31
     assert -2.0 - 1e-9 <= got.v_end <= -2.0 + 1e-9
 
@@ -139,7 +139,7 @@ def test_kernel_run_leaving_the_strip_without_a_stop_ends(model):
 def test_kernel_rejects_what_it_does_not_implement():
     rate, rate_dv = layer_problem(SwitchingModel.LINEAR, 0.5, 1e-2)
     with pytest.raises(ValueError):
-        solve_ivp(rate, rate_dv, (1.0, 0.0), 0.0, 1e-3, 1e-6, [], False)
+        solve_ivp(rate, rate_dv, (1.0, 0.0), 0.0, 1e-3, [], False)
 
 
 @pytest.mark.parametrize("x_bad", [0.5, -1.0])
@@ -154,9 +154,26 @@ def test_nan_rhs_fails_after_bounded_step_halvings(x_bad):
             return math.nan
         return -50.0 * (v - math.cos(x))
 
-    sol = solve_ivp(rate, lambda x, v: -50.0, (0.0, 1.0), 1.0, 1e-10, 1e-12, [], False)
+    sol = solve_ivp(rate, lambda x, v: -50.0, (0.0, 1.0), 1.0, 1e-10, [], False)
     assert sol.status == -1 and "step size" in sol.message
     assert sol.t[-1] <= max(x_bad, 0.0)
     # every NaN attempt halves the step, from at most 1 down to 10 ulp(x)
     assert len(nan_calls) <= 3 * 2 * 60
     assert 0.0 < sol.h_last < 10 * math.ulp(1.0) or math.isnan(sol.h_last)
+
+
+@pytest.mark.parametrize("jacobian", [math.inf, math.nan])
+def test_non_finite_jacobian_ends_the_run_where_it_was_evaluated(jacobian):
+    # an infinite Jacobian would zero the Newton increments, a false
+    # convergence that keeps v = 1 to the end instead of exp(-1); a NaN one
+    # fails every Newton iteration and halves the step down to 10 ulp(x)
+    calls = []
+
+    def rate(x, v):
+        calls.append(x)
+        return -v
+
+    sol = solve_ivp(rate, lambda x, v: jacobian, (0.0, 1.0), 1.0, 1e-10, [], False)
+    assert sol.status == -1 and "Jacobian" in sol.message
+    assert sol.t == [0.0] and sol.v_end == 1.0
+    assert len(calls) == 2  # the rate at the start and the initial-step probe
